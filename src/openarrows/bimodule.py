@@ -211,6 +211,16 @@ def eq_from_context(
     ``value_pool`` bounds the enumeration of predicate tables for law
     checking; it defaults to the monoid's carrier and must be supplied for
     infinite monoids such as the witness multisets.
+
+    Actions never re-tabulate a predicate.  Context ``b`` of ``lact(a, h)``
+    reads ``h`` at ``ract(b, a)`` (dually for ``ract`` and ``st``), and
+    where that context sits in ``h``'s enumeration depends on ``a`` and on
+    ``h``'s endpoints, never on ``h``'s values.  Each action therefore
+    computes a position table once, by running the real context action on
+    every context, and gathers ``h.values`` through it.  Tables are
+    memoised on the arrow's key of ``a`` (on the spectator for ``st``) and
+    ``h``'s endpoints, and live as long as the returned bimodule; acting
+    needs an arrow with a key.
     """
     if not m_monoid.commutative:
         raise DomainError(
@@ -224,6 +234,8 @@ def eq_from_context(
             )
         value_pool = list(m_monoid.carrier.elements)
     a_inst = ctx.arrow
+    base = a_inst.base
+    tables: dict = {}
 
     def hom(x, y):
         import itertools
@@ -234,26 +246,40 @@ def eq_from_context(
             for values in itertools.product(value_pool, repeat=len(ctxs))
         ]
 
+    def reindex(h, x, z, memo, act):
+        # Eq(X,Z) element whose context b reads h at act(b).
+        pos = tables.get(memo)
+        if pos is None:
+            index = ctx.index(h.dst, h.src)
+            pos = tables[memo] = tuple(
+                index[ctx.key(act(b))] for b in ctx.hom_cached(z, x)
+            )
+        return EqFun(x, z, tuple(map(h.values.__getitem__, pos)))
+
+    def action_memo(action, a, h):
+        if a_inst.key is None:
+            raise DomainError(f"arrow {a_inst.name!r} has no canonical key")
+        return (action, a_inst.key(a), h.src, h.dst)
+
     def lact(a, h):
         # A(X,Y) x Eq(Y,Z) -> Eq(X,Z): judge extended-by-a contexts.
-        x, z = a_inst.src(a), h.dst
-        return eq_tabulate(
-            ctx, x, z, lambda b: eq_apply(ctx, h, ctx.bimodule.ract(b, a))
+        return reindex(
+            h, a_inst.src(a), h.dst, action_memo("lact", a, h),
+            lambda b: ctx.bimodule.ract(b, a),
         )
 
     def ract(h, a):
         # Eq(X,Y) x A(Y,Z) -> Eq(X,Z): judge contexts with a prepended.
-        x, z = h.src, a_inst.dst(a)
-        return eq_tabulate(
-            ctx, x, z, lambda b: eq_apply(ctx, h, ctx.bimodule.lact(a, b))
+        return reindex(
+            h, h.src, a_inst.dst(a), action_memo("ract", a, h),
+            lambda b: ctx.bimodule.lact(a, b),
         )
 
     def st(h, z_obj):
-        base = a_inst.base
         x, y = h.src, h.dst
-        xz, yz = base.tensor(x, z_obj), base.tensor(y, z_obj)
-        return eq_tabulate(
-            ctx, xz, yz, lambda b: eq_apply(ctx, h, ctx.cst(b, y, x, z_obj))
+        return reindex(
+            h, base.tensor(x, z_obj), base.tensor(y, z_obj), (x, y, z_obj),
+            lambda b: ctx.cst(b, y, x, z_obj),
         )
 
     monoid = MonoidOnProfunctor(

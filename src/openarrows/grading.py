@@ -381,22 +381,34 @@ def para(
         inner = a_inst.comp(a_inst.pure(reshape), a_inst.st(p.inner, z))
         return ParaMor(xz, base.tensor(p.dst, z), p.param, inner)
 
+    insertions: dict = {}
+
+    def _insertions(j, x):
+        # pure(X -> J (x) X) at each index of J, built once per (J, X)
+        k = (j, x)
+        if k not in insertions:
+            jx = base.tensor(j, x)
+            insertions[k] = [
+                a_inst.pure(BaseMap(
+                    x,
+                    jx,
+                    FinFun.of(x.fwd, jx.fwd, lambda v, jv=jv: (jv, v)),
+                    FinFun.of(jx.bwd, x.bwd, lambda t: t[1]),
+                ))
+                for jv in j.fwd
+            ]
+        return insertions[k]
+
     def _block_keys(p):
         # One key per parameter index: restrict the inner morphism to that
         # index by precomposing with the insertion map.  Sound only when the
         # parameter has no contravariant content, so a morphism is exactly
         # the disjoint union of its index blocks and a parameter bijection
         # just permutes them.
-        out = []
-        jx = base.tensor(p.param, p.src)
-        for jv in p.param.fwd:
-            ins = BaseMap(
-                p.src,
-                jx,
-                FinFun.of(p.src.fwd, jx.fwd, lambda v, jv=jv: (jv, v)),
-                FinFun.of(jx.bwd, p.src.bwd, lambda t: t[1]),
-            )
-            out.append(a_inst.key(a_inst.comp(a_inst.pure(ins), p.inner)))
+        out = [
+            a_inst.key(a_inst.comp(ins, p.inner))
+            for ins in _insertions(p.param, p.src)
+        ]
         return sorted(out, key=repr)
 
     def _blockable(p):

@@ -353,11 +353,26 @@ def check_bimodule(
                         yield ((a1, a2, e), lhs, rhs, b.equal(lhs, rhs))
 
     def ract_comp():
+        # a1 ; a2 is built once per (y, z, w), on first use.  The tables hold
+        # one representative per key, so they cost a pointer per composite.
+        canon: dict = {}
+        composites: dict = {}
+
+        def comp(a1, a2):
+            m = a.comp(a1, a2)
+            return m if a.key is None else canon.setdefault(a.key(m), m)
+
         for x, y, z, w in itertools.product(objs, repeat=4):
+            hyz, hzw = a.hom_cached(y, z), a.hom_cached(z, w)
             for e in b.hom_cached(x, y):
-                for a1 in a.hom_cached(y, z):
-                    for a2 in a.hom_cached(z, w):
-                        lhs = b.ract(e, a.comp(a1, a2))
+                right = composites.get((y, z, w))
+                if right is None:
+                    right = composites[(y, z, w)] = [
+                        [comp(a1, a2) for a2 in hzw] for a1 in hyz
+                    ]
+                for a1, row in zip(hyz, right):
+                    for a2, a12 in zip(hzw, row):
+                        lhs = b.ract(e, a12)
                         rhs = b.ract(b.ract(e, a1), a2)
                         yield ((e, a1, a2), lhs, rhs, b.equal(lhs, rhs))
 

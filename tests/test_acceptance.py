@@ -10,8 +10,10 @@ caught in isolation, and family equality really is a congruence.
 
 from __future__ import annotations
 
+import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from openarrows.base import PAIR, PAIR_I, PairObj, bit_set
 from openarrows.bimodule import CtxPair, ctx_of_arrow, with_eq
@@ -59,6 +61,7 @@ from openarrows.optic import embed_lens, optic_canonicalize, optic_comp, set_hom
 B = bit_set(2)
 I = PAIR_I
 X = PairObj(B, B)
+EXPECTED_LAWS = Path(__file__).parents[1] / "perfbench" / "expected_laws.json"
 
 
 def _all_pass(reports):
@@ -78,6 +81,17 @@ def test_arrow_suite_is_green_within_budget():
     instances = {r.instance for r in reports}
     assert {"hom(set)", "lens", "witheq(lens,bool)",
             "fam(witheq(lens,bool))", "para(lens)"} <= instances
+
+
+def test_arrow_suite_case_counts_match_the_recorded_table():
+    # run_suite caches per process, so after the gate above this costs no run
+    with open(EXPECTED_LAWS) as f:
+        expected = json.load(f)["arrow@2"]
+    rows = sorted(
+        [r.law, r.instance, r.status, r.checked]
+        for r in run_suite("arrow", size=2)
+    )
+    assert rows == sorted(expected)
 
 
 def test_optic_arrow_suite_is_green():

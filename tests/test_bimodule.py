@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import pytest
 
 from openarrows.base import PAIR, PAIR_I, PairObj, bit_set
 from openarrows.bimodule import (
     CtxPair,
+    EqFun,
     ctx_of_arrow,
     eq_apply,
     eq_from_context,
@@ -106,3 +110,66 @@ def test_with_eq_pairs_lenses_with_predicates():
 def test_with_bimodule_needs_monoid_and_strength():
     with pytest.raises(DomainError):
         with_bimodule(LENS, CTX.bimodule)
+
+
+def _assert_actions_match_tabulation(monoid, pool):
+    # The actions gather through memoised position tables.  The reference
+    # is eq_tabulate's definition: every context b of the result, in
+    # enumeration order, reads h at the acted context (computed once per
+    # acting morphism, so the sweep over every h stays cheap).
+    eq = eq_from_context(CTX, monoid, value_pool=pool)
+
+    def direct(h, x, z, acted):
+        assert len(acted) == len(CTX.hom_cached(z, x))
+        return EqFun(x, z, tuple(eq_apply(CTX, h, c) for c in acted))
+
+    for x, y, z in itertools.product(LENS.objects, repeat=3):
+        for a in LENS.hom_cached(x, y):
+            acted = [CTX.bimodule.ract(b, a) for b in CTX.hom_cached(z, x)]
+            for h in eq.hom_cached(y, z):
+                want = direct(h, x, z, acted)
+                assert eq.lact(a, h) == want
+                assert eq.lact(a, h) == want  # a memo hit
+        for a in LENS.hom_cached(y, z):
+            acted = [CTX.bimodule.lact(a, b) for b in CTX.hom_cached(z, x)]
+            for h in eq.hom_cached(x, y):
+                want = direct(h, x, z, acted)
+                assert eq.ract(h, a) == want
+                assert eq.ract(h, a) == want
+        xz, yz = PAIR.tensor(x, z), PAIR.tensor(y, z)
+        acted = [CTX.cst(b, y, x, z) for b in CTX.hom_cached(yz, xz)]
+        for h in eq.hom_cached(x, y):
+            want = direct(h, xz, yz, acted)
+            assert eq.st(h, z) == want
+            assert eq.st(h, z) == want
+
+
+def test_eq_actions_match_direct_tabulation_for_booleans():
+    _assert_actions_match_tabulation(BOOL_AND, None)
+
+
+def test_eq_actions_match_direct_tabulation_for_witnesses():
+    _assert_actions_match_tabulation(WITNESSES, [(), (("w",),)])
+
+
+def test_eq_actions_read_each_predicate_not_a_cached_result():
+    eq = eq_from_context(CTX, BOOL_AND)
+    a = LENS.identity(X)
+    h1, h2 = eq.hom_cached(X, X)[:2]
+    assert h1 != h2
+    assert eq.lact(a, h1) == h1 and eq.lact(a, h2) == h2
+    assert eq.ract(h1, a) == h1 and eq.ract(h2, a) == h2
+    assert eq.st(h1, I) != eq.st(h2, I)
+
+
+def test_eq_actions_on_a_keyless_arrow_raise_domain_error():
+    keyless = dataclasses.replace(LENS, key=None, _hom_cache={})
+    eq = eq_from_context(ctx_of_arrow(keyless, LENS_PROJECTIONS), BOOL_AND)
+    a = keyless.identity(X)
+    h = eq.hom_cached(X, X)[0]
+    with pytest.raises(DomainError):
+        eq.lact(a, h)
+    with pytest.raises(DomainError):
+        eq.ract(h, a)
+    with pytest.raises(DomainError):
+        eq.st(h, X)

@@ -126,9 +126,28 @@ class PairBase:
 
     name = "pair"
     unit = PAIR_I
+    _TENSORS_MAX = 4096  # entries; the memo is emptied when it is full
+
+    def __init__(self):
+        #: (id(a), id(b)) -> (a, b, a (x) b).  An entry keeps its operands
+        #: alive, so no other object can take their ids while it is cached.
+        self._tensors: dict = {}
 
     def tensor(self, a: PairObj, b: PairObj) -> PairObj:
-        return PairObj(product(a.fwd, b.fwd), product(a.bwd, b.bwd))
+        """Memoised on the identity of the operands, as ``product`` is.
+
+        Objects that compare equal may hold different elements, and the
+        tensor must carry the caller's own.
+        """
+        key = (id(a), id(b))
+        hit = self._tensors.get(key)
+        if hit is not None:
+            return hit[2]
+        if len(self._tensors) >= self._TENSORS_MAX:
+            self._tensors.clear()
+        out = PairObj(product(a.fwd, b.fwd), product(a.bwd, b.bwd))
+        self._tensors[key] = (a, b, out)
+        return out
 
     def id(self, a: PairObj) -> BaseMap:
         return BaseMap(a, a, FinFun.identity(a.fwd), FinFun.identity(a.bwd))

@@ -15,6 +15,7 @@ refused up front with the closed-form case estimate rather than attempted.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator
@@ -154,6 +155,82 @@ def _report(law: str, instance: str, trials: Iterator, equality: str) -> LawRepo
     return LawReport(law, instance, "unknown" if unknown else "pass", checked, None, equality)
 
 
+# -- interned operation tables ------------------------------------------------
+#
+# Laws that chase composites and actions over whole hom sets meet the same
+# operand pairs again and again.  Their checkers number every member they
+# meet, run each real operation once per pair of numbers, and decide a case
+# by comparing the numbers of its two sides, calling ``equal`` only when
+# they differ.  This needs "key-equal implies equal" of every keyed family.
+
+class _Interned:
+    """Numbers the members of one family, one representative per class.
+
+    Members with the same endpoints and the same ``key`` share a number.
+    Endpoints belong to the class because a key need not carry them (an
+    ``EqFun``'s key is its values alone).  A family with no key is numbered
+    by identity; ``reps`` holds each member, so no id is reused.
+    """
+
+    def __init__(self, key: Callable | None, src: Callable, dst: Callable):
+        self.key, self.src, self.dst = key, src, dst
+        self.reps: list = []
+        self._numbers: dict = {}
+        self._lists: dict = {}
+
+    def __call__(self, m) -> int:
+        k = id(m) if self.key is None else (self.src(m), self.dst(m), self.key(m))
+        n = self._numbers.get(k)
+        if n is None:
+            n = self._numbers[k] = len(self.reps)
+            self.reps.append(m)
+        return n
+
+    def ids(self, members: list) -> list[int]:
+        """The numbers of a ``hom_cached`` list, memoised on (and holding) it."""
+        hit = self._lists.get(id(members))
+        if hit is None:
+            hit = self._lists[id(members)] = (members, [self(m) for m in members])
+        return hit[1]
+
+    def case(self, inputs: tuple, lhs: int, rhs: int, equal: Callable) -> tuple:
+        """A trial whose sides are numbered members of this family."""
+        reps = self.reps
+        return inputs, reps[lhs], reps[rhs], lhs == rhs or equal(reps[lhs], reps[rhs])
+
+
+class _Op(dict):
+    """(i, j) -> the number of ``fn(left.reps[i], right.reps[j])``, run once."""
+
+    def __init__(self, fn: Callable, left: _Interned, right: _Interned, out: _Interned):
+        self.fn, self.left, self.right, self.out = fn, left, right, out
+
+    def __missing__(self, pair):
+        i, j = pair
+        n = self[pair] = self.out(self.fn(self.left.reps[i], self.right.reps[j]))
+        return n
+
+
+class _Composites(dict):
+    """(x, y, z) -> rows of the numbers of ``a1 ; a2``, a1 in A(x, y), a2 in A(y, z).
+
+    Rows are positional (one list per ``a1``), so a table costs a pointer
+    per composite; a dict keyed on pairs costs several times that.
+    """
+
+    def __init__(self, a: ArrowInstance, num: _Interned):
+        self.a, self.num = a, num
+
+    def __missing__(self, xyz):
+        x, y, z = xyz
+        a, num = self.a, self.num
+        hyz = a.hom_cached(y, z)
+        rows = self[xyz] = [
+            [num(a.comp(a1, a2)) for a2 in hyz] for a1 in a.hom_cached(x, y)
+        ]
+        return rows
+
+
 # -- arrow laws ---------------------------------------------------------------
 
 def check_arrow_laws(
@@ -206,33 +283,22 @@ def check_arrow_laws(
 
 
 def _assoc_trials_keyed(a: ArrowInstance, objs: list):
-    # canonicalize composites by key so each distinct composition is
-    # performed once; associativity then reduces to identity of canonical
-    # representatives
-    canon: dict = {}
-    cache: dict = {}
-
-    def cc(m1, m2):
-        ck = (id(m1), id(m2))
-        r = cache.get(ck)
-        if r is None:
-            r = a.comp(m1, m2)
-            r = canon.setdefault(a.key(r), r)
-            cache[ck] = r
-        return r
-
+    num = _Interned(a.key, a.src, a.dst)
+    comp = _Op(a.comp, num, num, num)
+    composites = _Composites(a, num)
     for y, z, w in itertools.product(objs, repeat=3):
         hbc, hcd = a.hom_cached(y, z), a.hom_cached(z, w)
         if not (hbc and hcd):
             continue
+        right, ncd = composites[(y, z, w)], num.ids(hcd)
         for x in objs:
-            for m1 in a.hom_cached(x, y):
-                for m2 in hbc:
-                    left12 = cc(m1, m2)
-                    for m3 in hcd:
-                        lhs = cc(left12, m3)
-                        rhs = cc(m1, cc(m2, m3))
-                        yield ((m1, m2, m3), lhs, rhs, lhs is rhs or a.equal(lhs, rhs))
+            hab = a.hom_cached(x, y)
+            for m1, n1, row in zip(hab, num.ids(hab), composites[(x, y, z)]):
+                for m2, n12, right_row in zip(hbc, row, right):
+                    for m3, n3, n23 in zip(hcd, ncd, right_row):
+                        yield num.case(
+                            (m1, m2, m3), comp[(n12, n3)], comp[(n1, n23)], a.equal
+                        )
 
 
 def check_strength(
@@ -324,11 +390,24 @@ def check_bimodule(
     equality: str = "structural",
     objects: list | None = None,
 ) -> list[LawReport]:
-    """Action, mixed-action and strength-compatibility laws of a bimodule."""
+    """Action, mixed-action and strength-compatibility laws of a bimodule.
+
+    ``lact-comp``, ``ract-comp`` and ``mixed`` number the arrow and
+    bimodule members they meet (``_Interned``), run each real composite and
+    action once per pair of numbers, and decide a case by comparing the
+    numbers of its two sides, calling ``equal`` only when they differ; so
+    ``key`` equality must imply ``equal``.  Reported inputs are the
+    enumerated members themselves.
+    """
     name = instance or b.name
     a = b.arrow
     base = a.base
     objs = objects if objects is not None else a.objects
+    num_a = _Interned(a.key, a.src, a.dst)
+    num_b = _Interned(b.key, b.src, b.dst)
+    composites = _Composites(a, num_a)
+    lact = _Op(b.lact, num_a, num_b, num_b)
+    ract = _Op(b.ract, num_b, num_a, num_b)
 
     def lact_unit():
         for x, y in itertools.product(objs, repeat=2):
@@ -344,46 +423,46 @@ def check_bimodule(
 
     def lact_comp():
         for x, y, z, w in itertools.product(objs, repeat=4):
-            for a1 in a.hom_cached(x, y):
-                for a2 in a.hom_cached(y, z):
-                    a12 = a.comp(a1, a2)
-                    for e in b.hom_cached(z, w):
-                        lhs = b.lact(a12, e)
-                        rhs = b.lact(a1, b.lact(a2, e))
-                        yield ((a1, a2, e), lhs, rhs, b.equal(lhs, rhs))
+            hxy, hyz, hzw = a.hom_cached(x, y), a.hom_cached(y, z), b.hom_cached(z, w)
+            if not (hxy and hyz and hzw):
+                continue
+            n_yz, n_zw = num_a.ids(hyz), num_b.ids(hzw)
+            for a1, n1, row in zip(hxy, num_a.ids(hxy), composites[(x, y, z)]):
+                for a2, n2, n12 in zip(hyz, n_yz, row):
+                    for e, ne in zip(hzw, n_zw):
+                        yield num_b.case(
+                            (a1, a2, e), lact[(n12, ne)], lact[(n1, lact[(n2, ne)])],
+                            b.equal,
+                        )
 
     def ract_comp():
-        # a1 ; a2 is built once per (y, z, w), on first use.  The tables hold
-        # one representative per key, so they cost a pointer per composite.
-        canon: dict = {}
-        composites: dict = {}
-
-        def comp(a1, a2):
-            m = a.comp(a1, a2)
-            return m if a.key is None else canon.setdefault(a.key(m), m)
-
         for x, y, z, w in itertools.product(objs, repeat=4):
-            hyz, hzw = a.hom_cached(y, z), a.hom_cached(z, w)
-            for e in b.hom_cached(x, y):
-                right = composites.get((y, z, w))
-                if right is None:
-                    right = composites[(y, z, w)] = [
-                        [comp(a1, a2) for a2 in hzw] for a1 in hyz
-                    ]
-                for a1, row in zip(hyz, right):
-                    for a2, a12 in zip(hzw, row):
-                        lhs = b.ract(e, a12)
-                        rhs = b.ract(b.ract(e, a1), a2)
-                        yield ((e, a1, a2), lhs, rhs, b.equal(lhs, rhs))
+            hxy, hyz, hzw = b.hom_cached(x, y), a.hom_cached(y, z), a.hom_cached(z, w)
+            if not (hxy and hyz and hzw):
+                continue
+            rows, n_yz, n_zw = composites[(y, z, w)], num_a.ids(hyz), num_a.ids(hzw)
+            for e, ne in zip(hxy, num_b.ids(hxy)):
+                for a1, n1, row in zip(hyz, n_yz, rows):
+                    ne1 = ract[(ne, n1)]
+                    for a2, n2, n12 in zip(hzw, n_zw, row):
+                        yield num_b.case(
+                            (e, a1, a2), ract[(ne, n12)], ract[(ne1, n2)], b.equal
+                        )
 
     def mixed():
         for x, y, z, w in itertools.product(objs, repeat=4):
-            for a1 in a.hom_cached(x, y):
-                for e in b.hom_cached(y, z):
-                    for a2 in a.hom_cached(z, w):
-                        lhs = b.lact(a1, b.ract(e, a2))
-                        rhs = b.ract(b.lact(a1, e), a2)
-                        yield ((a1, e, a2), lhs, rhs, b.equal(lhs, rhs))
+            hxy, hyz, hzw = a.hom_cached(x, y), b.hom_cached(y, z), a.hom_cached(z, w)
+            if not (hxy and hyz and hzw):
+                continue
+            n_yz, n_zw = num_b.ids(hyz), num_a.ids(hzw)
+            for a1, n1 in zip(hxy, num_a.ids(hxy)):
+                for e, ne in zip(hyz, n_yz):
+                    n1e = lact[(n1, ne)]
+                    for a2, n2 in zip(hzw, n_zw):
+                        yield num_b.case(
+                            (a1, e, a2), lact[(n1, ract[(ne, n2)])], ract[(n1e, n2)],
+                            b.equal,
+                        )
 
     out = [
         _report("bimodule.lact-unit", name, lact_unit(), equality),
@@ -1385,6 +1464,7 @@ def _tag_bimodule(
         lact=lambda a, e: TagElem(a.dom, e.dst, psi(a, e.tag)),
         ract=lambda e, a: TagElem(e.src, a.cod, chi(a, e.tag)),
         equal=lambda e1, e2: e1 == e2,
+        key=operator.attrgetter("tag"),
         st=st,
         monoid=monoid,
         commutative=commutative,

@@ -83,15 +83,18 @@ def test_arrow_suite_is_green_within_budget():
             "fam(witheq(lens,bool))", "para(lens)"} <= instances
 
 
+def _recorded(key):
+    with open(EXPECTED_LAWS) as f:
+        return sorted(json.load(f)[key])
+
+
+def _rows(reports):
+    return sorted([r.law, r.instance, r.status, r.checked] for r in reports)
+
+
 def test_arrow_suite_case_counts_match_the_recorded_table():
     # run_suite caches per process, so after the gate above this costs no run
-    with open(EXPECTED_LAWS) as f:
-        expected = json.load(f)["arrow@2"]
-    rows = sorted(
-        [r.law, r.instance, r.status, r.checked]
-        for r in run_suite("arrow", size=2)
-    )
-    assert rows == sorted(expected)
+    assert _rows(run_suite("arrow", size=2)) == _recorded("arrow@2")
 
 
 def test_optic_arrow_suite_is_green():
@@ -111,6 +114,12 @@ def test_bimodule_and_context_suites_are_green_within_budget():
         r.instance for r in bim
     }
     assert {"ctx(lens)", "opticctx(lens)"} <= {r.instance for r in ctx}
+
+
+def test_bimodule_and_context_case_counts_match_the_recorded_table():
+    # cached by the gate above, like the arrow table
+    assert _rows(run_suite("bimodule", size=2)) == _recorded("bimodule@2")
+    assert _rows(run_suite("context", size=2)) == _recorded("context@2")
 
 
 # -- 3: graded structures with index sets of size <= 2 ------------------------
@@ -269,6 +278,8 @@ def test_mutant_battery_isolates_every_law():
     assert len(results) == 38
     for r in results:
         assert r.failed == (r.target,)
+    table = sorted([r.target, list(r.failed), r.isolated] for r in results)
+    assert table == _recorded("mutants")
 
 
 def test_mutant_cli_run_exits_nonzero_listing_the_plants(capsys):

@@ -93,3 +93,14 @@ def test_points_and_continuations_round_trip():
 def test_all_lenses_counts():
     # |Y_f|^|X_f| forward maps, |X_b|^(|X_f| * |Y_b|) backward maps
     assert len(all_lenses(X, Y)) == (2 ** 2) * (2 ** 4)
+
+
+def test_memoised_tensor_keeps_each_operands_elements():
+    bools, ints = FinSet((True, False)), FinSet((1, 0))
+    xb, xi = PairObj(bools, R), PairObj(ints, R)
+    assert xb == xi  # equal objects, different elements
+    tb, ti = PAIR.tensor(xb, xb), PAIR.tensor(xi, xi)
+    assert repr(tb.fwd) == "{(True, True), (True, False), (False, True), (False, False)}"
+    assert repr(ti.fwd) == "{(1, 1), (1, 0), (0, 1), (0, 0)}"
+    assert PAIR.tensor(xb, xb) is tb and PAIR.tensor(xi, xi) is ti
+    assert repr(PAIR.tensor(xb, xi).fwd.elements[0]) == "(True, 1)"

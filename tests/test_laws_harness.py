@@ -13,8 +13,6 @@ from openarrows.base import PAIR_I, SET, bit_set, pair_atoms
 from openarrows.bimodule import EqFun, ctx_of_arrow, eq_from_context, with_eq
 from openarrows.finset import BOOL_AND, UNIT
 from openarrows.grading import SizeError
-from openarrows.lens import LENS_PROJECTIONS, lens_arrow
-from openarrows.optic import lens_optic_context, optic_arrow
 from openarrows.laws import (
     CHECKER_LAWS,
     LAWS,
@@ -22,6 +20,8 @@ from openarrows.laws import (
     run_mutants,
     run_suite,
 )
+from openarrows.lens import LENS_PROJECTIONS, lens_arrow
+from openarrows.optic import lens_optic_context, optic_arrow
 
 
 def test_manifest_covers_every_emittable_law():
@@ -67,8 +67,9 @@ def test_unknown_suite_is_rejected():
 # -- interned operation tables agree with per-case chasing ---------------------
 #
 # The reference trials below run every real composite and action afresh for
-# every case and decide it with ``equal``, as the checkers did before they
-# numbered members.  Every field of every report must agree.
+# every case and decide it with ``equal``.  The checkers, which number
+# members and run each operation once per pair, must agree with them on
+# every field of every report.
 
 _INTERNED_BIMODULE_LAWS = ("bimodule.lact-comp", "bimodule.ract-comp", "bimodule.mixed")
 

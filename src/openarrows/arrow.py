@@ -12,8 +12,6 @@ import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .finset import CompositionError
-
 
 class CommutativityError(ValueError):
     """Parallel tensor requested on an arrow not flagged commutative."""
@@ -141,11 +139,3 @@ def induced_category(a_inst: ArrowInstance) -> InducedCategory:
             f"arrow {a_inst.name!r} is not commutative; no monoidal category"
         )
     return InducedCategory(a_inst)
-
-
-def check_endpoints(a_inst: ArrowInstance, a, b) -> None:
-    if a_inst.dst(a) != a_inst.src(b):
-        raise CompositionError(
-            f"{a_inst.name}: cannot compose {a_inst.src(a)}->{a_inst.dst(a)} "
-            f"with {a_inst.src(b)}->{a_inst.dst(b)}"
-        )

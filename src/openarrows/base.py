@@ -18,7 +18,6 @@ bijections on tuple carriers.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .finset import (
@@ -292,13 +291,6 @@ class MonoidBase:
         return f
 
 
-def cyclic_base(n: int) -> MonoidBase:
-    """The one-object base on Z/n under addition."""
-    elems = tuple(range(n))
-    table = {(a, b): (a + b) % n for a in elems for b in elems}
-    return MonoidBase(elems, table, 0)
-
-
 SET = SetBase()
 PAIR = PairBase()
 
@@ -312,35 +304,5 @@ def pair_atoms(*sizes: tuple[int, int]) -> list[PairObj]:
     return [PairObj(carrier(a), carrier(b)) for a, b in sizes]
 
 
-def obj_closure(base, atoms: list, depth: int = 1) -> list:
-    """The atoms plus their pairwise tensors, up to the given nesting depth."""
-    objs = list(atoms)
-    frontier = list(atoms)
-    for _ in range(depth):
-        frontier = [base.tensor(x, y) for x in frontier for y in atoms]
-        for o in frontier:
-            if o not in objs:
-                objs.append(o)
-    return objs
-
-
-def enumerate_base_isos(base, a, b) -> list:
-    return base.isos(a, b)
-
-
 def bit_set(n: int = 2) -> FinSet:
     return FinSet(tuple(range(n)))
-
-
-def is_identity(base, f) -> bool:
-    x = base.src(f)
-    return f == base.id(x)
-
-
-def iso_pairs(base, objs) -> list:
-    """All (iso, inverse) pairs between registered objects; used in searches."""
-    out = []
-    for a, b in itertools.product(objs, repeat=2):
-        for f in base.isos(a, b):
-            out.append((f, base.inv(f)))
-    return out

@@ -360,17 +360,3 @@ RAT_ALGEBRA = ConvexAlgebra(
 
 def dist_expectation(alg: ConvexAlgebra, d: Dist):
     return alg.expectation(d)
-
-
-def all_dists(support: FinSet, denominator: int) -> list[Dist]:
-    """All distributions on the carrier with weights of the given denominator."""
-    n = len(support)
-    out = []
-    for cuts in itertools.combinations_with_replacement(range(n), denominator):
-        counts = [0] * n
-        for c in cuts:
-            counts[c] += 1
-        out.append(Dist([
-            (x, Fraction(c, denominator)) for x, c in zip(support.elements, counts)
-        ]))
-    return out

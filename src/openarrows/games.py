@@ -48,7 +48,6 @@ from .grading import (
     GradedBimodule,
     GradedPairMor,
     ParamFamily,
-    fam_equal,
     grade_by_param,
     graded_product,
     graded_tensor,
@@ -164,12 +163,6 @@ class GameContext:
         )
 
 
-def closed_context() -> GameContext:
-    return GameContext(
-        PAIR_I, PAIR_I, STAR, FinFun.of(UNIT, UNIT, lambda _: STAR)
-    )
-
-
 def trivial_context(g) -> GameContext:
     """The unique context of a closed game (all four carriers singletons)."""
     for carrier in (g.src.fwd, g.dst.fwd, g.dst.bwd):
@@ -229,15 +222,6 @@ def _mk_game(monoid: Monoid, index: FinSet, members, arrow=None) -> OpenGame:
         index=index,
         members=tuple(members),
         arrow=arrow if arrow is not None else game_arrow(monoid),
-    )
-
-
-def game_equal(g1: OpenGame, g2: OpenGame) -> bool:
-    """Equality up to a bijective strategy relabelling."""
-    if g1.monoid.name != g2.monoid.name:
-        return False
-    return bool(
-        fam_equal(g1.arrow, g1.fam_element(), g2.fam_element())
     )
 
 
@@ -903,44 +887,3 @@ def prob_par(g1: ProbGame, g2: ProbGame) -> ProbGame:
     return _from_member(
         graded_tensor(_PROB_ARROW, _prob_member(g1), _prob_member(g2))
     )
-
-
-# -- learners -----------------------------------------------------------------
-
-def learner_arrow(param_objs: list[PairObj]) -> ArrowInstance:
-    """Lenses with a hidden parameter object: the learner composition."""
-    from .grading import para
-
-    arrow = para(_LENS, param_objs)
-    arrow.name = "learn"
-    return arrow
-
-
-def learner(p_set: FinSet, param_lens: Callable[[Any], Lens]):
-    """A parameter-indexed lens bundled as one lens on the enlarged source.
-
-    The parameter object pairs the set with itself: the backward pass
-    produces the parameter update.
-    """
-    from .grading import ParaMor
-
-    sample = param_lens(p_set.elements[0])
-    p_obj = PairObj(p_set, p_set)
-    src = sample.src
-    joint_src = PAIR.tensor(p_obj, src)
-    joint = Lens(
-        joint_src,
-        sample.dst,
-        FinFun.of(
-            joint_src.fwd, sample.dst.fwd, lambda px: param_lens(px[0]).fwd(px[1])
-        ),
-        FinFun.of(
-            product(joint_src.fwd, sample.dst.bwd),
-            joint_src.bwd,
-            lambda pr: (
-                pr[0][0],
-                param_lens(pr[0][0]).coplay(pr[0][1], pr[1]),
-            ),
-        ),
-    )
-    return ParaMor(src, sample.dst, p_obj, joint)

@@ -17,6 +17,7 @@ from .arrow import ArrowInstance, left_strength
 from .base import BaseMap, PairObj
 from .finset import (
     CompositionError,
+    DomainError,
     FinFun,
     FinSet,
     all_bijections,
@@ -255,7 +256,17 @@ def grade_by_param(
 def hide(
     graded: GradedArrow, bound: int = DEFAULT_INDEX_BOUND
 ) -> ArrowInstance:
-    """Sum out the grading: morphisms are graded elements up to grade iso."""
+    """Sum out the grading: morphisms are graded elements up to grade iso.
+
+    Over a graded arrow with a key, a morphism's key is the sorted tuple of
+    its member keys: regrading only permutes members, so two morphisms
+    with the same endpoints are equal exactly when these multisets agree.
+    Over a keyless graded arrow the result is keyless, and equality
+    searches the grade isomorphisms.
+    """
+    key = None
+    if graded.key is not None:
+        key = lambda e: tuple(sorted(graded.key(e)[1]))  # noqa: E731
 
     def hom(x, y):
         out = []
@@ -280,9 +291,8 @@ def hide(
             raise SizeError("index sets exceed the fam-equality bound")
         if len(p) != len(q):
             return False
-        if graded.key is not None:
-            # bijection search collapses to multiset equality of member keys
-            return sorted(graded.key(e1)[1]) == sorted(graded.key(e2)[1])
+        if key is not None:
+            return key(e1) == key(e2)
         unknown = False
         for phi in graded.grade_isos(q, p):
             r = graded.equal(graded.regrade(phi, e1), e2)
@@ -303,7 +313,7 @@ def hide(
         equal=equal,
         src=graded.src,
         dst=graded.dst,
-        key=None,  # equality is up to regrading; no canonical key
+        key=key,
         commutative=graded.commutative,
     )
 
@@ -341,7 +351,22 @@ def para(
     param_objs: list,
     member_pool: Callable[[Any, Any], list] | None = None,
 ) -> ArrowInstance:
-    """Morphisms with a hidden parameter object tensored onto the source."""
+    """Morphisms with a hidden parameter object tensored onto the source.
+
+    Two morphisms are equal when a parameter bijection carries one's inner
+    morphism to the other's.  Where both parameters have a one-point
+    backward carrier, a morphism is the disjoint union of its blocks (its
+    inner morphism restricted to each parameter index), a bijection only
+    permutes them, and equality compares the sorted block keys.
+
+    The arrow has a key when the inner arrow has one and the unit and
+    every registered parameter object have a one-point backward carrier.
+    Tensors keep that property, so every enumerated, lifted, composed or
+    strengthened member has it too, and its key is its sorted tuple of
+    block keys.  This key raises ``DomainError`` on a hand-built member
+    whose parameter has a larger backward carrier.  Otherwise the arrow is
+    keyless.
+    """
     base = a_inst.base
     pool = member_pool or a_inst.hom_cached
 
@@ -411,17 +436,22 @@ def para(
         ]
         return sorted(out, key=repr)
 
-    def _blockable(p):
-        return (
-            a_inst.key is not None
-            and isinstance(p.param, PairObj)
-            and len(p.param.bwd) == 1
-        )
+    def _blockable(j):
+        return isinstance(j, PairObj) and len(j.bwd) == 1
+
+    key = None
+    if a_inst.key is not None and all(map(_blockable, [base.unit, *param_objs])):
+        def key(p):
+            if not _blockable(p.param):
+                raise DomainError(
+                    f"para member with parameter {p.param} has no block key"
+                )
+            return tuple(_block_keys(p))
 
     def equal(p1, p2):
         if (p1.src, p1.dst) != (p2.src, p2.dst):
             return False
-        if _blockable(p1) and _blockable(p2):
+        if a_inst.key is not None and _blockable(p1.param) and _blockable(p2.param):
             return _block_keys(p1) == _block_keys(p2)
         unknown = False
         for phi in base.isos(p1.param, p2.param):
@@ -447,7 +477,7 @@ def para(
         equal=equal,
         src=lambda p: p.src,
         dst=lambda p: p.dst,
-        key=None,
+        key=key,
         commutative=a_inst.commutative,
     )
 

@@ -196,26 +196,3 @@ LENS_PROJECTIONS = PointProjections(
     p0=lambda j, x_obj, x2_obj: lens_proj_points(j, x_obj, x2_obj)[0],
     p1=lambda j, x_obj, x2_obj: lens_proj_points(j, x_obj, x2_obj)[1],
 )
-
-
-def curry_coplay(lens: Lens) -> dict:
-    """State-indexed view of the backward map (for the comonadic reading)."""
-    out = {}
-    for x in lens.src.fwd:
-        out[x] = FinFun.of(
-            lens.dst.bwd, lens.src.bwd, lambda r, x=x: lens.coplay(x, r)
-        )
-    return out
-
-
-def lens_tensor_pure(m1: BaseMap, m2: BaseMap) -> Lens:
-    """pure of a tensor of base maps (used by embedding tests)."""
-    return lens_pure(PAIR.tensor_mor(m1, m2))
-
-
-def enumerate_points(x_obj: PairObj) -> list[Lens]:
-    return [point_lens(x_obj, x) for x in x_obj.fwd]
-
-
-def enumerate_conts(y_obj: PairObj) -> list[Lens]:
-    return [cont_lens(y_obj, k) for k in all_funs(y_obj.fwd, y_obj.bwd)]

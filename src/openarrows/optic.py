@@ -409,26 +409,6 @@ def twisted_grading(
     )
 
 
-def tw_source_end(a_inst: ArrowInstance, e: TwElement) -> Optic:
-    """The optic a graded component represents, read at the left residual."""
-    c = a_inst.base
-    r = e.dst.bwd
-    right = a_inst.comp(
-        a_inst.pure(c.tensor_mor(e.grade.f, c.id(r))), e.right
-    )
-    return Optic(e.src, e.dst, e.grade.left_res, e.left, right)
-
-
-def tw_target_end(a_inst: ArrowInstance, e: TwElement) -> Optic:
-    """The same optic, read at the right residual."""
-    c = a_inst.base
-    y = e.dst.fwd
-    left = a_inst.comp(
-        e.left, a_inst.pure(c.tensor_mor(e.grade.f, c.id(y)))
-    )
-    return Optic(e.src, e.dst, e.grade.right_res, left, e.right)
-
-
 # -- optic-shaped contexts ----------------------------------------------------
 #
 # A context for morphisms X -> Y of a commutative arrow G on the pair base:

@@ -102,6 +102,11 @@ def test_optic_arrow_suite_is_green():
     assert {r.instance for r in reports} == {"optic(set)"}
 
 
+def test_optic_case_counts_match_the_recorded_table():
+    # cached by the test above
+    assert _rows(run_suite("optic", size=2)) == _recorded("optic@2")
+
+
 # -- 2: bimodules and contexts, exhaustively, under a minute ------------------
 
 def test_bimodule_and_context_suites_are_green_within_budget():
@@ -128,6 +133,11 @@ def test_graded_suite_is_green():
     reports = _all_pass(run_suite("graded", size=2))
     assert {"param(lens)", "twisted(set)", "bestresp(lens)",
             "probequib(lens)"} <= {r.instance for r in reports}
+
+
+def test_graded_case_counts_match_the_recorded_table():
+    # cached by the test above
+    assert _rows(run_suite("graded", size=2)) == _recorded("graded@2")
 
 
 # -- 4: the displayed formulas, symbol for symbol on bit carriers -------------

@@ -8,11 +8,11 @@ import itertools
 import pytest
 
 from openarrows import laws
-from openarrows.arrow import hom_arrow
-from openarrows.base import PAIR_I, SET, bit_set, pair_atoms
+from openarrows.arrow import arrow_tensor, arrow_tensor_flipped, hom_arrow
+from openarrows.base import PAIR, PAIR_I, SET, PairObj, bit_set, pair_atoms
 from openarrows.bimodule import EqFun, ctx_of_arrow, eq_from_context, with_eq
-from openarrows.finset import BOOL_AND, UNIT
-from openarrows.grading import SizeError
+from openarrows.finset import BOOL_AND, UNIT, DomainError
+from openarrows.grading import ParaMor, SizeError, fam, para
 from openarrows.laws import (
     CHECKER_LAWS,
     LAWS,
@@ -20,7 +20,7 @@ from openarrows.laws import (
     run_mutants,
     run_suite,
 )
-from openarrows.lens import LENS_PROJECTIONS, lens_arrow
+from openarrows.lens import LENS_PROJECTIONS, all_lenses, lens_arrow
 from openarrows.optic import lens_optic_context, optic_arrow
 
 
@@ -240,3 +240,163 @@ def test_interned_assoc_matches_per_case_chasing(instance):
     (got,) = [r for r in laws.check_arrow_laws(a, instance) if r.law == "arrow.assoc"]
     assert got == _reference_assoc(a, instance)
     assert got.status == ("fail" if "mutant" in instance else "pass")
+
+
+# -- strengthened rows and colimit keys agree with per-case chasing -----------
+#
+# ``arrow.commute`` and ``strength.comp`` strengthen each member once per
+# spectator, and ``fam`` and ``para`` now carry keys, so their associativity
+# takes the interned path.  The reference trials below strengthen and
+# compose afresh for every case.
+
+def _reference_strength_comp(a, name):
+    def trials():
+        for x, y, z in itertools.product(a.objects, repeat=3):
+            for m1 in a.hom_cached(x, y):
+                for m2 in a.hom_cached(y, z):
+                    m12 = a.comp(m1, m2)
+                    for zo in a.objects:
+                        lhs = a.st(m12, zo)
+                        rhs = a.comp(a.st(m1, zo), a.st(m2, zo))
+                        yield ((m1, m2, zo), lhs, rhs, a.equal(lhs, rhs))
+
+    return laws._report("strength.comp", name, trials(), "structural")
+
+
+def _reference_commute(a, name):
+    def trials():
+        for x, y, x2, y2 in itertools.product(a.objects, repeat=4):
+            for m1 in a.hom_cached(x, y):
+                for m2 in a.hom_cached(x2, y2):
+                    lhs = arrow_tensor(a, m1, m2)
+                    rhs = arrow_tensor_flipped(a, m1, m2)
+                    yield ((m1, m2), lhs, rhs, a.equal(lhs, rhs))
+
+    if not a.commutative:
+        return []
+    return [laws._report("arrow.commute", name, trials(), "structural")]
+
+
+def _shared_arrow_laws(a, name):
+    by_law = {
+        r.law: r for r in laws.check_arrow_laws(a, name) + laws.check_strength(a, name)
+    }
+    checked = [by_law["arrow.assoc"], by_law["strength.comp"]]
+    return checked + laws.check_commutativity(a, name)
+
+
+def _reference_arrow_laws(a, name):
+    checked = [_reference_assoc(a, name), _reference_strength_comp(a, name)]
+    return checked + _reference_commute(a, name)
+
+
+_ARROW_MUTANTS = sorted(
+    t for t in laws.MUTANTS if t.startswith(("arrow.", "strength."))
+)
+
+
+@pytest.mark.parametrize("target", _ARROW_MUTANTS)
+def test_shared_arrow_laws_match_per_case_chasing_on_mutants(target):
+    a = _captured(target, "_run_tag_arrow")
+    assert a.key is None
+    got = _shared_arrow_laws(a, target)
+    assert got == _reference_arrow_laws(a, target)
+    # a mutant aimed at one of these laws fails it
+    assert target not in {r.law for r in got if r.status == "pass"}
+
+
+def _weq(atoms):
+    lens = lens_arrow(atoms)
+    return with_eq(lens, ctx_of_arrow(lens, LENS_PROJECTIONS), BOOL_AND)
+
+
+def _colimit_twins(size, keyless):
+    # fam and para built as in the arrow suite, plus a para over a two-point
+    # parameter; with ``keyless``, over inner arrows whose key is removed,
+    # so that equality is the bijection search
+    def inner(a):
+        return dataclasses.replace(a, key=None, _hom_cache={}) if keyless else a
+
+    atoms = pair_atoms((1, 1), (size, 1))
+    weq = _weq(atoms)
+    pooled = lens_arrow(pair_atoms((1, 1), (2, 1)))
+    return {
+        "fam(witheq(lens,bool))": fam(
+            inner(weq), member_pool=laws._truncated(weq.hom_cached, 2)
+        ),
+        "para(lens)": para(
+            inner(lens_arrow(atoms)), [PAIR_I, PairObj(bit_set(size), UNIT)]
+        ),
+        "para(lens) over a two-point parameter": para(
+            inner(pooled), [PAIR_I, PairObj(bit_set(2), UNIT)],
+            member_pool=laws._truncated(pooled.hom_cached, 3),
+        ),
+    }
+
+
+def _suite_arrows(size):
+    # built as the arrow and optic suites build them
+    atoms4 = pair_atoms((1, 1), (size, 1), (1, size), (size, size))
+    colimits = _colimit_twins(size, keyless=False)
+    return {
+        "hom(set)": hom_arrow(SET, [UNIT, bit_set(size)]),
+        "lens": lens_arrow(atoms4),
+        "witheq(lens,bool)": _weq(atoms4[:2]),
+        "fam(witheq(lens,bool))": colimits["fam(witheq(lens,bool))"],
+        "para(lens)": colimits["para(lens)"],
+        "optic(set)": optic_arrow(atoms4[:3]),
+    }
+
+
+@pytest.mark.parametrize("instance", sorted(_suite_arrows(1)))
+def test_shared_arrow_laws_match_per_case_chasing_on_suites(instance):
+    a = _suite_arrows(1)[instance]
+    assert a.key is not None
+    got = _shared_arrow_laws(a, instance)
+    assert got == _reference_arrow_laws(a, instance)
+    assert {r.status for r in got} == {"pass"}
+
+
+@pytest.mark.parametrize("instance", sorted(_colimit_twins(1, False)))
+def test_colimit_keys_decide_equality_as_the_bijection_search_does(instance):
+    # over the pool and its composites, key equality, equal and the
+    # bijection search agree for every pair with the same endpoints
+    a = _colimit_twins(1, False)[instance]
+    search = _colimit_twins(1, True)[instance].equal
+    assert a.key is not None
+    objs = list(dict.fromkeys(a.objects))
+    pool = [m for x, y in itertools.product(objs, repeat=2) for m in a.hom_cached(x, y)]
+    members = pool + [
+        a.comp(m1, m2) for m1 in pool for m2 in pool if a.dst(m1) == a.src(m2)
+    ]
+    by_ends = {}
+    for m in members:
+        by_ends.setdefault((a.src(m), a.dst(m)), []).append(m)
+    for ms in by_ends.values():
+        keys = [a.key(m) for m in ms]
+        for (m1, k1), (m2, k2) in itertools.product(zip(ms, keys), repeat=2):
+            assert (k1 == k2) == a.equal(m1, m2) == search(m1, m2), (m1, m2)
+
+
+def test_para_key_needs_one_point_backward_parameters():
+    two_point_bwd = PairObj(UNIT, bit_set(2))
+    inner = lens_arrow([PAIR_I])
+    assert para(inner, [PAIR_I, two_point_bwd]).key is None
+    assert para(inner, [PAIR_I, PairObj(bit_set(2), UNIT)]).key is not None
+
+
+def test_keyed_para_refuses_a_member_it_cannot_block():
+    two_point_bwd = PairObj(UNIT, bit_set(2))
+    a = para(lens_arrow([PAIR_I]), [PAIR_I])
+    inner = all_lenses(PAIR.tensor(two_point_bwd, PAIR_I), PAIR_I)[0]
+    with pytest.raises(DomainError):
+        a.key(ParaMor(PAIR_I, PAIR_I, two_point_bwd, inner))
+
+
+def test_hide_over_a_keyless_graded_arrow_stays_keyless():
+    a = fam(_captured("arrow.assoc", "_run_tag_arrow"))
+    assert a.key is None
+    x = a.objects[-1]
+    e = next(e for e in a.hom_cached(x, x) if len(set(e.members)) == 2)
+    swapped = dataclasses.replace(e, members=e.members[::-1])
+    assert a.equal(e, swapped) is True

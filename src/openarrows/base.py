@@ -1,15 +1,12 @@
 """The base categories the arrow machinery is instantiated over.
 
-Three bases are provided:
+Two bases are provided:
 
 * ``SetBase`` -- finite sets and functions, monoidal via the cartesian
   product.  This is the base for optics.
 * ``PairBase`` -- pairs of finite sets with a covariant and a contravariant
   component; morphisms are pairs (forward function, backward function).
   This is the base for lenses and open games.
-* ``MonoidBase`` -- a synthetic one-object base whose morphisms form a
-  given commutative monoid.  Used by the law harness to build surgical
-  mutant instances.
 
 A base exposes objects with a tensor and unit, morphism enumeration, and
 the canonical structural isomorphisms.  All structural isos are honest
@@ -217,78 +214,6 @@ class PairBase:
 
     def mor_key(self, f: BaseMap):
         return (SET.mor_key(f.fwd), SET.mor_key(f.bwd))
-
-
-_OBJ = "<.>"
-
-
-class MonoidBase:
-    """One object; morphisms are elements of a commutative monoid table.
-
-    ``op`` doubles as composition and tensor on morphisms, which is
-    coherent exactly because the monoid is commutative.  All structural
-    isomorphisms are the identity element.
-    """
-
-    name = "monoid"
-    unit = _OBJ
-
-    def __init__(self, elements: tuple, op_table: dict, unit_elem):
-        self.elements = tuple(elements)
-        self.table = dict(op_table)
-        self.unit_elem = unit_elem
-        for a in elements:
-            for b in elements:
-                if self.table[(a, b)] != self.table[(b, a)]:
-                    raise ValueError("MonoidBase requires a commutative table")
-
-    def tensor(self, a, b):
-        return _OBJ
-
-    def id(self, a):
-        return self.unit_elem
-
-    def src(self, f):
-        return _OBJ
-
-    def dst(self, f):
-        return _OBJ
-
-    def compose(self, f, g):
-        return self.table[(f, g)]
-
-    def tensor_mor(self, f, g):
-        return self.table[(f, g)]
-
-    def inv(self, f):
-        for g in self.elements:
-            if self.table[(f, g)] == self.unit_elem:
-                return g
-        raise ValueError(f"{f!r} is not invertible")
-
-    def sym(self, a, b):
-        return self.unit_elem
-
-    def assoc(self, a, b, c):
-        return self.unit_elem
-
-    def runit(self, a):
-        return self.unit_elem
-
-    def lunit(self, a):
-        return self.unit_elem
-
-    def morphisms(self, a, b):
-        return list(self.elements)
-
-    def isos(self, a, b):
-        return [f for f in self.elements if self._invertible(f)]
-
-    def _invertible(self, f) -> bool:
-        return any(self.table[(f, g)] == self.unit_elem for g in self.elements)
-
-    def mor_key(self, f):
-        return f
 
 
 SET = SetBase()

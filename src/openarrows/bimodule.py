@@ -10,6 +10,7 @@ equilibrium predicate.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -238,8 +239,6 @@ def eq_from_context(
     tables: dict = {}
 
     def hom(x, y):
-        import itertools
-
         ctxs = ctx.hom_cached(y, x)
         return [
             EqFun(x, y, values)

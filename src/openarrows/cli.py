@@ -18,9 +18,9 @@ Four subcommands:
     Reprint a game file in canonical form.
 
 Exit codes: 0 success, 1 internal failure or negative verdict, 2 bad
-input (parse, type, or context mismatch), 3 size bound exceeded, 4 the
-oracle cannot interpret the game's shape.  All output is deterministic;
-JSON output is one object per line with a ``schema`` tag.
+input (parse, type, context mismatch, or a bad size), 3 size bound
+exceeded, 4 the oracle cannot interpret the game's shape.  All output is
+deterministic; JSON output is one object per line with a ``schema`` tag.
 """
 
 from __future__ import annotations
@@ -113,7 +113,16 @@ def cmd_solve(args) -> int:
 
 
 def cmd_laws(args) -> int:
-    max_size = int(os.environ.get("OPENARROWS_MAX_SIZE", "3"))
+    raw = os.environ.get("OPENARROWS_MAX_SIZE", "3")
+    try:
+        max_size = int(raw)
+    except ValueError:
+        print(f"error: OPENARROWS_MAX_SIZE must be an integer, got {raw!r}",
+              file=sys.stderr)
+        return 2
+    if args.size < 1:
+        print(f"error: --size must be at least 1, got {args.size}", file=sys.stderr)
+        return 2
     if args.size > max_size:
         print(f"error: size {args.size} exceeds the bound of {max_size} "
               f"(set OPENARROWS_MAX_SIZE to raise it)", file=sys.stderr)

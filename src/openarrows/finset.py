@@ -116,12 +116,6 @@ class FinFun:
     def identity(a: FinSet) -> "FinFun":
         return FinFun(a, a, a.elements)
 
-    @staticmethod
-    def const(dom: FinSet, cod: FinSet, y) -> "FinFun":
-        if y not in cod:
-            raise DomainError(f"{y!r} not in {cod}")
-        return FinFun(dom, cod, (y,) * len(dom))
-
     def __call__(self, x):
         return self.table[self.dom.index(x)]
 
@@ -133,9 +127,6 @@ class FinFun:
     @property
     def dst(self) -> FinSet:
         return self.cod
-
-    def then(self, g: "FinFun") -> "FinFun":
-        return fun_compose(self, g)
 
     def is_bijection(self) -> bool:
         return len(set(self.table)) == len(self.cod) == len(self.dom)
@@ -241,12 +232,6 @@ class Monoid:
     unit: Any
     commutative: bool = True
     carrier: FinSet | None = None
-
-    def fold(self, values: Iterable) -> Any:
-        acc = self.unit
-        for v in values:
-            acc = self.op(acc, v)
-        return acc
 
 
 BOOL_AND = Monoid("bool-and", lambda a, b: a and b, True, carrier=FinSet((True, False)))

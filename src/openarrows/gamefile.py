@@ -38,8 +38,6 @@ from .finset import (
 )
 from .games import (
     GameContext,
-    OpenGame,
-    ProbGame,
     decision,
     lift_covariant,
     par,

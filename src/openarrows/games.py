@@ -24,6 +24,7 @@ from .bimodule import (
     CtxPair,
     MonoidOnProfunctor,
     WithBMor,
+    ctx_of_arrow,
     with_bimodule,
 )
 from .finset import (
@@ -44,7 +45,6 @@ from .finset import (
     product,
 )
 from .grading import (
-    FamElement,
     GradedBimodule,
     GradedPairMor,
     ParamFamily,
@@ -57,10 +57,8 @@ from .lens import (
     Lens,
     cont_lens,
     lens_arrow,
-    lens_comp,
     point_lens,
 )
-from .bimodule import ctx_of_arrow
 
 _LENS = lens_arrow([])
 GAME_CTX: ContextStruct = ctx_of_arrow(_LENS, LENS_PROJECTIONS)
@@ -212,17 +210,9 @@ class OpenGame:
             )
         return self.member(j).extra.at(c)
 
-    def fam_element(self) -> FamElement:
-        return FamElement(self.src, self.dst, self.index, self.members)
 
-
-def _mk_game(monoid: Monoid, index: FinSet, members, arrow=None) -> OpenGame:
-    return OpenGame(
-        monoid=monoid,
-        index=index,
-        members=tuple(members),
-        arrow=arrow if arrow is not None else game_arrow(monoid),
-    )
+def _mk_game(monoid: Monoid, index: FinSet, members, arrow) -> OpenGame:
+    return OpenGame(monoid=monoid, index=index, members=tuple(members), arrow=arrow)
 
 
 def decision(
@@ -531,9 +521,6 @@ def best_resp_bimodule(
         gract=gract,
         regrade=regrade,
         equal=equal,
-        grade_of=lambda b: b.grade,
-        src=lambda b: b.src,
-        dst=lambda b: b.dst,
         st=st,
         e=lambda grade, x, y: BestRespElement(
             x, y, grade, lambda c: lambda p1, p2: True
@@ -778,9 +765,6 @@ def prob_bimodule(
         gract=gract,
         regrade=regrade,
         equal=equal,
-        grade_of=lambda b: b.grade,
-        src=lambda b: b.src,
-        dst=lambda b: b.dst,
         st=st,
         e=lambda grade, x, y: ProbElement(x, y, grade, lambda c, d: True),
         m=lambda b1, b2: ProbElement(

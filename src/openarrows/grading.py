@@ -10,7 +10,8 @@ variants all live here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from .arrow import ArrowInstance, left_strength
@@ -21,7 +22,9 @@ from .finset import (
     FinFun,
     FinSet,
     all_bijections,
+    assoc_iso,
     product,
+    sym_iso,
 )
 
 #: fam_equal refuses index sets larger than this: composition grows indices
@@ -105,9 +108,10 @@ class GradedArrow:
     st: Callable[[Any, Any], Any]
     regrade: Callable[[Any, Any], Any]  # (grade iso q -> p, elem at p) -> at q
     equal: Callable[[Any, Any], bool | None]
-    grade_of: Callable[[Any], Any]
-    src: Callable[[Any], Any]
-    dst: Callable[[Any], Any]
+    # an element's grade and endpoints; by default its fields of those names
+    grade_of: Callable[[Any], Any] = operator.attrgetter("grade")
+    src: Callable[[Any], Any] = operator.attrgetter("src")
+    dst: Callable[[Any], Any] = operator.attrgetter("dst")
     key: Callable[[Any], Any] | None = None
     commutative: bool = False
     # canonical structural grade isos, in the direction regrade consumes
@@ -137,6 +141,22 @@ def default_grades(max_size: int = 2) -> list[FinSet]:
 
 
 GRADE_UNIT = FinSet((0,))
+
+
+def param_structural(kind: str, args: tuple) -> FinFun:
+    """The structural grade isos of finite-set grades under product."""
+    if kind == "lunit":
+        (p,) = args
+        return FinFun.of(p, product(GRADE_UNIT, p), lambda j: (0, j))
+    if kind == "runit":
+        (p,) = args
+        return FinFun.of(p, product(p, GRADE_UNIT), lambda j: (j, 0))
+    if kind == "assoc":
+        return assoc_iso(*args).inverse()
+    if kind == "sym":
+        p, q = args
+        return sym_iso(q, p)
+    raise ValueError(f"unknown structural grade iso {kind!r}")
 
 
 def grade_by_param(
@@ -209,27 +229,6 @@ def grade_by_param(
             tuple(a_inst.key(m) for m in e.members),
         )
 
-    def grade_structural(kind: str, args: tuple) -> FinFun:
-        if kind == "lunit":
-            (p,) = args
-            return FinFun.of(p, product(GRADE_UNIT, p), lambda j: (0, j))
-        if kind == "runit":
-            (p,) = args
-            return FinFun.of(p, product(p, GRADE_UNIT), lambda j: (j, 0))
-        if kind == "assoc":
-            p, q, r = args
-            return FinFun.of(
-                product(p, product(q, r)),
-                product(product(p, q), r),
-                lambda t: ((t[0], t[1][0]), t[1][1]),
-            )
-        if kind == "sym":
-            p, q = args
-            return FinFun.of(
-                product(q, p), product(p, q), lambda t: (t[1], t[0])
-            )
-        raise ValueError(f"unknown structural grade iso {kind!r}")
-
     return GradedArrow(
         name=f"param({a_inst.name})",
         base=a_inst.base,
@@ -244,12 +243,9 @@ def grade_by_param(
         st=st,
         regrade=regrade,
         equal=equal,
-        grade_of=lambda e: e.grade,
-        src=lambda e: e.src,
-        dst=lambda e: e.dst,
         key=key,
         commutative=a_inst.commutative,
-        grade_structural=grade_structural,
+        grade_structural=param_structural,
     )
 
 
@@ -475,8 +471,6 @@ def para(
         comp=comp,
         st=st,
         equal=equal,
-        src=lambda p: p.src,
-        dst=lambda p: p.dst,
         key=key,
         commutative=a_inst.commutative,
     )
@@ -527,9 +521,10 @@ class GradedBimodule:
     gract: Callable[[Any, Any], Any]  # B_p(X,Y) x A_q(Y,Z) -> B_pq(X,Z)
     regrade: Callable[[Any, Any], Any]
     equal: Callable[[Any, Any], bool | None]
-    grade_of: Callable[[Any], Any]
-    src: Callable[[Any], Any]
-    dst: Callable[[Any], Any]
+    # an element's grade and endpoints; by default its fields of those names
+    grade_of: Callable[[Any], Any] = operator.attrgetter("grade")
+    src: Callable[[Any], Any] = operator.attrgetter("src")
+    dst: Callable[[Any], Any] = operator.attrgetter("dst")
     st: Callable[[Any, Any], Any] | None = None
     # per-grade pointwise monoid
     e: Callable[[Any, Any, Any], Any] | None = None  # (grade, X, Y) -> elem

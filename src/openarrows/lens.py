@@ -9,7 +9,6 @@ carrier so that equality stays a table comparison.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .arrow import ArrowInstance
@@ -19,7 +18,6 @@ from .finset import (
     CompositionError,
     DomainError,
     FinFun,
-    FinSet,
     all_funs,
     fun_compose,
     product,

@@ -12,13 +12,12 @@ the residual rather than splitting points.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .arrow import ArrowInstance, left_strength
-from .base import PAIR, PAIR_I, BaseMap, PairObj, SET
-from .bimodule import Bimodule, ContextStruct, CtxPair
+from .arrow import ArrowInstance, hom_arrow, left_strength
+from .base import PAIR, BaseMap, PairObj, SET
+from .bimodule import Bimodule, ContextStruct, CtxPair, ctx_of_arrow
 from .finset import (
     STAR,
     CompositionError,
@@ -26,10 +25,22 @@ from .finset import (
     FinFun,
     FinSet,
     all_funs,
+    assoc_iso,
+    lunit_iso,
     product,
+    runit_iso,
+    sym_iso,
 )
 from .grading import GradedArrow, SizeError
-from .lens import Lens, all_lenses, cont_lens, lens_key, point_lens
+from .lens import (
+    LENS_PROJECTIONS,
+    Lens,
+    all_lenses,
+    cont_lens,
+    lens_comp,
+    lens_key,
+    point_lens,
+)
 
 DEFAULT_RESIDUAL_CAP = 8
 
@@ -51,8 +62,6 @@ class Optic:
 
 def set_hom_arrow(objects: list[FinSet]) -> ArrowInstance:
     """The identity arrow on finite sets: the inner arrow of cartesian optics."""
-    from .arrow import hom_arrow
-
     return hom_arrow(SET, objects)
 
 
@@ -63,6 +72,43 @@ def optic_pure(a_inst: ArrowInstance, m: BaseMap) -> Optic:
     left = a_inst.pure(c.compose(m.fwd, c.inv(c.lunit(m.dst.fwd))))
     right = a_inst.pure(c.compose(c.lunit(m.dst.bwd), m.bwd))
     return Optic(m.src, m.dst, unit, left, right)
+
+
+# The composite and strength formulas, over residuals given explicitly: an
+# optic passes its one residual to both sides, a component of the twisted
+# grading its left residual to the left part and its right one to the right.
+
+def _comp_left(a_inst: ArrowInstance, left1, left2, p, q, z):
+    # X -> P (x) Y -> P (x) (Q (x) Z) -> (P (x) Q) (x) Z
+    c = a_inst.base
+    return a_inst.comp(
+        a_inst.comp(left1, left_strength(a_inst, left2, p)),
+        a_inst.pure(c.inv(c.assoc(p, q, z))),
+    )
+
+
+def _comp_right(a_inst: ArrowInstance, right1, right2, p, q, w):
+    # (P (x) Q) (x) W -> P (x) (Q (x) W) -> P (x) R -> S
+    c = a_inst.base
+    return a_inst.comp(
+        a_inst.comp(
+            a_inst.pure(c.assoc(p, q, w)),
+            left_strength(a_inst, right2, p),
+        ),
+        right1,
+    )
+
+
+def _st_left(a_inst: ArrowInstance, left, p, y, z0):
+    # X (x) Z0 -> (P (x) Y) (x) Z0 -> P (x) (Y (x) Z0)
+    c = a_inst.base
+    return a_inst.comp(a_inst.st(left, z0), a_inst.pure(c.assoc(p, y, z0)))
+
+
+def _st_right(a_inst: ArrowInstance, right, p, r, z1):
+    # P (x) (R (x) Z1) -> (P (x) R) (x) Z1 -> S (x) Z1
+    c = a_inst.base
+    return a_inst.comp(a_inst.pure(c.inv(c.assoc(p, r, z1))), a_inst.st(right, z1))
 
 
 def optic_comp(
@@ -86,46 +132,23 @@ def optic_comp(
     if len(pq) > cap:
         if isinstance(o1.left, FinFun):
             return embed_lens(
-                lens_comp_via(optic_canonicalize(o1), optic_canonicalize(o2))
+                lens_comp(optic_canonicalize(o1), optic_canonicalize(o2))
             )
         raise SizeError(
             f"composite residual of size {len(pq)} exceeds the cap {cap}"
         )
-    y, z = o1.dst.fwd, o2.dst.fwd
-    w, r = o2.dst.bwd, o1.dst.bwd
-    # X -> P (x) Y -> P (x) (Q (x) Z) -> (P (x) Q) (x) Z
-    left = a_inst.comp(
-        a_inst.comp(o1.left, left_strength(a_inst, o2.left, p)),
-        a_inst.pure(c.inv(c.assoc(p, q, z))),
-    )
-    # (P (x) Q) (x) W -> P (x) (Q (x) W) -> P (x) R -> S
-    right = a_inst.comp(
-        a_inst.comp(
-            a_inst.pure(c.assoc(p, q, w)),
-            left_strength(a_inst, o2.right, p),
-        ),
-        o1.right,
-    )
+    left = _comp_left(a_inst, o1.left, o2.left, p, q, o2.dst.fwd)
+    right = _comp_right(a_inst, o1.right, o2.right, p, q, o2.dst.bwd)
     return Optic(o1.src, o2.dst, pq, left, right)
 
 
 def optic_strength(a_inst: ArrowInstance, o: Optic, z: PairObj) -> Optic:
     """Pad a spectator pair object; the residual is untouched."""
-    c = a_inst.base
     p = o.residual
-    x, y = o.src.fwd, o.dst.fwd
-    r, s = o.dst.bwd, o.src.bwd
     src = PAIR.tensor(o.src, z)
     dst = PAIR.tensor(o.dst, z)
-    # X (x) Z0 -> (P (x) Y) (x) Z0 -> P (x) (Y (x) Z0)
-    left = a_inst.comp(
-        a_inst.st(o.left, z.fwd), a_inst.pure(c.assoc(p, y, z.fwd))
-    )
-    # P (x) (R (x) Z1) -> (P (x) R) (x) Z1 -> S (x) Z1
-    right = a_inst.comp(
-        a_inst.pure(c.inv(c.assoc(p, r, z.bwd))),
-        a_inst.st(o.right, z.bwd),
-    )
+    left = _st_left(a_inst, o.left, p, o.dst.fwd, z.fwd)
+    right = _st_right(a_inst, o.right, p, o.dst.bwd, z.bwd)
     return Optic(src, dst, p, left, right)
 
 
@@ -157,12 +180,6 @@ def optic_canonicalize(o: Optic) -> Lens:
         lambda xr: o.right((o.left(xr[0])[0], xr[1])),
     )
     return Lens(o.src, o.dst, fwd, bwd)
-
-
-def lens_comp_via(l1: Lens, l2: Lens) -> Lens:
-    from .lens import lens_comp
-
-    return lens_comp(l1, l2)
 
 
 def optic_equiv(a_inst: ArrowInstance, o1: Optic, o2: Optic) -> bool | None:
@@ -315,35 +332,22 @@ def twisted_grading(
     def gcomp(e1: TwElement, e2: TwElement):
         if e1.dst != e2.src:
             raise CompositionError("graded optic composition: endpoint mismatch")
-        g = TwGrade(c.tensor_mor(e1.grade.f, e2.grade.f))
-        p1, q1 = e1.grade.left_res, e2.grade.left_res
-        p2, q2 = e1.grade.right_res, e2.grade.right_res
-        z, w = e2.dst.fwd, e2.dst.bwd
-        left = a_inst.comp(
-            a_inst.comp(e1.left, left_strength(a_inst, e2.left, p1)),
-            a_inst.pure(c.inv(c.assoc(p1, q1, z))),
+        g1, g2 = e1.grade, e2.grade
+        g = TwGrade(c.tensor_mor(g1.f, g2.f))
+        left = _comp_left(
+            a_inst, e1.left, e2.left, g1.left_res, g2.left_res, e2.dst.fwd
         )
-        right = a_inst.comp(
-            a_inst.comp(
-                a_inst.pure(c.assoc(p2, q2, w)),
-                left_strength(a_inst, e2.right, p2),
-            ),
-            e1.right,
+        right = _comp_right(
+            a_inst, e1.right, e2.right, g1.right_res, g2.right_res, e2.dst.bwd
         )
         return TwElement(e1.src, e2.dst, g, left, right)
 
     def st(e: TwElement, z: PairObj):
-        p, q = e.grade.left_res, e.grade.right_res
-        y, r = e.dst.fwd, e.dst.bwd
-        left = a_inst.comp(
-            a_inst.st(e.left, z.fwd), a_inst.pure(c.assoc(p, y, z.fwd))
-        )
-        right = a_inst.comp(
-            a_inst.pure(c.inv(c.assoc(q, r, z.bwd))),
-            a_inst.st(e.right, z.bwd),
-        )
+        g = e.grade
+        left = _st_left(a_inst, e.left, g.left_res, e.dst.fwd, z.fwd)
+        right = _st_right(a_inst, e.right, g.right_res, e.dst.bwd, z.bwd)
         return TwElement(
-            PAIR.tensor(e.src, z), PAIR.tensor(e.dst, z), e.grade, left, right
+            PAIR.tensor(e.src, z), PAIR.tensor(e.dst, z), g, left, right
         )
 
     def regrade(phi: TwIso, e: TwElement):
@@ -368,8 +372,6 @@ def twisted_grading(
         return None if (ra is None or rb is None) else True
 
     def grade_structural(kind: str, args: tuple) -> TwIso:
-        from .finset import assoc_iso, lunit_iso, runit_iso, sym_iso
-
         def both(mk):
             return TwIso(
                 mk(*[g.left_res for g in args]),
@@ -400,9 +402,6 @@ def twisted_grading(
         st=st,
         regrade=regrade,
         equal=equal,
-        grade_of=lambda e: e.grade,
-        src=lambda e: e.src,
-        dst=lambda e: e.dst,
         key=None,
         commutative=a_inst.commutative,
         grade_structural=grade_structural,
@@ -542,9 +541,6 @@ def lens_optic_context(
     g_inst: ArrowInstance, residual_pool: list[PairObj]
 ) -> ContextStruct:
     """The optic context of the lens arrow, with decidable equality."""
-    from .bimodule import ctx_of_arrow
-    from .lens import LENS_PROJECTIONS
-
     plain = ctx_of_arrow(g_inst, LENS_PROJECTIONS)
 
     def canonical_key(c: OpticCtx):

@@ -111,6 +111,23 @@ def test_laws_size_bound_exits_3(capsys, monkeypatch):
     assert "OPENARROWS_MAX_SIZE" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite,size", [("optic", "0"), ("arrow", "-1"),
+                                        ("graded", "0"), ("all", "0")])
+def test_laws_size_below_one_exits_2(suite, size, capsys):
+    assert main(["laws", "--suite", suite, "--size", size]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--size must be at least 1, got {size}" in captured.err
+
+
+def test_laws_bad_size_bound_setting_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("OPENARROWS_MAX_SIZE", "abc")
+    assert main(["laws", "--suite", "optic", "--size", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "OPENARROWS_MAX_SIZE" in captured.err and "'abc'" in captured.err
+
+
 def test_laws_mutants_exit_nonzero_and_isolate(capsys):
     assert main(["laws", "--mutants", "--format", "json"]) == 1
     rows = [json.loads(line) for line in _lines(capsys)]

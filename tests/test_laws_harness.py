@@ -64,6 +64,13 @@ def test_unknown_suite_is_rejected():
         run_suite("nonsense")
 
 
+@pytest.mark.parametrize("suite", laws.SUITE_NAMES)
+@pytest.mark.parametrize("size", [0, -1])
+def test_sizes_below_one_are_refused(suite, size):
+    with pytest.raises(ValueError, match=f"at least 1, got {size}$"):
+        run_suite(suite, size=size)
+
+
 # -- interned operation tables agree with per-case chasing ---------------------
 #
 # The reference trials below run every real composite and action afresh for

@@ -8,11 +8,14 @@ from openarrows.base import PAIR_I, PairObj, bit_set
 from openarrows.finset import FinFun, FinSet, product
 from openarrows.lens import Lens, all_lenses, lens_comp
 from openarrows.optic import (
+    TwElement,
+    TwGrade,
     embed_lens,
     optic_arrow,
     optic_canonicalize,
     optic_comp,
     optic_equiv,
+    optic_strength,
     set_hom_arrow,
     twisted_grading,
 )
@@ -84,3 +87,38 @@ def test_composite_residuals_multiply_until_the_cap():
 def test_twisted_grading_tracks_residuals():
     g = twisted_grading(INNER, OBJS)
     assert g.grades  # at least the unit residual is registered
+
+
+def test_twisted_grading_agrees_with_optics_at_identity_grades():
+    # An optic with residual P is the twisted component at grade id_P:
+    # composites and strengthenings must carry the same left and right parts.
+    g = twisted_grading(INNER, OBJS)
+    c = INNER.base
+
+    def tw(o):
+        return TwElement(o.src, o.dst, TwGrade(c.id(o.residual)), o.left, o.right)
+
+    optics = {
+        (x, y): [embed_lens(lens) for lens in all_lenses(x, y)]
+        for x in OBJS
+        for y in OBJS
+    }
+    checked = 0
+    for (x, y), hom_xy in optics.items():
+        for o1 in hom_xy:
+            for z in OBJS:
+                e = g.st(tw(o1), z)
+                o = optic_strength(INNER, o1, z)
+                assert (e.src, e.dst, e.grade) == (o.src, o.dst, tw(o1).grade)
+                assert (e.left, e.right) == (o.left, o.right)
+            for w in OBJS:
+                for o2 in optics[y, w]:
+                    e = g.gcomp(tw(o1), tw(o2))
+                    o = optic_comp(INNER, o1, o2)
+                    pq = c.tensor(o1.residual, o2.residual)
+                    assert o.residual == pq
+                    assert e.grade == TwGrade(c.id(pq))
+                    assert (e.src, e.dst) == (o.src, o.dst)
+                    assert (e.left, e.right) == (o.left, o.right)
+                    checked += 1
+    assert checked > 1000

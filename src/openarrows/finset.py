@@ -134,8 +134,11 @@ class FinFun:
     def inverse(self) -> "FinFun":
         if not self.is_bijection():
             raise DomainError(f"{self} is not a bijection")
-        back = {y: x for x, y in zip(self.dom.elements, self.table)}
-        return FinFun.of(self.cod, self.dom, back)
+        back = [None] * len(self.cod)
+        at = self.cod._index
+        for x, y in zip(self.dom.elements, self.table):
+            back[at[y]] = x
+        return FinFun(self.cod, self.dom, tuple(back))
 
 
 def fun_compose(f: FinFun, g: FinFun) -> FinFun:
@@ -259,7 +262,11 @@ class Dist:
     """A finite distribution with exact rational weights summing to 1.
 
     Zero-weight points are dropped; the support is kept sorted by repr so
-    equal distributions compare equal.
+    equal distributions compare equal.  The public constructor checks
+    every weight and the total.  ``map``, ``dist_bind`` and ``dist_pure``
+    build distributions that are valid by construction, so they go
+    through ``_trusted``, which merges, drops zeros and sorts the same
+    way but validates nothing.
     """
 
     weights: tuple  # tuple of (element, Fraction) pairs
@@ -268,18 +275,20 @@ class Dist:
         items = [(x, Fraction(w)) for x, w in (
             weights.items() if isinstance(weights, Mapping) else weights
         )]
-        merged: dict = {}
         for x, w in items:
             if w < 0:
                 raise DomainError(f"negative weight {w} at {x!r}")
-            merged[x] = merged.get(x, Fraction(0)) + w
-        total = sum(merged.values(), Fraction(0))
+        total = sum((w for _, w in items), Fraction(0))
         if total != 1:
             raise DomainError(f"weights sum to {total}, expected 1")
-        cleaned = tuple(sorted(
-            ((x, w) for x, w in merged.items() if w != 0), key=lambda p: repr(p[0])
-        ))
-        object.__setattr__(self, "weights", cleaned)
+        object.__setattr__(self, "weights", _support(items))
+
+    @classmethod
+    def _trusted(cls, pairs) -> "Dist":
+        """From (element, Fraction) pairs already known to form a distribution."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "weights", _support(pairs))
+        return d
 
     @property
     def support(self) -> tuple:
@@ -292,14 +301,26 @@ class Dist:
         return Fraction(0)
 
     def map(self, f: Callable) -> "Dist":
-        return Dist([(f(x), w) for x, w in self.weights])
+        return Dist._trusted([(f(x), w) for x, w in self.weights])
 
     def __repr__(self) -> str:
         return "Dist(" + ", ".join(f"{x}: {w}" for x, w in self.weights) + ")"
 
 
+def _support(pairs: list) -> tuple:
+    # merge equal points, drop zero weights, sort by repr
+    if len(pairs) == 1:  # nothing to merge or sort
+        return tuple(pairs) if pairs[0][1] != 0 else ()
+    merged: dict = {}
+    for x, w in pairs:
+        merged[x] = merged[x] + w if x in merged else w
+    return tuple(sorted(
+        ((x, w) for x, w in merged.items() if w != 0), key=lambda p: repr(p[0])
+    ))
+
+
 def dist_pure(x) -> Dist:
-    return Dist([(x, Fraction(1))])
+    return Dist._trusted([(x, Fraction(1))])
 
 
 def dist_bind(d: Dist, k: Callable[[Any], Dist]) -> Dist:
@@ -309,7 +330,7 @@ def dist_bind(d: Dist, k: Callable[[Any], Dist]) -> Dist:
         if not isinstance(dx, Dist):
             raise DomainError(f"continuation returned non-distribution at {x!r}")
         out.extend((y, w * v) for y, v in dx.weights)
-    return Dist(out)
+    return Dist._trusted(out)
 
 
 def dist_product(d1: Dist, d2: Dist) -> Dist:

@@ -429,14 +429,58 @@ def decisions_to_normal_form(
 
 # -- best-response games ------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BestRespElement:
-    """A context-indexed relation between strategy profiles."""
+    """A context-indexed relation between strategy profiles.
+
+    ``rel(c)`` is the relation at context ``c``, a predicate on two
+    profiles.  ``row(c)`` is the same relation as the frozenset of related
+    profile pairs, built once per context object and kept on the element.
+    The best-response bimodule builds its results from rows
+    (``BestRespElement.of_rows``); their ``rel`` reads the row.
+    """
 
     src: PairObj
     dst: PairObj
     grade: FinSet  # the profile index J
-    rel: Callable[[CtxPair], Callable[[Any, Any], bool]]
+    rel: Callable[[CtxPair], Callable[[Any, Any], bool]] = field(repr=False)
+    # tabulated from rel when not given
+    row: Callable[[CtxPair], frozenset] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.row is None:
+            grade, rel = self.grade, self.rel  # not self: no reference cycle
+
+            def build(c):
+                holds = rel(c)
+                return frozenset(
+                    pq for pq in itertools.product(grade, repeat=2) if holds(*pq)
+                )
+
+            object.__setattr__(self, "row", _RowMemo(build))
+
+    @classmethod
+    def of_rows(cls, src, dst, grade, build) -> "BestRespElement":
+        """The element whose row at ``c`` is ``build(c)``."""
+        row = _RowMemo(build)
+        return cls(src, dst, grade, lambda c: _holds(row(c)), row)
+
+
+class _RowMemo:
+    """``c -> build(c)``, run once per context object (the entry keeps it alive)."""
+
+    def __init__(self, build: Callable[[CtxPair], frozenset]):
+        self.build, self.rows = build, {}
+
+    def __call__(self, c: CtxPair) -> frozenset:
+        hit = self.rows.get(id(c))
+        if hit is None:
+            hit = self.rows[id(c)] = (c, self.build(c))
+        return hit[1]
+
+
+def _holds(row: frozenset) -> Callable[[Any, Any], bool]:
+    return lambda p1, p2: (p1, p2) in row
 
 
 def best_resp_bimodule(
@@ -448,10 +492,23 @@ def best_resp_bimodule(
 
     The left action extends the context with the prefix profile's lens
     and relates the suffix components; the second prefix component is
-    discarded.  The right action mirrors this.
+    discarded.  The right action mirrors this.  Each action, ``st`` and
+    ``regrade`` build a result's row at a context from the operand's rows,
+    running the real context action once per (member, context).
+
+    Equality compares rows over the context pool of the endpoints
+    (``context_pool``, by default every context ``GAME_CTX`` enumerates),
+    and the key is the grade with those rows, so key equality is equality.
     """
     ctx = GAME_CTX
-    ctxs = context_pool or (lambda x, y: ctx.hom_cached(y, x))
+    pool_of = context_pool or (lambda x, y: ctx.hom_cached(y, x))
+    pools: dict = {}
+
+    def ctxs(x, y):
+        # one list per endpoint pair, so rows are found again by context
+        if (x, y) not in pools:
+            pools[(x, y)] = pool_of(x, y)
+        return pools[(x, y)]
 
     def hom(grade, x, y):
         if element_pool is None:
@@ -461,57 +518,63 @@ def best_resp_bimodule(
     def glact(a: ParamFamily, b: BestRespElement):
         if a.dst != b.src:
             raise CompositionError("best-response left action: endpoint mismatch")
-        grade = product(a.grade, b.grade)
 
-        def rel(c):
-            def holds(p1, p2):
-                (j1, k1), (j2, k2) = p1, p2
-                extended = ctx.bimodule.ract(c, a.member(j1))
-                return b.rel(extended)(k1, k2)
+        def build(c):
+            # ((j1, k1), (j2, k2)) for any j2, when k1, k2 are related in
+            # the context extended by the lens j1 plays
+            return frozenset(
+                ((j1, k1), (j2, k2))
+                for j1, aj in zip(a.grade, a.members)
+                for k1, k2 in b.row(ctx.bimodule.ract(c, aj))
+                for j2 in a.grade
+            )
 
-            return holds
-
-        return BestRespElement(a.src, b.dst, grade, rel)
+        return BestRespElement.of_rows(
+            a.src, b.dst, product(a.grade, b.grade), build
+        )
 
     def gract(b: BestRespElement, a: ParamFamily):
         if b.dst != a.src:
             raise CompositionError("best-response right action: endpoint mismatch")
-        grade = product(b.grade, a.grade)
 
-        def rel(c):
-            def holds(p1, p2):
-                (j1, k1), (j2, k2) = p1, p2
-                extended = ctx.bimodule.lact(a.member(k1), c)
-                return b.rel(extended)(j1, j2)
+        def build(c):
+            return frozenset(
+                ((j1, k1), (j2, k2))
+                for k1, ak in zip(a.grade, a.members)
+                for j1, j2 in b.row(ctx.bimodule.lact(ak, c))
+                for k2 in a.grade
+            )
 
-            return holds
-
-        return BestRespElement(b.src, a.dst, grade, rel)
+        return BestRespElement.of_rows(
+            b.src, a.dst, product(b.grade, a.grade), build
+        )
 
     def st(b: BestRespElement, z_obj: PairObj):
         xz, yz = PAIR.tensor(b.src, z_obj), PAIR.tensor(b.dst, z_obj)
-        return BestRespElement(
-            xz, yz, b.grade, lambda c: b.rel(ctx.cst(c, b.dst, b.src, z_obj))
+        return BestRespElement.of_rows(
+            xz, yz, b.grade, lambda c: b.row(ctx.cst(c, b.dst, b.src, z_obj))
         )
 
     def regrade(phi: FinFun, b: BestRespElement):
-        return BestRespElement(
-            b.src,
-            b.dst,
-            phi.dom,
-            lambda c: lambda p1, p2: b.rel(c)(phi(p1), phi(p2)),
-        )
+        image = dict(zip(phi.dom.elements, phi.table))
+
+        def build(c):
+            row = b.row(c)
+            return frozenset(
+                (p1, p2) for p1, p2 in itertools.product(phi.dom, repeat=2)
+                if (image[p1], image[p2]) in row
+            )
+
+        return BestRespElement.of_rows(b.src, b.dst, phi.dom, build)
 
     def equal(b1, b2):
         if (b1.src, b1.dst, b1.grade) != (b2.src, b2.dst, b2.grade):
             return False
-        for c in ctxs(b1.src, b1.dst):
-            r1, r2 = b1.rel(c), b2.rel(c)
-            for p1 in b1.grade:
-                for p2 in b1.grade:
-                    if r1(p1, p2) != r2(p1, p2):
-                        return False
-        return True
+        return all(b1.row(c) == b2.row(c) for c in ctxs(b1.src, b1.dst))
+
+    def e(grade, x, y):
+        full = frozenset(itertools.product(grade, repeat=2))
+        return BestRespElement.of_rows(x, y, grade, lambda c: full)
 
     return GradedBimodule(
         name="bestresp",
@@ -522,16 +585,14 @@ def best_resp_bimodule(
         regrade=regrade,
         equal=equal,
         st=st,
-        e=lambda grade, x, y: BestRespElement(
-            x, y, grade, lambda c: lambda p1, p2: True
-        ),
-        m=lambda b1, b2: BestRespElement(
-            b1.src,
-            b1.dst,
-            b1.grade,
-            lambda c: lambda p1, p2: b1.rel(c)(p1, p2) and b2.rel(c)(p1, p2),
+        e=e,
+        m=lambda b1, b2: BestRespElement.of_rows(
+            b1.src, b1.dst, b1.grade, lambda c: b1.row(c) & b2.row(c)
         ),
         commutative=True,
+        key=lambda b: (
+            b.grade.elements, tuple(b.row(c) for c in ctxs(b.src, b.dst))
+        ),
     )
 
 
@@ -665,6 +726,9 @@ class ProbElement:
     The predicate is judged at a *distribution over contexts*: upstream
     mixed strategies push the start point around, so the judgement must
     see the resulting context mixture rather than any single context.
+    Context distributions are infinite, so the predicate stays a closure;
+    the bimodule's actions build each judgement's distributions through
+    the trusted ``Dist`` arithmetic.
     """
 
     src: PairObj
@@ -685,6 +749,12 @@ def prob_bimodule(
     prefix marginal (each charged prefix strategy extends the state, with
     the product weight); the right action pays each context's continuation
     off in expectation over the suffix marginal via the convex algebra.
+
+    Equality compares the verdicts at every registered context (as a
+    point distribution, or a given distribution) and every registered
+    strategy distribution of the grade.  The key is the grade with those
+    verdicts, so key equality is equality; without both pools there is
+    neither equality nor a key.
     """
 
     def hom(grade, x, y):
@@ -745,17 +815,19 @@ def prob_bimodule(
             lambda c, d: b.pred(c, d.map(phi)),
         )
 
+    def verdicts(b: ProbElement) -> tuple:
+        return tuple(
+            b.pred(c if isinstance(c, Dist) else dist_pure(c), d)
+            for c in context_pool(b.src, b.dst)
+            for d in dist_pool(b.grade)
+        )
+
     def equal(b1, b2):
         if (b1.src, b1.dst, b1.grade) != (b2.src, b2.dst, b2.grade):
             return False
         if context_pool is None or dist_pool is None:
             raise DomainError("probabilistic equality needs registered pools")
-        for c in context_pool(b1.src, b1.dst):
-            cd = c if isinstance(c, Dist) else dist_pure(c)
-            for d in dist_pool(b1.grade):
-                if b1.pred(cd, d) != b2.pred(cd, d):
-                    return False
-        return True
+        return verdicts(b1) == verdicts(b2)
 
     return GradedBimodule(
         name="probequib",
@@ -774,6 +846,9 @@ def prob_bimodule(
             lambda c, d: b1.pred(c, d) and b2.pred(c, d),
         ),
         commutative=True,
+        key=None if context_pool is None or dist_pool is None else (
+            lambda b: (b.grade.elements, verdicts(b))
+        ),
     )
 
 

@@ -525,6 +525,8 @@ class GradedBimodule:
     grade_of: Callable[[Any], Any] = operator.attrgetter("grade")
     src: Callable[[Any], Any] = operator.attrgetter("src")
     dst: Callable[[Any], Any] = operator.attrgetter("dst")
+    # members with the same endpoints and key are equal
+    key: Callable[[Any], Any] | None = None
     st: Callable[[Any, Any], Any] | None = None
     # per-grade pointwise monoid
     e: Callable[[Any, Any, Any], Any] | None = None  # (grade, X, Y) -> elem

@@ -14,6 +14,7 @@ refused up front with the closed-form case estimate rather than attempted.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -69,9 +70,9 @@ from .optic import (
     DEFAULT_RESIDUAL_CAP,
     TwGrade,
     TwIso,
+    carrier_set_arrow,
     lens_optic_context,
     optic_arrow,
-    set_hom_arrow,
     twisted_grading,
 )
 
@@ -217,23 +218,81 @@ class _Op(dict):
 
 
 class _Composites(dict):
-    """(x, y, z) -> rows of the numbers of ``a1 ; a2``, a1 in A(x, y), a2 in A(y, z).
+    """(u, v) -> rows of the numbers of ``comp(m1, m2)``, m1 in hom(*u), m2 in hom(*v).
 
-    Rows are positional (one list per ``a1``), so a table costs a pointer
+    Rows are positional (one list per ``m1``), so a table costs a pointer
     per composite; a dict keyed on pairs costs several times that.
     """
 
-    def __init__(self, a: ArrowInstance, num: _Interned):
-        self.a, self.num = a, num
+    def __init__(self, comp: Callable, hom: Callable, num: _Interned):
+        self.comp, self.hom, self.num = comp, hom, num
 
-    def __missing__(self, xyz):
-        x, y, z = xyz
-        a, num = self.a, self.num
-        hyz = a.hom_cached(y, z)
-        rows = self[xyz] = [
-            [num(a.comp(a1, a2)) for a2 in hyz] for a1 in a.hom_cached(x, y)
+    def __missing__(self, uv):
+        comp, num, right = self.comp, self.num, self.hom(*uv[1])
+        rows = self[uv] = [
+            [num(comp(m1, m2)) for m2 in right] for m1 in self.hom(*uv[0])
         ]
         return rows
+
+
+def _action_trials(objs, grades, ha, hb, num_a, num_b, comp, lact, ract, assoc, equal):
+    """The ``lact-comp``, ``ract-comp`` and ``mixed`` trials of a (graded) bimodule.
+
+    ``ha(p, x, y)`` and ``hb(p, x, y)`` list the arrow's and the bimodule's
+    members at grade ``p``, the same list on every call; a plain bimodule
+    has the one grade ``None``.  ``assoc(p, q, r)`` maps the number of a
+    bimodule member at grade (p q) r to that of its regrade to p (q r).
+    """
+    composites = _Composites(comp, ha, num_a)
+    lact, ract = _Op(lact, num_a, num_b, num_b), _Op(ract, num_b, num_a, num_b)
+
+    def lact_comp():
+        for p, q, r in itertools.product(grades, repeat=3):
+            fix = assoc(p, q, r)
+            for x, y, z, w in itertools.product(objs, repeat=4):
+                hxy, hyz, hzw = ha(p, x, y), ha(q, y, z), hb(r, z, w)
+                if not (hxy and hyz and hzw):
+                    continue
+                rows = composites[((p, x, y), (q, y, z))]
+                n_yz, n_zw = num_a.ids(hyz), num_b.ids(hzw)
+                for a1, n1, row in zip(hxy, num_a.ids(hxy), rows):
+                    for a2, n2, n12 in zip(hyz, n_yz, row):
+                        for e, ne in zip(hzw, n_zw):
+                            lhs, rhs = fix(lact[(n12, ne)]), lact[(n1, lact[(n2, ne)])]
+                            yield num_b.case((a1, a2, e), lhs, rhs, equal)
+
+    def ract_comp():
+        for p, q, r in itertools.product(grades, repeat=3):
+            fix = assoc(p, q, r)
+            for x, y, z, w in itertools.product(objs, repeat=4):
+                hxy, hyz, hzw = hb(p, x, y), ha(q, y, z), ha(r, z, w)
+                if not (hxy and hyz and hzw):
+                    continue
+                rows = composites[((q, y, z), (r, z, w))]
+                n_yz, n_zw = num_a.ids(hyz), num_a.ids(hzw)
+                for e, ne in zip(hxy, num_b.ids(hxy)):
+                    for a1, n1, row in zip(hyz, n_yz, rows):
+                        ne1 = ract[(ne, n1)]
+                        for a2, n2, n12 in zip(hzw, n_zw, row):
+                            lhs, rhs = ract[(ne, n12)], fix(ract[(ne1, n2)])
+                            yield num_b.case((e, a1, a2), lhs, rhs, equal)
+
+    def mixed():
+        for p, q, r in itertools.product(grades, repeat=3):
+            fix = assoc(p, q, r)
+            for x, y, z, w in itertools.product(objs, repeat=4):
+                hxy, hyz, hzw = ha(p, x, y), hb(q, y, z), ha(r, z, w)
+                if not (hxy and hyz and hzw):
+                    continue
+                n_yz, n_zw = num_b.ids(hyz), num_a.ids(hzw)
+                for a1, n1 in zip(hxy, num_a.ids(hxy)):
+                    for e, ne in zip(hyz, n_yz):
+                        n1e = lact[(n1, ne)]
+                        for a2, n2 in zip(hzw, n_zw):
+                            lhs, rhs = lact[(n1, ract[(ne, n2)])], fix(ract[(n1e, n2)])
+                            yield num_b.case((a1, e, a2), lhs, rhs, equal)
+
+    return lact_comp(), ract_comp(), mixed()
 
 
 class _Rows(dict):
@@ -303,15 +362,15 @@ def check_arrow_laws(
 def _assoc_trials_keyed(a: ArrowInstance, objs: list):
     num = _Interned(a.key, a.src, a.dst)
     comp = _Op(a.comp, num, num, num)
-    composites = _Composites(a, num)
+    composites = _Composites(a.comp, a.hom_cached, num)
     for y, z, w in itertools.product(objs, repeat=3):
         hbc, hcd = a.hom_cached(y, z), a.hom_cached(z, w)
         if not (hbc and hcd):
             continue
-        right, ncd = composites[(y, z, w)], num.ids(hcd)
+        right, ncd = composites[((y, z), (z, w))], num.ids(hcd)
         for x in objs:
             hab = a.hom_cached(x, y)
-            for m1, n1, row in zip(hab, num.ids(hab), composites[(x, y, z)]):
+            for m1, n1, row in zip(hab, num.ids(hab), composites[((x, y), (y, z))]):
                 for m2, n12, right_row in zip(hbc, row, right):
                     for m3, n3, n23 in zip(hcd, ncd, right_row):
                         yield num.case(
@@ -427,22 +486,16 @@ def check_bimodule(
 ) -> list[LawReport]:
     """Action, mixed-action and strength-compatibility laws of a bimodule.
 
-    ``lact-comp``, ``ract-comp`` and ``mixed`` number the arrow and
-    bimodule members they meet (``_Interned``), run each real composite and
-    action once per pair of numbers, and decide a case by comparing the
-    numbers of its two sides, calling ``equal`` only when they differ; so
-    ``key`` equality must imply ``equal``.  Reported inputs are the
-    enumerated members themselves.
+    ``lact-comp``, ``ract-comp`` and ``mixed`` (``_action_trials``) number
+    the arrow and bimodule members they meet (``_Interned``), run each real
+    composite and action once per pair of numbers, and decide a case by
+    comparing the numbers of its two sides, calling ``equal`` only when
+    they differ; so ``key`` equality must imply ``equal``.  Reported inputs
+    are the enumerated members themselves.
     """
     name = instance or b.name
     a = b.arrow
-    base = a.base
     objs = objects if objects is not None else a.objects
-    num_a = _Interned(a.key, a.src, a.dst)
-    num_b = _Interned(b.key, b.src, b.dst)
-    composites = _Composites(a, num_a)
-    lact = _Op(b.lact, num_a, num_b, num_b)
-    ract = _Op(b.ract, num_b, num_a, num_b)
 
     def lact_unit():
         for x, y in itertools.product(objs, repeat=2):
@@ -456,55 +509,19 @@ def check_bimodule(
                 lhs = b.ract(e, a.identity(y))
                 yield ((e,), lhs, e, b.equal(lhs, e))
 
-    def lact_comp():
-        for x, y, z, w in itertools.product(objs, repeat=4):
-            hxy, hyz, hzw = a.hom_cached(x, y), a.hom_cached(y, z), b.hom_cached(z, w)
-            if not (hxy and hyz and hzw):
-                continue
-            n_yz, n_zw = num_a.ids(hyz), num_b.ids(hzw)
-            for a1, n1, row in zip(hxy, num_a.ids(hxy), composites[(x, y, z)]):
-                for a2, n2, n12 in zip(hyz, n_yz, row):
-                    for e, ne in zip(hzw, n_zw):
-                        yield num_b.case(
-                            (a1, a2, e), lact[(n12, ne)], lact[(n1, lact[(n2, ne)])],
-                            b.equal,
-                        )
-
-    def ract_comp():
-        for x, y, z, w in itertools.product(objs, repeat=4):
-            hxy, hyz, hzw = b.hom_cached(x, y), a.hom_cached(y, z), a.hom_cached(z, w)
-            if not (hxy and hyz and hzw):
-                continue
-            rows, n_yz, n_zw = composites[(y, z, w)], num_a.ids(hyz), num_a.ids(hzw)
-            for e, ne in zip(hxy, num_b.ids(hxy)):
-                for a1, n1, row in zip(hyz, n_yz, rows):
-                    ne1 = ract[(ne, n1)]
-                    for a2, n2, n12 in zip(hzw, n_zw, row):
-                        yield num_b.case(
-                            (e, a1, a2), ract[(ne, n12)], ract[(ne1, n2)], b.equal
-                        )
-
-    def mixed():
-        for x, y, z, w in itertools.product(objs, repeat=4):
-            hxy, hyz, hzw = a.hom_cached(x, y), b.hom_cached(y, z), a.hom_cached(z, w)
-            if not (hxy and hyz and hzw):
-                continue
-            n_yz, n_zw = num_b.ids(hyz), num_a.ids(hzw)
-            for a1, n1 in zip(hxy, num_a.ids(hxy)):
-                for e, ne in zip(hyz, n_yz):
-                    n1e = lact[(n1, ne)]
-                    for a2, n2 in zip(hzw, n_zw):
-                        yield num_b.case(
-                            (a1, e, a2), lact[(n1, ract[(ne, n2)])], ract[(n1e, n2)],
-                            b.equal,
-                        )
+    lact_comp, ract_comp, mixed = _action_trials(
+        objs, [None], lambda p, x, y: a.hom_cached(x, y),
+        lambda p, x, y: b.hom_cached(x, y), _Interned(a.key, a.src, a.dst),
+        _Interned(b.key, b.src, b.dst), a.comp, b.lact, b.ract,
+        lambda p, q, r: lambda n: n, b.equal,
+    )
 
     out = [
         _report("bimodule.lact-unit", name, lact_unit(), equality),
-        _report("bimodule.lact-comp", name, lact_comp(), equality),
+        _report("bimodule.lact-comp", name, lact_comp, equality),
         _report("bimodule.ract-unit", name, ract_unit(), equality),
-        _report("bimodule.ract-comp", name, ract_comp(), equality),
-        _report("bimodule.mixed", name, mixed(), equality),
+        _report("bimodule.ract-comp", name, ract_comp, equality),
+        _report("bimodule.mixed", name, mixed, equality),
     ]
 
     if b.st is not None:
@@ -825,16 +842,28 @@ def check_graded_bimodule(
     instance: str | None = None,
     equality: str = "structural",
 ) -> list[LawReport]:
-    """Graded action laws, with grade bookkeeping along structural regrades."""
+    """Graded action laws, with grade bookkeeping along structural regrades.
+
+    ``lact-comp``, ``ract-comp`` and ``mixed`` go through the interned
+    tables as in ``check_bimodule``, structural regrades included: ``key``
+    equality must imply ``equal``.
+    """
     name = instance or gb.name
     g = gb.arrow
     base = g.base
     gs = g.grade_structural
+    hb = functools.cache(gb.hom)
+    num_b, num_iso = _Interned(gb.key, gb.src, gb.dst), _Interned(None, None, None)
+    regrade = _Op(gb.regrade, num_iso, num_b, num_b)
+
+    def assoc(p, q, r):  # one iso per grade triple, numbered by identity
+        n_iso = num_iso(gs("assoc", (p, q, r)))
+        return lambda n: regrade[(n_iso, n)]
 
     def lact_unit():
         for q in grades:
             for x, y in itertools.product(objects, repeat=2):
-                for e in gb.hom(q, x, y):
+                for e in hb(q, x, y):
                     acted = gb.glact(g.unit(base.id(x)), e)
                     lhs = gb.regrade(gs("lunit", (q,)), acted)
                     yield ((e,), lhs, e, gb.equal(lhs, e))
@@ -842,56 +871,21 @@ def check_graded_bimodule(
     def ract_unit():
         for q in grades:
             for x, y in itertools.product(objects, repeat=2):
-                for e in gb.hom(q, x, y):
+                for e in hb(q, x, y):
                     acted = gb.gract(e, g.unit(base.id(y)))
                     lhs = gb.regrade(gs("runit", (q,)), acted)
                     yield ((e,), lhs, e, gb.equal(lhs, e))
 
-    def lact_comp():
-        for p1, p2, q in itertools.product(grades, repeat=3):
-            for x, y, z, w in itertools.product(objects, repeat=4):
-                for a1 in g.hom(p1, x, y):
-                    for a2 in g.hom(p2, y, z):
-                        a12 = g.gcomp(a1, a2)
-                        for e in gb.hom(q, z, w):
-                            lhs = gb.regrade(
-                                gs("assoc", (p1, p2, q)), gb.glact(a12, e)
-                            )
-                            rhs = gb.glact(a1, gb.glact(a2, e))
-                            yield ((a1, a2, e), lhs, rhs, gb.equal(lhs, rhs))
-
-    def ract_comp():
-        for q, p1, p2 in itertools.product(grades, repeat=3):
-            for x, y, z, w in itertools.product(objects, repeat=4):
-                for e in gb.hom(q, x, y):
-                    for a1 in g.hom(p1, y, z):
-                        for a2 in g.hom(p2, z, w):
-                            lhs = gb.gract(e, g.gcomp(a1, a2))
-                            rhs = gb.regrade(
-                                gs("assoc", (q, p1, p2)),
-                                gb.gract(gb.gract(e, a1), a2),
-                            )
-                            yield ((e, a1, a2), lhs, rhs, gb.equal(lhs, rhs))
-
-    def mixed():
-        for p, q, r in itertools.product(grades, repeat=3):
-            for x, y, z, w in itertools.product(objects, repeat=4):
-                for a1 in g.hom(p, x, y):
-                    for e in gb.hom(q, y, z):
-                        for a2 in g.hom(r, z, w):
-                            lhs = gb.glact(a1, gb.gract(e, a2))
-                            rhs = gb.regrade(
-                                gs("assoc", (p, q, r)),
-                                gb.gract(gb.glact(a1, e), a2),
-                            )
-                            yield ((a1, e, a2), lhs, rhs, gb.equal(lhs, rhs))
-
+    lact_comp, ract_comp, mixed = _action_trials(
+        objects, grades, functools.cache(g.hom), hb, _Interned(g.key, g.src, g.dst),
+        num_b, g.gcomp, gb.glact, gb.gract, assoc, gb.equal,
+    )
     return [
         _report("gbim.lact-unit", name, lact_unit(), equality),
-        _report("gbim.lact-comp", name, lact_comp(), equality),
+        _report("gbim.lact-comp", name, lact_comp, equality),
         _report("gbim.ract-unit", name, ract_unit(), equality),
-        _report("gbim.ract-comp", name, ract_comp(), equality),
-        _report("gbim.mixed", name, mixed(), equality),
+        _report("gbim.ract-comp", name, ract_comp, equality),
+        _report("gbim.mixed", name, mixed, equality),
     ]
 
 
@@ -1147,11 +1141,7 @@ def graded_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
 
     bit = bit_set(2)
     tw_objs = pair_atoms((size, 1), (1, size))
-    carriers = sorted(
-        {o.fwd for o in tw_objs} | {o.bwd for o in tw_objs},
-        key=lambda s: (len(s), repr(s.elements)),
-    )
-    inner = set_hom_arrow(list(carriers))
+    inner = carrier_set_arrow(tw_objs)
     tw_grades = [
         TwGrade(FinFun.identity(UNIT)),
         TwGrade(FinFun.identity(bit)),
@@ -1847,6 +1837,7 @@ def _tag_gbim(arrow: GradedArrow, psi: Callable, chi: Callable) -> GradedBimodul
         ),
         regrade=lambda phi, b: GBTag(b.src, b.dst, phi.dom, b.tag),
         equal=lambda b1, b2: b1 == b2,
+        key=lambda b: (b.grade.elements, b.tag),
     )
 
 

@@ -60,9 +60,13 @@ class Optic:
     right: Any  # A(P (x) R, S)
 
 
-def set_hom_arrow(objects: list[FinSet]) -> ArrowInstance:
-    """The identity arrow on finite sets: the inner arrow of cartesian optics."""
-    return hom_arrow(SET, objects)
+def carrier_set_arrow(objects: list[PairObj]) -> ArrowInstance:
+    """The identity arrow on the carriers of pair objects, smallest first.
+
+    The inner arrow of cartesian optics over those objects.
+    """
+    carriers = {o.fwd for o in objects} | {o.bwd for o in objects}
+    return hom_arrow(SET, sorted(carriers, key=lambda s: (len(s), repr(s.elements))))
 
 
 def optic_pure(a_inst: ArrowInstance, m: BaseMap) -> Optic:
@@ -230,11 +234,7 @@ def optic_arrow(
     lens, so the hom enumeration lists exactly those.
     """
     if a_inst is None:
-        carriers = sorted(
-            {o.fwd for o in objects} | {o.bwd for o in objects},
-            key=lambda s: (len(s), repr(s.elements)),
-        )
-        a_inst = set_hom_arrow(list(carriers))
+        a_inst = carrier_set_arrow(objects)
 
     def hom(x, y):
         return [embed_lens(lens) for lens in all_lenses(x, y)]

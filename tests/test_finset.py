@@ -132,6 +132,40 @@ def test_dist_weights_stay_exact(d: Dist):
     assert all(isinstance(w, Fraction) and w > 0 for _, w in d.weights)
 
 
+_IMAGES = ("y", "x", 10, 9, ("x", 0))
+
+
+@given(dists(), st.fixed_dictionaries({x: st.sampled_from(_IMAGES) for x in _POOL}))
+def test_trusted_map_matches_the_public_constructor(d: Dist, f: dict):
+    # images may merge and their reprs sort apart from the input order
+    public = Dist([(f[x], w) for x, w in d.weights])
+    assert d.map(f.__getitem__).weights == public.weights
+
+
+@given(dists(), st.fixed_dictionaries({x: dists() for x in _POOL}))
+def test_trusted_bind_matches_the_public_constructor(d: Dist, k: dict):
+    public = Dist([(y, w * v) for x, w in d.weights for y, v in k[x].weights])
+    assert dist_bind(d, k.__getitem__).weights == public.weights
+
+
+def test_public_dist_still_validates_every_weight_and_the_total():
+    with pytest.raises(DomainError, match="negative weight"):
+        Dist([("x", Fraction(3, 2)), ("y", Fraction(-1, 2))])
+    with pytest.raises(DomainError, match="sum to 2"):
+        Dist([("x", 1), ("y", 1)])
+
+
+def test_inverse_undoes_every_bijection_and_refuses_the_rest():
+    a, b = FinSet(("p", "q", "r")), FinSet((2, 0, 1))
+    for f in all_funs(a, b):
+        if not f.is_bijection():
+            with pytest.raises(DomainError):
+                f.inverse()
+            continue
+        assert fun_compose(f, f.inverse()) == FinFun.identity(a)
+        assert fun_compose(f.inverse(), f) == FinFun.identity(b)
+
+
 def test_dist_normalizes_support():
     d = Dist([("x", Fraction(1, 2)), ("x", Fraction(1, 2)), ("y", Fraction(0))])
     assert d == dist_pure("x")

@@ -11,8 +11,9 @@ from openarrows import laws
 from openarrows.arrow import arrow_tensor, arrow_tensor_flipped, hom_arrow
 from openarrows.base import PAIR, PAIR_I, SET, PairObj, bit_set, pair_atoms
 from openarrows.bimodule import EqFun, ctx_of_arrow, eq_from_context, with_eq
-from openarrows.finset import BOOL_AND, UNIT, DomainError
-from openarrows.grading import ParaMor, SizeError, fam, para
+from openarrows.finset import BOOL_AND, STAR, UNIT, DomainError, FinSet
+from openarrows.games import GAME_CTX, BestRespElement, best_resp_bimodule
+from openarrows.grading import ParaMor, SizeError, fam, grade_by_param, para
 from openarrows.laws import (
     CHECKER_LAWS,
     LAWS,
@@ -407,3 +408,169 @@ def test_hide_over_a_keyless_graded_arrow_stays_keyless():
     e = next(e for e in a.hom_cached(x, x) if len(set(e.members)) == 2)
     swapped = dataclasses.replace(e, members=e.members[::-1])
     assert a.equal(e, swapped) is True
+
+
+# -- graded bimodules through the interned tables ------------------------------
+#
+# The reference trials below are the per-case graded action laws: every
+# composite, action and regrade runs afresh for every case, which is decided
+# with ``equal``.
+
+_INTERNED_GBIM_LAWS = ("gbim.lact-comp", "gbim.ract-comp", "gbim.mixed")
+
+
+def _reference_gbim(gb, objects, grades, name):
+    g = gb.arrow
+    gs = g.grade_structural
+
+    def lact_comp():
+        for p1, p2, q in itertools.product(grades, repeat=3):
+            for x, y, z, w in itertools.product(objects, repeat=4):
+                for a1 in g.hom(p1, x, y):
+                    for a2 in g.hom(p2, y, z):
+                        a12 = g.gcomp(a1, a2)
+                        for e in gb.hom(q, z, w):
+                            lhs = gb.regrade(
+                                gs("assoc", (p1, p2, q)), gb.glact(a12, e)
+                            )
+                            rhs = gb.glact(a1, gb.glact(a2, e))
+                            yield ((a1, a2, e), lhs, rhs, gb.equal(lhs, rhs))
+
+    def ract_comp():
+        for q, p1, p2 in itertools.product(grades, repeat=3):
+            for x, y, z, w in itertools.product(objects, repeat=4):
+                for e in gb.hom(q, x, y):
+                    for a1 in g.hom(p1, y, z):
+                        for a2 in g.hom(p2, z, w):
+                            lhs = gb.gract(e, g.gcomp(a1, a2))
+                            rhs = gb.regrade(
+                                gs("assoc", (q, p1, p2)),
+                                gb.gract(gb.gract(e, a1), a2),
+                            )
+                            yield ((e, a1, a2), lhs, rhs, gb.equal(lhs, rhs))
+
+    def mixed():
+        for p, q, r in itertools.product(grades, repeat=3):
+            for x, y, z, w in itertools.product(objects, repeat=4):
+                for a1 in g.hom(p, x, y):
+                    for e in gb.hom(q, y, z):
+                        for a2 in g.hom(r, z, w):
+                            lhs = gb.glact(a1, gb.gract(e, a2))
+                            rhs = gb.regrade(
+                                gs("assoc", (p, q, r)),
+                                gb.gract(gb.glact(a1, e), a2),
+                            )
+                            yield ((a1, e, a2), lhs, rhs, gb.equal(lhs, rhs))
+
+    trials = (lact_comp(), ract_comp(), mixed())
+    return [
+        laws._report(law, name, t, "structural")
+        for law, t in zip(_INTERNED_GBIM_LAWS, trials)
+    ]
+
+
+def _checked_gbim(gb, objects, grades, name):
+    reports = laws.check_graded_bimodule(gb, objects, grades, name)
+    by_law = {r.law: r for r in reports}
+    return [by_law[law] for law in _INTERNED_GBIM_LAWS]
+
+
+def _verdicts(reports):
+    return [(r.law, r.status, r.checked) for r in reports]
+
+
+_GBIM_MUTANTS = sorted(t for t in laws.MUTANTS if t.startswith("gbim."))
+
+
+@pytest.mark.parametrize("target", _GBIM_MUTANTS)
+def test_interned_gbim_laws_match_per_case_chasing_on_mutants(target):
+    gb = _captured(target, "_run_gbim")
+    assert gb.key is not None
+    # numbered by identity, every distinct result is handed to equal
+    for b in (gb, dataclasses.replace(gb, key=None)):
+        got = _checked_gbim(b, [laws._B2], laws._GRADES2, target)
+        assert got == _reference_gbim(b, [laws._B2], laws._GRADES2, target)
+        if target in _INTERNED_GBIM_LAWS:
+            assert target not in {r.law for r in got if r.status == "pass"}
+
+
+def _suite_gbims(size):
+    # the graded bimodules the graded suite checks, with their universes
+    seen = {}
+
+    def record(gb, objects, grades, name, equality):
+        seen[name] = (gb, objects, grades)
+        return []
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laws, "check_graded", lambda *args, **kwargs: [])
+        mp.setattr(laws, "check_graded_bimodule", record)
+        laws.graded_suite(size)
+    return seen
+
+
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("instance", ["bestresp(lens)", "probequib(lens)"])
+def test_interned_gbim_laws_match_per_case_chasing_on_suites(instance, size):
+    gb, objects, grades = _suite_gbims(size)[instance]
+    assert gb.key is not None
+    got = _checked_gbim(gb, objects, grades, instance)
+    assert _verdicts(got) == _verdicts(_reference_gbim(gb, objects, grades, instance))
+    assert {r.status for r in got} == {"pass"}
+
+
+@pytest.mark.parametrize("instance", ["bestresp(lens)", "probequib(lens)"])
+def test_gbim_keys_decide_equality(instance):
+    # over the pool and its actions by pooled families, members with the
+    # same endpoints have equal keys exactly when they are equal
+    gb, objects, grades = _suite_gbims(2)[instance]
+    g = gb.arrow
+    pool = [
+        e for q in grades for x, y in itertools.product(objects, repeat=2)
+        for e in gb.hom(q, x, y)
+    ]
+    acted = [
+        act(e, a)
+        for e in pool for p in grades for z in objects
+        for act, a in (
+            (lambda e, a: gb.glact(a, e), g.hom(p, z, e.src)[0]),
+            (gb.gract, g.hom(p, e.dst, z)[-1]),
+        )
+    ]
+    by_ends = {}
+    for m in pool + acted:
+        by_ends.setdefault((m.src, m.dst), []).append(m)
+    for ms in by_ends.values():
+        for m1, m2 in itertools.product(ms, repeat=2):
+            assert (gb.key(m1) == gb.key(m2)) == gb.equal(m1, m2), (m1, m2)
+
+
+def test_bestresp_elements_apart_at_one_registered_context_have_different_keys():
+    gb, objects, grades = _suite_gbims(2)["bestresp(lens)"]
+    x = y = objects[-1]
+    grade = grades[-1]
+    first = x.fwd.elements[1]
+
+    def le(c):
+        return lambda p1, p2: p1 <= p2
+
+    def le_but_once(c):
+        flip = c.state.fwd(STAR) == first
+        return lambda p1, p2: (p1 <= p2) != (flip and p1 == p2 == 0)
+
+    b1 = BestRespElement(x, y, grade, le)
+    b2 = BestRespElement(x, y, grade, le_but_once)
+    assert gb.key(b1) != gb.key(b2)
+    assert gb.equal(b1, b2) is False
+    assert gb.key(b1) == gb.key(BestRespElement(x, y, grade, le))
+
+
+def test_bestresp_default_pool_is_every_game_context():
+    gb = best_resp_bimodule(grade_by_param(lens_arrow([])))
+    x, y = PAIR_I, PairObj(bit_set(2), bit_set(2))
+    grade = FinSet((0, 1))
+    b = BestRespElement(x, y, grade, lambda c: lambda p1, p2: p1 <= p2)
+    contexts = GAME_CTX.hom_cached(y, x)
+    assert len(contexts) > 1
+    assert gb.key(b) == (grade.elements, tuple(b.row(c) for c in contexts))
+    assert b.row(contexts[0]) == frozenset({(0, 0), (0, 1), (1, 1)})

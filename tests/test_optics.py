@@ -10,13 +10,13 @@ from openarrows.lens import Lens, all_lenses, lens_comp
 from openarrows.optic import (
     TwElement,
     TwGrade,
+    carrier_set_arrow,
     embed_lens,
     optic_arrow,
     optic_canonicalize,
     optic_comp,
     optic_equiv,
     optic_strength,
-    set_hom_arrow,
     twisted_grading,
 )
 
@@ -25,8 +25,7 @@ I = PAIR_I
 X = PairObj(B, B)
 Y = PairObj(B, B)
 OBJS = [I, PairObj(B, FinSet(("*",))), PairObj(FinSet(("*",)), B), X]
-INNER = set_hom_arrow(sorted({o.fwd for o in OBJS} | {o.bwd for o in OBJS},
-                             key=lambda s: repr(s.elements)))
+INNER = carrier_set_arrow(OBJS)
 ARROW = optic_arrow(OBJS)
 
 

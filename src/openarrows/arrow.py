@@ -52,6 +52,28 @@ class ArrowInstance:
         return self.pure(self.base.id(x))
 
 
+def verdict_all(verdicts) -> bool | None:
+    """Conjunction of computed ``equal`` verdicts: False if any is False,
+    else None if any is unknown, else True."""
+    unknown = False
+    for r in verdicts:
+        if r is False:
+            return False
+        unknown = unknown or r is None
+    return None if unknown else True
+
+
+def verdict_any(verdicts) -> bool | None:
+    """Three-valued search: True at the first True verdict, computing no
+    later one; else None if any was unknown, else False."""
+    unknown = False
+    for r in verdicts:
+        if r is True:
+            return True
+        unknown = unknown or r is None
+    return None if unknown else False
+
+
 def dimap(a_inst: ArrowInstance, f, a, g):
     """Reindex a morphism along base maps on both sides: pure(f) ; a ; pure(g)."""
     return a_inst.comp(a_inst.comp(a_inst.pure(f), a), a_inst.pure(g))

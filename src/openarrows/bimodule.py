@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .arrow import ArrowInstance, dimap, left_strength
+from .arrow import ArrowInstance, dimap, left_strength, verdict_all
 from .finset import CompositionError, DomainError, Monoid
 from .lens import PointProjections
 
@@ -87,20 +87,6 @@ class ContextStruct:
             base.sym(x_obj, z_obj), b, base.sym(z_obj, y_obj)
         )
         return self.cst(moved, x_obj, y_obj, z_obj)
-
-    # convenience passthroughs
-    @property
-    def arrow(self):
-        return self.bimodule.arrow
-
-    def hom_cached(self, x, y):
-        return self.bimodule.hom_cached(x, y)
-
-    def key(self, b):
-        return self.bimodule.key(b)
-
-    def index(self, x, y):
-        return self.bimodule.index(x, y)
 
 
 # -- the canonical context of an arrow with projection at points -------------
@@ -195,12 +181,12 @@ class EqFun:
 
 def eq_tabulate(ctx: ContextStruct, x_obj, y_obj, fn: Callable) -> EqFun:
     return EqFun(
-        x_obj, y_obj, tuple(fn(c) for c in ctx.hom_cached(y_obj, x_obj))
+        x_obj, y_obj, tuple(fn(c) for c in ctx.bimodule.hom_cached(y_obj, x_obj))
     )
 
 
 def eq_apply(ctx: ContextStruct, h: EqFun, c: CtxPair):
-    pos = ctx.index(h.dst, h.src)[ctx.key(c)]
+    pos = ctx.bimodule.index(h.dst, h.src)[ctx.bimodule.key(c)]
     return h.values[pos]
 
 
@@ -234,12 +220,13 @@ def eq_from_context(
                 f"monoid {m_monoid.name!r} is infinite; supply a value pool"
             )
         value_pool = list(m_monoid.carrier.elements)
-    a_inst = ctx.arrow
+    cb = ctx.bimodule
+    a_inst = cb.arrow
     base = a_inst.base
     tables: dict = {}
 
     def hom(x, y):
-        ctxs = ctx.hom_cached(y, x)
+        ctxs = cb.hom_cached(y, x)
         return [
             EqFun(x, y, values)
             for values in itertools.product(value_pool, repeat=len(ctxs))
@@ -249,9 +236,9 @@ def eq_from_context(
         # Eq(X,Z) element whose context b reads h at act(b).
         pos = tables.get(memo)
         if pos is None:
-            index = ctx.index(h.dst, h.src)
+            index = cb.index(h.dst, h.src)
             pos = tables[memo] = tuple(
-                index[ctx.key(act(b))] for b in ctx.hom_cached(z, x)
+                index[cb.key(act(b))] for b in cb.hom_cached(z, x)
             )
         return EqFun(x, z, tuple(map(h.values.__getitem__, pos)))
 
@@ -264,14 +251,14 @@ def eq_from_context(
         # A(X,Y) x Eq(Y,Z) -> Eq(X,Z): judge extended-by-a contexts.
         return reindex(
             h, a_inst.src(a), h.dst, action_memo("lact", a, h),
-            lambda b: ctx.bimodule.ract(b, a),
+            lambda b: cb.ract(b, a),
         )
 
     def ract(h, a):
         # Eq(X,Y) x A(Y,Z) -> Eq(X,Z): judge contexts with a prepended.
         return reindex(
             h, h.src, a_inst.dst(a), action_memo("ract", a, h),
-            lambda b: ctx.bimodule.lact(a, b),
+            lambda b: cb.lact(a, b),
         )
 
     def st(h, z_obj):
@@ -352,11 +339,9 @@ def with_bimodule(a_inst: ArrowInstance, bim: Bimodule) -> ArrowInstance:
         return WithBMor(a_inst.st(m.inner, z), bim.st(m.extra, z))
 
     def equal(m1, m2):
-        ea = a_inst.equal(m1.inner, m2.inner)
-        eb = bim.equal(m1.extra, m2.extra)
-        if ea is None or eb is None:
-            return None if (ea is not False and eb is not False) else False
-        return ea and eb
+        return verdict_all(
+            (a_inst.equal(m1.inner, m2.inner), bim.equal(m1.extra, m2.extra))
+        )
 
     key = None
     if a_inst.key is not None and bim.key is not None:

@@ -111,7 +111,7 @@ def lazy_eq_bimodule(m_monoid: Monoid) -> Bimodule:
             return False
         return all(
             h1.fn(c) == h2.fn(c)
-            for c in ctx.hom_cached(h1.dst, h1.src)
+            for c in ctx.bimodule.hom_cached(h1.dst, h1.src)
         )
 
     monoid = MonoidOnProfunctor(
@@ -501,7 +501,7 @@ def best_resp_bimodule(
     and the key is the grade with those rows, so key equality is equality.
     """
     ctx = GAME_CTX
-    pool_of = context_pool or (lambda x, y: ctx.hom_cached(y, x))
+    pool_of = context_pool or (lambda x, y: ctx.bimodule.hom_cached(y, x))
     pools: dict = {}
 
     def ctxs(x, y):

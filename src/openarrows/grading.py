@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .arrow import ArrowInstance, left_strength
+from .arrow import ArrowInstance, left_strength, verdict_all, verdict_any
 from .base import BaseMap, PairObj
 from .finset import (
     CompositionError,
@@ -217,10 +217,9 @@ def grade_by_param(
     def equal(e1, e2):
         if (e1.src, e1.dst, e1.grade) != (e2.src, e2.dst, e2.grade):
             return False
-        results = [a_inst.equal(m1, m2) for m1, m2 in zip(e1.members, e2.members)]
-        if any(r is False for r in results):
-            return False
-        return None if any(r is None for r in results) else True
+        return verdict_all(
+            [a_inst.equal(m1, m2) for m1, m2 in zip(e1.members, e2.members)]
+        )
 
     key = None
     if a_inst.key is not None:
@@ -289,14 +288,10 @@ def hide(
             return False
         if key is not None:
             return key(e1) == key(e2)
-        unknown = False
-        for phi in graded.grade_isos(q, p):
-            r = graded.equal(graded.regrade(phi, e1), e2)
-            if r is True:
-                return True
-            if r is None:
-                unknown = True
-        return None if unknown else False
+        return verdict_any(
+            graded.equal(graded.regrade(phi, e1), e2)
+            for phi in graded.grade_isos(q, p)
+        )
 
     return ArrowInstance(
         name=f"hide({graded.name})",
@@ -449,18 +444,17 @@ def para(
             return False
         if a_inst.key is not None and _blockable(p1.param) and _blockable(p2.param):
             return _block_keys(p1) == _block_keys(p2)
-        unknown = False
-        for phi in base.isos(p1.param, p2.param):
-            shifted = a_inst.comp(
-                a_inst.pure(base.tensor_mor(base.inv(phi), base.id(p1.src))),
-                p1.inner,
-            )  # reindex p1's inner along phi^-1 to p2's parameter
-            r = a_inst.equal(shifted, p2.inner)
-            if r is True:
-                return True
-            if r is None:
-                unknown = True
-        return None if unknown else False
+        # reindex p1's inner along phi^-1 to p2's parameter
+        return verdict_any(
+            a_inst.equal(
+                a_inst.comp(
+                    a_inst.pure(base.tensor_mor(base.inv(phi), base.id(p1.src))),
+                    p1.inner,
+                ),
+                p2.inner,
+            )
+            for phi in base.isos(p1.param, p2.param)
+        )
 
     return ArrowInstance(
         name=f"para({a_inst.name})",
@@ -582,11 +576,10 @@ def graded_product(graded: GradedArrow, gbim: GradedBimodule) -> GradedArrow:
         )
 
     def equal(m1, m2):
-        ra = graded.equal(m1.arrow_part, m2.arrow_part)
-        rb = gbim.equal(m1.bim_part, m2.bim_part)
-        if ra is False or rb is False:
-            return False
-        return None if (ra is None or rb is None) else True
+        return verdict_all((
+            graded.equal(m1.arrow_part, m2.arrow_part),
+            gbim.equal(m1.bim_part, m2.bim_part),
+        ))
 
     return GradedArrow(
         name=f"{graded.name}*{gbim.name}",

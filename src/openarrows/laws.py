@@ -296,15 +296,80 @@ def _action_trials(objs, grades, ha, hb, num_a, num_b, comp, lact, ract, assoc, 
 
 
 class _Rows(dict):
-    """(x, y, z) -> ``[fn(m, z) for m in a.hom_cached(x, y)]``, built on first use."""
+    """(p, x, y, z) -> ``[fn(m, z) for m in hom(p, x, y)]``, built on first use."""
 
-    def __init__(self, a: ArrowInstance, fn: Callable):
-        self.a, self.fn = a, fn
+    def __init__(self, hom: Callable, fn: Callable):
+        self.hom, self.fn = hom, fn
 
-    def __missing__(self, xyz):
-        x, y, z = xyz
-        row = self[xyz] = [self.fn(m, z) for m in self.a.hom_cached(x, y)]
+    def __missing__(self, pxyz):
+        p, x, y, z = pxyz
+        row = self[pxyz] = [self.fn(m, z) for m in self.hom(p, x, y)]
         return row
+
+
+# A plain arrow or bimodule is the graded case with the one grade ``None``,
+# whose structural regrades are identities.
+
+def _one_grade(a) -> Callable:
+    return lambda p, x, y: a.hom_cached(x, y)
+
+
+def _no_regrade(*grades) -> Callable:
+    return lambda n: n
+
+
+def _assoc_regrade(g: GradedArrow, regrade: Callable, num: _Interned) -> Callable:
+    """The ``fix`` of a graded arrow or bimodule; each iso numbered by identity."""
+    op = _Op(regrade, _Interned(None, None, None), num, num)
+
+    def fix(p, q, r):
+        n_iso = op.left(g.grade_structural("assoc", (p, q, r)))
+        return lambda n: op[(n_iso, n)]
+
+    return fix
+
+
+def _assoc_trials(objs, grades, hom, num, comp, fix, equal):
+    """The ``assoc`` trials of a (graded) arrow, by interned numbers.
+
+    ``hom`` is as in ``_action_trials``; ``fix(p, q, r)`` maps the number
+    of a member at grade (p q) r to that of its regrade to p (q r).
+    """
+    op, composites = _Op(comp, num, num, num), _Composites(comp, hom, num)
+    for p, q, r in itertools.product(grades, repeat=3):
+        fix_pqr = fix(p, q, r)
+        for y, z, w in itertools.product(objs, repeat=3):
+            hbc, hcd = hom(q, y, z), hom(r, z, w)
+            if not (hbc and hcd):
+                continue
+            right, ncd = composites[((q, y, z), (r, z, w))], num.ids(hcd)
+            for x in objs:
+                hab = hom(p, x, y)
+                left = composites[((p, x, y), (q, y, z))]
+                for m1, n1, row in zip(hab, num.ids(hab), left):
+                    for m2, n12, right_row in zip(hbc, row, right):
+                        for m3, n3, n23 in zip(hcd, ncd, right_row):
+                            lhs, rhs = fix_pqr(op[(n12, n3)]), op[(n1, n23)]
+                            yield num.case((m1, m2, m3), lhs, rhs, equal)
+
+
+def _commute_trials(objs, grades, hom, st, ls, comp, fix, equal):
+    """The interchange trials of a (graded) arrow, each side strengthened
+    once per spectator (``_Rows``); ``fix(p, q)`` regrades a member from
+    grade p q to q p."""
+    st, ls = _Rows(hom, st), _Rows(hom, ls)
+    for p, q in itertools.product(grades, repeat=2):
+        fix_pq = fix(p, q)
+        for x, y, x2, y2 in itertools.product(objs, repeat=4):
+            h1, h2 = hom(p, x, y), hom(q, x2, y2)
+            if not (h1 and h2):
+                continue
+            ls_y, ls_x = ls[(q, x2, y2, y)], ls[(q, x2, y2, x)]
+            for m1, m1_x2, m1_y2 in zip(h1, st[(p, x, y, x2)], st[(p, x, y, y2)]):
+                for m2, m2_y, m2_x in zip(h2, ls_y, ls_x):
+                    lhs = fix_pq(comp(m1_x2, m2_y))
+                    rhs = comp(m2_x, m1_y2)
+                    yield ((m1, m2), lhs, rhs, equal(lhs, rhs))
 
 
 # -- arrow laws ---------------------------------------------------------------
@@ -324,25 +389,6 @@ def check_arrow_laws(
                 rhs = a.comp(m, a.identity(y))
                 yield ((m,), rhs, m, a.equal(rhs, m))
 
-    def assoc_trials():
-        if a.key is not None:
-            yield from _assoc_trials_keyed(a, objs)
-            return
-        # keyless: via _Interned, peak RSS rose 22.6->29.4 MB, laws-games 5.9->8.1 s
-        for y, z, w in itertools.product(objs, repeat=3):
-            hbc, hcd = a.hom_cached(y, z), a.hom_cached(z, w)
-            if not (hbc and hcd):
-                continue
-            right = [[a.comp(m2, m3) for m3 in hcd] for m2 in hbc]
-            for x in objs:
-                for m1 in a.hom_cached(x, y):
-                    for j, m2 in enumerate(hbc):
-                        left12 = a.comp(m1, m2)
-                        for k, m3 in enumerate(hcd):
-                            lhs = a.comp(left12, m3)
-                            rhs = a.comp(m1, right[j][k])
-                            yield ((m1, m2, m3), lhs, rhs, a.equal(lhs, rhs))
-
     def pure_trials():
         base = a.base
         for x, y, z in itertools.product(objs, repeat=3):
@@ -354,28 +400,12 @@ def check_arrow_laws(
 
     return [
         _report("arrow.unit", name, unit_trials(), equality),
-        _report("arrow.assoc", name, assoc_trials(), equality),
+        _report("arrow.assoc", name, _assoc_trials(
+            objs, [None], _one_grade(a), _Interned(a.key, a.src, a.dst), a.comp,
+            _no_regrade, a.equal,
+        ), equality),
         _report("arrow.pure-functor", name, pure_trials(), equality),
     ]
-
-
-def _assoc_trials_keyed(a: ArrowInstance, objs: list):
-    num = _Interned(a.key, a.src, a.dst)
-    comp = _Op(a.comp, num, num, num)
-    composites = _Composites(a.comp, a.hom_cached, num)
-    for y, z, w in itertools.product(objs, repeat=3):
-        hbc, hcd = a.hom_cached(y, z), a.hom_cached(z, w)
-        if not (hbc and hcd):
-            continue
-        right, ncd = composites[((y, z), (z, w))], num.ids(hcd)
-        for x in objs:
-            hab = a.hom_cached(x, y)
-            for m1, n1, row in zip(hab, num.ids(hab), composites[((x, y), (y, z))]):
-                for m2, n12, right_row in zip(hbc, row, right):
-                    for m3, n3, n23 in zip(hcd, ncd, right_row):
-                        yield num.case(
-                            (m1, m2, m3), comp[(n12, n3)], comp[(n1, n23)], a.equal
-                        )
 
 
 def check_strength(
@@ -383,9 +413,9 @@ def check_strength(
 ) -> list[LawReport]:
     """The four coherence equations of the strength.
 
-    ``comp`` strengthens each member once per spectator (``_Rows``), for
-    the life of one call; the composite and its strengthening still run
-    per case.
+    ``comp`` strengthens each member once per spectator (``_Rows`` at the
+    one grade), for the life of one call; the composite and its
+    strengthening still run per case.
     """
     name = instance or a.name
     base, objs = a.base, a.objects
@@ -420,14 +450,14 @@ def check_strength(
                     yield ((f, z), lhs, rhs, a.equal(lhs, rhs))
 
     def comp_trials():
-        st = _Rows(a, a.st)
+        st = _Rows(_one_grade(a), a.st)
         for x, y, z in itertools.product(objs, repeat=3):
             for i, m1 in enumerate(a.hom_cached(x, y)):
                 for j, m2 in enumerate(a.hom_cached(y, z)):
                     m12 = a.comp(m1, m2)
                     for zo in objs:
                         lhs = a.st(m12, zo)
-                        rhs = a.comp(st[(x, y, zo)][i], st[(y, z, zo)][j])
+                        rhs = a.comp(st[(None, x, y, zo)][i], st[(None, y, z, zo)][j])
                         yield ((m1, m2, zo), lhs, rhs, a.equal(lhs, rhs))
 
     return [
@@ -443,31 +473,16 @@ def check_commutativity(
 ) -> list[LawReport]:
     """Interchange of the two tensor interleavings; only for flagged arrows.
 
-    The two sides are ``arrow_tensor`` and ``arrow_tensor_flipped``.  Each
-    member is strengthened on either side once per spectator (``_Rows``),
-    for the life of one call, so a case runs just the two composites.
+    The sides are ``arrow_tensor`` and ``arrow_tensor_flipped``, chased by
+    ``_commute_trials`` at the one grade, as ``graded.commute`` is.
     """
     if not a.commutative:
         return []
-    name = instance or a.name
-    objs = a.objects
-
-    def trials():
-        st = _Rows(a, a.st)
-        ls = _Rows(a, lambda m, z: left_strength(a, m, z))
-        for x, y in itertools.product(objs, repeat=2):
-            for x2, y2 in itertools.product(objs, repeat=2):
-                h1, h2 = a.hom_cached(x, y), a.hom_cached(x2, y2)
-                if not (h1 and h2):
-                    continue
-                ls_y, ls_x = ls[(x2, y2, y)], ls[(x2, y2, x)]
-                for m1, m1_x2, m1_y2 in zip(h1, st[(x, y, x2)], st[(x, y, y2)]):
-                    for m2, m2_y, m2_x in zip(h2, ls_y, ls_x):
-                        lhs = a.comp(m1_x2, m2_y)  # arrow_tensor(a, m1, m2)
-                        rhs = a.comp(m2_x, m1_y2)  # arrow_tensor_flipped(a, m1, m2)
-                        yield ((m1, m2), lhs, rhs, a.equal(lhs, rhs))
-
-    return [_report("arrow.commute", name, trials(), equality)]
+    trials = _commute_trials(
+        a.objects, [None], _one_grade(a), a.st,
+        lambda m, z: left_strength(a, m, z), a.comp, _no_regrade, a.equal,
+    )
+    return [_report("arrow.commute", instance or a.name, trials, equality)]
 
 
 # -- bimodule laws ------------------------------------------------------------
@@ -510,10 +525,9 @@ def check_bimodule(
                 yield ((e,), lhs, e, b.equal(lhs, e))
 
     lact_comp, ract_comp, mixed = _action_trials(
-        objs, [None], lambda p, x, y: a.hom_cached(x, y),
-        lambda p, x, y: b.hom_cached(x, y), _Interned(a.key, a.src, a.dst),
-        _Interned(b.key, b.src, b.dst), a.comp, b.lact, b.ract,
-        lambda p, q, r: lambda n: n, b.equal,
+        objs, [None], _one_grade(a), _one_grade(b), _Interned(a.key, a.src, a.dst),
+        _Interned(b.key, b.src, b.dst), a.comp, b.lact, b.ract, _no_regrade,
+        b.equal,
     )
 
     out = [
@@ -750,37 +764,30 @@ def check_graded(
     iso_id: Callable = _default_iso_id,
     iso_comp: Callable = _default_iso_comp,
 ) -> list[LawReport]:
-    """Unit, associativity, regrade functoriality and naturality laws."""
+    """Unit, associativity, regrade functoriality and naturality laws.
+
+    ``assoc`` and ``commute`` share their chases with ``arrow.assoc`` and
+    ``arrow.commute``; ``assoc`` regrades each interned composite once, so
+    ``key`` equality must imply ``equal``.  The other laws run per case.
+    """
     name = instance or g.name
     base, objs, grades = g.base, g.objects, g.grades
     gs = g.grade_structural
+    hom = functools.cache(g.hom)
 
     def unit_trials():
         for p in grades:
             for x, y in itertools.product(objs, repeat=2):
-                for e in g.hom(p, x, y):
+                for e in hom(p, x, y):
                     lhs = g.regrade(gs("lunit", (p,)), g.gcomp(g.unit(base.id(x)), e))
                     yield ((e,), lhs, e, g.equal(lhs, e))
                     rhs = g.regrade(gs("runit", (p,)), g.gcomp(e, g.unit(base.id(y))))
                     yield ((e,), rhs, e, g.equal(rhs, e))
 
-    def assoc_trials():
-        for p, q, r in itertools.product(grades, repeat=3):
-            for x, y, z, w in itertools.product(objs, repeat=4):
-                for e1 in g.hom(p, x, y):
-                    for e2 in g.hom(q, y, z):
-                        left = g.gcomp(e1, e2)
-                        for e3 in g.hom(r, z, w):
-                            lhs = g.regrade(
-                                gs("assoc", (p, q, r)), g.gcomp(left, e3)
-                            )
-                            rhs = g.gcomp(e1, g.gcomp(e2, e3))
-                            yield ((e1, e2, e3), lhs, rhs, g.equal(lhs, rhs))
-
     def regrade_trials():
         for p in grades:
             for x, y in itertools.product(objs, repeat=2):
-                for e in g.hom(p, x, y):
+                for e in hom(p, x, y):
                     lhs = g.regrade(iso_id(p), e)
                     yield ((e,), lhs, e, g.equal(lhs, e))
         for p, q, r in itertools.product(grades, repeat=3):
@@ -788,7 +795,7 @@ def check_graded(
                 for chi in g.grade_isos(r, q):
                     composite = iso_comp(phi, chi)
                     for x, y in itertools.product(objs, repeat=2):
-                        for e in g.hom(p, x, y):
+                        for e in hom(p, x, y):
                             lhs = g.regrade(composite, e)
                             rhs = g.regrade(chi, g.regrade(phi, e))
                             yield ((phi, chi, e), lhs, rhs, g.equal(lhs, rhs))
@@ -797,11 +804,16 @@ def check_graded(
         for p, q in itertools.product(grades, repeat=2):
             for phi in g.grade_isos(q, p):
                 for x, y in itertools.product(objs, repeat=2):
-                    for e in g.hom(p, x, y):
+                    for e in hom(p, x, y):
                         for z in objs:
                             lhs = g.st(g.regrade(phi, e), z)
                             rhs = g.regrade(phi, g.st(e, z))
                             yield ((phi, e, z), lhs, rhs, g.equal(lhs, rhs))
+
+    def assoc_trials():
+        num = _Interned(g.key, g.src, g.dst)
+        fix = _assoc_regrade(g, g.regrade, num)
+        return _assoc_trials(objs, grades, hom, num, g.gcomp, fix, g.equal)
 
     out = [
         _report("graded.unit", name, unit_trials(), equality),
@@ -811,26 +823,11 @@ def check_graded(
     ]
 
     if g.commutative:
-        def commute_trials():
-            for p, q in itertools.product(grades, repeat=2):
-                for x, y in itertools.product(objs, repeat=2):
-                    for x2, y2 in itertools.product(objs, repeat=2):
-                        for e1 in g.hom(p, x, y):
-                            for e2 in g.hom(q, x2, y2):
-                                lhs = g.regrade(
-                                    gs("sym", (p, q)),
-                                    g.gcomp(
-                                        g.st(e1, x2),
-                                        graded_left_strength(g, e2, y),
-                                    ),
-                                )
-                                rhs = g.gcomp(
-                                    graded_left_strength(g, e2, x),
-                                    g.st(e1, y2),
-                                )
-                                yield ((e1, e2), lhs, rhs, g.equal(lhs, rhs))
-
-        out.append(_report("graded.commute", name, commute_trials(), equality))
+        sym = lambda p, q: functools.partial(g.regrade, gs("sym", (p, q)))  # noqa: E731
+        out.append(_report("graded.commute", name, _commute_trials(
+            objs, grades, hom, g.st, lambda e, z: graded_left_strength(g, e, z),
+            g.gcomp, sym, g.equal,
+        ), equality))
 
     return out
 
@@ -853,12 +850,7 @@ def check_graded_bimodule(
     base = g.base
     gs = g.grade_structural
     hb = functools.cache(gb.hom)
-    num_b, num_iso = _Interned(gb.key, gb.src, gb.dst), _Interned(None, None, None)
-    regrade = _Op(gb.regrade, num_iso, num_b, num_b)
-
-    def assoc(p, q, r):  # one iso per grade triple, numbered by identity
-        n_iso = num_iso(gs("assoc", (p, q, r)))
-        return lambda n: regrade[(n_iso, n)]
+    num_b = _Interned(gb.key, gb.src, gb.dst)
 
     def lact_unit():
         for q in grades:
@@ -878,7 +870,8 @@ def check_graded_bimodule(
 
     lact_comp, ract_comp, mixed = _action_trials(
         objects, grades, functools.cache(g.hom), hb, _Interned(g.key, g.src, g.dst),
-        num_b, g.gcomp, gb.glact, gb.gract, assoc, gb.equal,
+        num_b, g.gcomp, gb.glact, gb.gract, _assoc_regrade(g, gb.regrade, num_b),
+        gb.equal,
     )
     return [
         _report("gbim.lact-unit", name, lact_unit(), equality),
@@ -1336,6 +1329,7 @@ def _tag_arrow(
         comp=comp,
         st=st,
         equal=lambda m1, m2: m1 == m2,
+        key=lambda m: (m.fun.table, m.tag),
         commutative=commutative,
     )
 
@@ -1764,6 +1758,7 @@ def _tag_graded(
         st=st,
         regrade=regrade,
         equal=lambda e1, e2: e1 == e2,
+        key=lambda e: (e.grade.elements, e.fun.table, e.n),
         commutative=commutative,
         grade_structural=param_structural,
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .arrow import ArrowInstance, hom_arrow, left_strength
+from .arrow import ArrowInstance, hom_arrow, left_strength, verdict_all
 from .base import PAIR, BaseMap, PairObj, SET
 from .bimodule import Bimodule, ContextStruct, CtxPair, ctx_of_arrow
 from .finset import (
@@ -310,7 +310,8 @@ def twisted_grading(
     grades: list[TwGrade] | None = None,
     member_pool: Callable[[Any, Any], list] | None = None,
 ) -> GradedArrow:
-    """Optic components as a graded arrow over residual-carrier morphisms."""
+    """Optic components as a graded arrow over residual-carrier morphisms,
+    keyed by the grade and both parts' inner keys when the inner arrow is."""
     c = a_inst.base
     unit_grade = TwGrade(c.id(c.unit))
     if grades is None:
@@ -365,11 +366,13 @@ def twisted_grading(
     def equal(e1, e2):
         if (e1.src, e1.dst, e1.grade) != (e2.src, e2.dst, e2.grade):
             return False
-        ra = a_inst.equal(e1.left, e2.left)
-        rb = a_inst.equal(e1.right, e2.right)
-        if ra is False or rb is False:
-            return False
-        return None if (ra is None or rb is None) else True
+        return verdict_all(
+            (a_inst.equal(e1.left, e2.left), a_inst.equal(e1.right, e2.right))
+        )
+
+    key = None
+    if a_inst.key is not None:
+        key = lambda e: (e.grade, a_inst.key(e.left), a_inst.key(e.right))  # noqa: E731
 
     def grade_structural(kind: str, args: tuple) -> TwIso:
         def both(mk):
@@ -402,7 +405,7 @@ def twisted_grading(
         st=st,
         regrade=regrade,
         equal=equal,
-        key=None,
+        key=key,
         commutative=a_inst.commutative,
         grade_structural=grade_structural,
     )
@@ -545,6 +548,6 @@ def lens_optic_context(
 
     def canonical_key(c: OpticCtx):
         pair = lens_optic_ctx_canonical(c)
-        return plain.key(pair)
+        return plain.bimodule.key(pair)
 
     return optic_context(g_inst, residual_pool, canonical_key)

@@ -157,13 +157,13 @@ WEQ = with_eq(LENS, CTX, BOOL_AND)
 
 def _value_at(h, c):
     # position of c in the tabulation order of Eq(h.src, h.dst)
-    return h.values[CTX.hom_cached(h.dst, h.src).index(c)]
+    return h.values[CTX.bimodule.hom_cached(h.dst, h.src).index(c)]
 
 
 def test_composition_formula_matches_the_pipeline_exactly():
     ms = WEQ.hom_cached(X, X)
     sample = ms[:: max(1, len(ms) // 7)]
-    contexts = CTX.hom_cached(X, X)
+    contexts = CTX.bimodule.hom_cached(X, X)
     for m1 in sample:
         for m2 in sample:
             got = WEQ.comp(m1, m2)
@@ -187,7 +187,7 @@ def test_strength_formula_matches_the_pipeline_exactly():
         lens, h = m.inner, m.extra
         assert got.inner == lens_strength(lens, z)
         expected = []
-        for b in CTX.hom_cached(xz, xz):
+        for b in CTX.bimodule.hom_cached(xz, xz):
             x0, z0 = b.state.fwd(STAR)
             padded = Lens(
                 X, xz,

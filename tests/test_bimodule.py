@@ -40,7 +40,7 @@ def _cont(table) -> FinFun:
 
 
 def test_contexts_enumerate_point_continuation_pairs():
-    ctxs = CTX.hom_cached(X, X)
+    ctxs = CTX.bimodule.hom_cached(X, X)
     # 2 points x 4 continuation tables (B x unit -> B)
     assert len(ctxs) == 2 * 4
     c = ctxs[0]
@@ -77,7 +77,7 @@ def test_costrength_splits_state_and_pads_continuation():
 def test_eq_bimodule_tabulates_over_contexts():
     eq = eq_from_context(CTX, BOOL_AND)
     h = eq_tabulate(CTX, X, X, lambda c: lens_point(c.state) == 0)
-    some = CTX.hom_cached(X, X)[3]
+    some = CTX.bimodule.hom_cached(X, X)[3]
     assert eq_apply(CTX, h, some) == (lens_point(some.state) == 0)
     unit = eq.monoid.e(X, X)
     assert eq.monoid.m(unit, h) == h
@@ -120,24 +120,24 @@ def _assert_actions_match_tabulation(monoid, pool):
     eq = eq_from_context(CTX, monoid, value_pool=pool)
 
     def direct(h, x, z, acted):
-        assert len(acted) == len(CTX.hom_cached(z, x))
+        assert len(acted) == len(CTX.bimodule.hom_cached(z, x))
         return EqFun(x, z, tuple(eq_apply(CTX, h, c) for c in acted))
 
     for x, y, z in itertools.product(LENS.objects, repeat=3):
         for a in LENS.hom_cached(x, y):
-            acted = [CTX.bimodule.ract(b, a) for b in CTX.hom_cached(z, x)]
+            acted = [CTX.bimodule.ract(b, a) for b in CTX.bimodule.hom_cached(z, x)]
             for h in eq.hom_cached(y, z):
                 want = direct(h, x, z, acted)
                 assert eq.lact(a, h) == want
                 assert eq.lact(a, h) == want  # a memo hit
         for a in LENS.hom_cached(y, z):
-            acted = [CTX.bimodule.lact(a, b) for b in CTX.hom_cached(z, x)]
+            acted = [CTX.bimodule.lact(a, b) for b in CTX.bimodule.hom_cached(z, x)]
             for h in eq.hom_cached(x, y):
                 want = direct(h, x, z, acted)
                 assert eq.ract(h, a) == want
                 assert eq.ract(h, a) == want
         xz, yz = PAIR.tensor(x, z), PAIR.tensor(y, z)
-        acted = [CTX.cst(b, y, x, z) for b in CTX.hom_cached(yz, xz)]
+        acted = [CTX.cst(b, y, x, z) for b in CTX.bimodule.hom_cached(yz, xz)]
         for h in eq.hom_cached(x, y):
             want = direct(h, xz, yz, acted)
             assert eq.st(h, z) == want

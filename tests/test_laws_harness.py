@@ -13,7 +13,14 @@ from openarrows.base import PAIR, PAIR_I, SET, PairObj, bit_set, pair_atoms
 from openarrows.bimodule import EqFun, ctx_of_arrow, eq_from_context, with_eq
 from openarrows.finset import BOOL_AND, STAR, UNIT, DomainError, FinSet
 from openarrows.games import GAME_CTX, BestRespElement, best_resp_bimodule
-from openarrows.grading import ParaMor, SizeError, fam, grade_by_param, para
+from openarrows.grading import (
+    ParaMor,
+    SizeError,
+    fam,
+    grade_by_param,
+    graded_left_strength,
+    para,
+)
 from openarrows.laws import (
     CHECKER_LAWS,
     LAWS,
@@ -22,7 +29,12 @@ from openarrows.laws import (
     run_suite,
 )
 from openarrows.lens import LENS_PROJECTIONS, all_lenses, lens_arrow
-from openarrows.optic import lens_optic_context, optic_arrow
+from openarrows.optic import (
+    carrier_set_arrow,
+    lens_optic_context,
+    optic_arrow,
+    twisted_grading,
+)
 
 
 def test_manifest_covers_every_emittable_law():
@@ -146,7 +158,7 @@ def _captured(target, runner):
     # the bimodule or arrow a mutant thunk hands to its runner
     seen = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(laws, runner, seen.append)
+        mp.setattr(laws, runner, lambda got, *args, **kwargs: seen.append(got))
         laws.MUTANTS[target]()
     (got,) = seen
     return getattr(got, "bimodule", got)
@@ -154,6 +166,10 @@ def _captured(target, runner):
 
 def _keyless(b):
     return dataclasses.replace(b, key=None, _hom_cache={}, _index_cache={})
+
+
+def _keyless_arrow(a):
+    return dataclasses.replace(a, key=None, _hom_cache={})
 
 
 _BIMODULE_MUTANTS = sorted(
@@ -220,13 +236,6 @@ def test_equal_values_at_different_endpoints_stay_apart():
     assert num.reps[num(h_flipped)] is h_flipped
 
 
-def _keyed_assoc_mutant():
-    a = _captured("arrow.assoc", "_run_tag_arrow")
-    return dataclasses.replace(
-        a, key=lambda m: (m.fun.table, m.tag), _hom_cache={}
-    )
-
-
 def _keyed_arrows():
     atoms3 = pair_atoms((1, 1), (2, 1), (1, 2))
     lens2 = lens_arrow(atoms3[:2])
@@ -237,7 +246,7 @@ def _keyed_arrows():
             lens2, ctx_of_arrow(lens2, LENS_PROJECTIONS), BOOL_AND
         ),
         "optic(set)": optic_arrow(atoms3),
-        "keyed arrow.assoc mutant": _keyed_assoc_mutant(),
+        "keyed arrow.assoc mutant": _captured("arrow.assoc", "_run_tag_arrow"),
     }
 
 
@@ -306,11 +315,14 @@ _ARROW_MUTANTS = sorted(
 @pytest.mark.parametrize("target", _ARROW_MUTANTS)
 def test_shared_arrow_laws_match_per_case_chasing_on_mutants(target):
     a = _captured(target, "_run_tag_arrow")
-    assert a.key is None
-    got = _shared_arrow_laws(a, target)
-    assert got == _reference_arrow_laws(a, target)
-    # a mutant aimed at one of these laws fails it
-    assert target not in {r.law for r in got if r.status == "pass"}
+    assert a.key is not None
+    # keyless, members are numbered by identity and every distinct result
+    # is handed to equal
+    for b in (a, _keyless_arrow(a)):
+        got = _shared_arrow_laws(b, target)
+        assert got == _reference_arrow_laws(b, target)
+        # a mutant aimed at one of these laws fails it
+        assert target not in {r.law for r in got if r.status == "pass"}
 
 
 def _weq(atoms):
@@ -323,7 +335,7 @@ def _colimit_twins(size, keyless):
     # parameter; with ``keyless``, over inner arrows whose key is removed,
     # so that equality is the bijection search
     def inner(a):
-        return dataclasses.replace(a, key=None, _hom_cache={}) if keyless else a
+        return _keyless_arrow(a) if keyless else a
 
     atoms = pair_atoms((1, 1), (size, 1))
     weq = _weq(atoms)
@@ -402,7 +414,7 @@ def test_keyed_para_refuses_a_member_it_cannot_block():
 
 
 def test_hide_over_a_keyless_graded_arrow_stays_keyless():
-    a = fam(_captured("arrow.assoc", "_run_tag_arrow"))
+    a = fam(_keyless_arrow(_captured("arrow.assoc", "_run_tag_arrow")))
     assert a.key is None
     x = a.objects[-1]
     e = next(e for e in a.hom_cached(x, x) if len(set(e.members)) == 2)
@@ -494,19 +506,28 @@ def test_interned_gbim_laws_match_per_case_chasing_on_mutants(target):
             assert target not in {r.law for r in got if r.status == "pass"}
 
 
-def _suite_gbims(size):
-    # the graded bimodules the graded suite checks, with their universes
-    seen = {}
+def _suite_graded(size):
+    # the graded arrows the graded suite checks, with their grade iso
+    # arguments, and its graded bimodules with their universes
+    arrows, gbims = {}, {}
 
-    def record(gb, objects, grades, name, equality):
-        seen[name] = (gb, objects, grades)
+    def record_graded(g, name, **iso_args):
+        arrows[name] = (g, iso_args)
+        return []
+
+    def record_gbim(gb, objects, grades, name, equality):
+        gbims[name] = (gb, objects, grades)
         return []
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(laws, "check_graded", lambda *args, **kwargs: [])
-        mp.setattr(laws, "check_graded_bimodule", record)
+        mp.setattr(laws, "check_graded", record_graded)
+        mp.setattr(laws, "check_graded_bimodule", record_gbim)
         laws.graded_suite(size)
-    return seen
+    return arrows, gbims
+
+
+def _suite_gbims(size):
+    return _suite_graded(size)[1]
 
 
 @pytest.mark.parametrize("size", [1, 2])
@@ -537,12 +558,19 @@ def test_gbim_keys_decide_equality(instance):
             (gb.gract, g.hom(p, e.dst, z)[-1]),
         )
     ]
+    _assert_keys_decide_equality(gb, pool + acted)
+
+
+def _assert_keys_decide_equality(family, members):
+    # members with the same endpoints have equal keys exactly when they are
+    # equal
     by_ends = {}
-    for m in pool + acted:
-        by_ends.setdefault((m.src, m.dst), []).append(m)
+    for m in members:
+        by_ends.setdefault((family.src(m), family.dst(m)), []).append(m)
     for ms in by_ends.values():
-        for m1, m2 in itertools.product(ms, repeat=2):
-            assert (gb.key(m1) == gb.key(m2)) == gb.equal(m1, m2), (m1, m2)
+        keyed = [(m, family.key(m)) for m in ms]
+        for (m1, k1), (m2, k2) in itertools.product(keyed, repeat=2):
+            assert (k1 == k2) == family.equal(m1, m2), (m1, m2)
 
 
 def test_bestresp_elements_apart_at_one_registered_context_have_different_keys():
@@ -570,7 +598,169 @@ def test_bestresp_default_pool_is_every_game_context():
     x, y = PAIR_I, PairObj(bit_set(2), bit_set(2))
     grade = FinSet((0, 1))
     b = BestRespElement(x, y, grade, lambda c: lambda p1, p2: p1 <= p2)
-    contexts = GAME_CTX.hom_cached(y, x)
+    contexts = GAME_CTX.bimodule.hom_cached(y, x)
     assert len(contexts) > 1
     assert gb.key(b) == (grade.elements, tuple(b.row(c) for c in contexts))
     assert b.row(contexts[0]) == frozenset({(0, 0), (0, 1), (1, 1)})
+
+
+# -- graded arrows through the arrow chases ------------------------------------
+#
+# ``graded.assoc`` and ``graded.commute`` share ``arrow.assoc``'s interned
+# chase and ``arrow.commute``'s strengthened rows.  The reference trials
+# below are the per-case graded laws: every composite, strengthening and
+# regrade runs afresh for every case, which is decided with ``equal``.
+
+_SHARED_GRADED_LAWS = ("graded.assoc", "graded.commute")
+
+
+def _reference_graded(g, name):
+    gs = g.grade_structural
+    objs, grades = g.objects, g.grades
+
+    def assoc():
+        for p, q, r in itertools.product(grades, repeat=3):
+            for x, y, z, w in itertools.product(objs, repeat=4):
+                for e1 in g.hom(p, x, y):
+                    for e2 in g.hom(q, y, z):
+                        left = g.gcomp(e1, e2)
+                        for e3 in g.hom(r, z, w):
+                            lhs = g.regrade(gs("assoc", (p, q, r)), g.gcomp(left, e3))
+                            rhs = g.gcomp(e1, g.gcomp(e2, e3))
+                            yield ((e1, e2, e3), lhs, rhs, g.equal(lhs, rhs))
+
+    def commute():
+        for p, q in itertools.product(grades, repeat=2):
+            for x, y, x2, y2 in itertools.product(objs, repeat=4):
+                for e1 in g.hom(p, x, y):
+                    for e2 in g.hom(q, x2, y2):
+                        lhs = g.regrade(
+                            gs("sym", (p, q)),
+                            g.gcomp(g.st(e1, x2), graded_left_strength(g, e2, y)),
+                        )
+                        rhs = g.gcomp(graded_left_strength(g, e2, x), g.st(e1, y2))
+                        yield ((e1, e2), lhs, rhs, g.equal(lhs, rhs))
+
+    trials = (assoc(), commute()) if g.commutative else (assoc(),)
+    return [
+        laws._report(law, name, t, "structural")
+        for law, t in zip(_SHARED_GRADED_LAWS, trials)
+    ]
+
+
+def _checked_graded(g, name, **iso_args):
+    reports = laws.check_graded(g, name, **iso_args)
+    return [r for r in reports if r.law in _SHARED_GRADED_LAWS]
+
+
+_GRADED_MUTANTS = sorted(t for t in laws.MUTANTS if t.startswith("graded."))
+
+
+@pytest.mark.parametrize("target", _GRADED_MUTANTS)
+def test_shared_graded_laws_match_per_case_chasing_on_mutants(target):
+    g = _captured(target, "check_graded")
+    assert g.key is not None
+    # numbered by identity, every distinct result is handed to equal
+    for h in (g, dataclasses.replace(g, key=None)):
+        got = _checked_graded(h, target)
+        assert got == _reference_graded(h, target)
+        if target in _SHARED_GRADED_LAWS:
+            assert target not in {r.law for r in got if r.status == "pass"}
+
+
+@pytest.mark.parametrize("instance", ["param(lens)", "twisted(set)"])
+def test_shared_graded_laws_match_per_case_chasing_on_suites(instance):
+    g, iso_args = _suite_graded(1)[0][instance]
+    assert g.key is not None
+    got = _checked_graded(g, instance, **iso_args)
+    assert got == _reference_graded(g, instance)
+    assert {r.status for r in got} == {"pass"}
+
+
+def test_shared_graded_laws_match_per_case_chasing_on_param_lens_at_size_2():
+    g, _ = _suite_graded(2)[0]["param(lens)"]
+    got = _checked_graded(g, "param(lens)")
+    assert _verdicts(got) == _verdicts(_reference_graded(g, "param(lens)"))
+
+
+# -- keys of the registered families -------------------------------------------
+#
+# The chases above decide cases by comparing interned numbers, which needs
+# "key-equal implies equal"; a family without a key is numbered by identity,
+# whose tables grow with the case count.
+
+def _with_composites(family, pool, comp):
+    return pool + [
+        comp(m1, m2) for m1 in pool for m2 in pool
+        if family.dst(m1) == family.src(m2)
+    ]
+
+
+@pytest.mark.parametrize("target", _ARROW_MUTANTS)
+def test_tag_arrow_keys_decide_equality(target):
+    a = _captured(target, "_run_tag_arrow")
+    pool = [
+        m for x, y in itertools.product(a.objects, repeat=2)
+        for m in a.hom_cached(x, y)
+    ]
+    _assert_keys_decide_equality(a, _with_composites(a, pool, a.comp))
+
+
+def _graded_pool(g):
+    return [
+        e for p in g.grades for x, y in itertools.product(g.objects, repeat=2)
+        for e in g.hom(p, x, y)
+    ]
+
+
+@pytest.mark.parametrize("target", _GRADED_MUTANTS)
+def test_tag_graded_keys_decide_equality(target):
+    g = _captured(target, "check_graded")
+    _assert_keys_decide_equality(g, _with_composites(g, _graded_pool(g), g.gcomp))
+
+
+def test_twisted_keys_decide_equality():
+    # twisted(set)'s grades include two maps between the same residuals, so
+    # a key without the grade would merge unequal members
+    g, _ = _suite_graded(1)[0]["twisted(set)"]
+    _assert_keys_decide_equality(g, _with_composites(g, _graded_pool(g), g.gcomp))
+
+
+def test_twisted_grading_over_a_keyless_inner_arrow_stays_keyless():
+    objs = pair_atoms((1, 1), (2, 1))
+    inner = carrier_set_arrow(objs)
+    assert twisted_grading(inner, objs).key is not None
+    assert twisted_grading(_keyless_arrow(inner), objs).key is None
+
+
+_CHECKERS = (
+    "check_arrow_laws", "check_strength", "check_commutativity", "check_bimodule",
+    "check_eqmonoid", "check_context", "check_graded", "check_graded_bimodule",
+)
+
+
+def test_every_registered_family_has_a_key():
+    # every arrow, graded arrow, bimodule, context and graded bimodule that
+    # the size-1 suites or the mutants hand to a checker, and the (graded)
+    # arrow each bimodule is acted on by
+    seen = []
+
+    def record(got, *args, **kwargs):
+        seen.append(got)
+        return []
+
+    with pytest.MonkeyPatch.context() as mp:
+        for checker in _CHECKERS:
+            mp.setattr(laws, checker, record)
+        for suite in laws._SUITE_FNS.values():
+            suite(1)
+        for thunk in laws.MUTANTS.values():
+            thunk()
+    assert len(seen) > len(laws.MUTANTS)
+    unkeyed = []
+    for got in seen:
+        family = getattr(got, "bimodule", got)  # a context's bimodule
+        for f in (family, getattr(family, "arrow", family)):
+            if f.key is None:
+                unkeyed.append((type(got).__name__, f.name))
+    assert unkeyed == []

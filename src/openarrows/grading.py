@@ -253,29 +253,23 @@ def hide(
 ) -> ArrowInstance:
     """Sum out the grading: morphisms are graded elements up to grade iso.
 
-    Over a graded arrow with a key, a morphism's key is the sorted tuple of
-    its member keys: regrading only permutes members, so two morphisms
-    with the same endpoints are equal exactly when these multisets agree.
-    Over a keyless graded arrow the result is keyless, and equality
-    searches the grade isomorphisms.
+    The result is keyless, as a graded key need not be invariant under
+    regrading, and equality searches the grade isomorphisms.
     """
-    key = None
-    if graded.key is not None:
-        key = lambda e: tuple(sorted(graded.key(e)[1]))  # noqa: E731
+    return _hide(graded, bound, None, f"hide({graded.name})")
+
+
+def _hide(graded: GradedArrow, bound: int, key, name: str) -> ArrowInstance:
+    # a given key is invariant under regrading and decides equality
 
     def hom(x, y):
-        out = []
-        for p in graded.grades:
-            out.extend(graded.hom(p, x, y))
-        return out
+        return [e for p in graded.grades for e in graded.hom(p, x, y)]
 
     def comp(e1, e2):
         out = graded.gcomp(e1, e2)
-        if len(graded.grade_of(out)) > bound:
-            raise SizeError(
-                f"composite index of size {len(graded.grade_of(out))} exceeds "
-                f"the bound {bound}"
-            )
+        n = len(graded.grade_of(out))
+        if n > bound:
+            raise SizeError(f"composite index of size {n} exceeds the bound {bound}")
         return out
 
     def equal(e1, e2):
@@ -294,7 +288,7 @@ def hide(
         )
 
     return ArrowInstance(
-        name=f"hide({graded.name})",
+        name=name,
         base=graded.base,
         objects=list(graded.objects),
         hom=hom,
@@ -316,9 +310,12 @@ def fam(
     bound: int = DEFAULT_INDEX_BOUND,
 ) -> ArrowInstance:
     """Strategy families over an arrow: hide applied to the parameterisation."""
-    arrow = hide(grade_by_param(a_inst, grades, member_pool), bound)
-    arrow.name = f"fam({a_inst.name})"
-    return arrow
+    key = None
+    if a_inst.key is not None:
+        # regrading only permutes members, so their sorted keys are a key
+        key = lambda e: tuple(sorted(map(a_inst.key, e.members)))  # noqa: E731
+    graded = grade_by_param(a_inst, grades, member_pool)
+    return _hide(graded, bound, key, f"fam({a_inst.name})")
 
 
 def fam_from_graded_element(e: ParamFamily) -> FamElement:

@@ -319,7 +319,7 @@ def _no_regrade(*grades) -> Callable:
 
 
 def _assoc_regrade(g: GradedArrow, regrade: Callable, num: _Interned) -> Callable:
-    """The ``fix`` of a graded arrow or bimodule; each iso numbered by identity."""
+    """The ``fix_num`` of a graded arrow or bimodule; each iso numbered by identity."""
     op = _Op(regrade, _Interned(None, None, None), num, num)
 
     def fix(p, q, r):
@@ -329,15 +329,16 @@ def _assoc_regrade(g: GradedArrow, regrade: Callable, num: _Interned) -> Callabl
     return fix
 
 
-def _assoc_trials(objs, grades, hom, num, comp, fix, equal):
+def _assoc_trials(objs, grades, hom, num, comp, fix_num, equal):
     """The ``assoc`` trials of a (graded) arrow, by interned numbers.
 
-    ``hom`` is as in ``_action_trials``; ``fix(p, q, r)`` maps the number
-    of a member at grade (p q) r to that of its regrade to p (q r).
+    ``hom`` is as in ``_action_trials``; ``fix_num(p, q, r)`` maps the
+    number of a member at grade (p q) r to that of its regrade to p (q r).
+    Cases run grades first, then objects y, z, w, then x.
     """
     op, composites = _Op(comp, num, num, num), _Composites(comp, hom, num)
     for p, q, r in itertools.product(grades, repeat=3):
-        fix_pqr = fix(p, q, r)
+        fix_pqr = fix_num(p, q, r)
         for y, z, w in itertools.product(objs, repeat=3):
             hbc, hcd = hom(q, y, z), hom(r, z, w)
             if not (hbc and hcd):
@@ -353,13 +354,13 @@ def _assoc_trials(objs, grades, hom, num, comp, fix, equal):
                             yield num.case((m1, m2, m3), lhs, rhs, equal)
 
 
-def _commute_trials(objs, grades, hom, st, ls, comp, fix, equal):
+def _commute_trials(objs, grades, hom, st, ls, comp, fix_member, equal):
     """The interchange trials of a (graded) arrow, each side strengthened
-    once per spectator (``_Rows``); ``fix(p, q)`` regrades a member from
-    grade p q to q p."""
+    once per spectator (``_Rows``); ``fix_member(p, q)`` regrades a member
+    from grade p q to q p."""
     st, ls = _Rows(hom, st), _Rows(hom, ls)
     for p, q in itertools.product(grades, repeat=2):
-        fix_pq = fix(p, q)
+        fix_pq = fix_member(p, q)
         for x, y, x2, y2 in itertools.product(objs, repeat=4):
             h1, h2 = hom(p, x, y), hom(q, x2, y2)
             if not (h1 and h2):
@@ -377,7 +378,8 @@ def _commute_trials(objs, grades, hom, st, ls, comp, fix, equal):
 def check_arrow_laws(
     a: ArrowInstance, instance: str | None = None, equality: str = "structural"
 ) -> list[LawReport]:
-    """Identity, associativity and functoriality of lifting."""
+    """Identity, associativity and functoriality of lifting; a keyless
+    arrow costs memory in proportion to its ``assoc`` cases."""
     name = instance or a.name
     objs = a.objects
 
@@ -766,9 +768,11 @@ def check_graded(
 ) -> list[LawReport]:
     """Unit, associativity, regrade functoriality and naturality laws.
 
-    ``assoc`` and ``commute`` share their chases with ``arrow.assoc`` and
-    ``arrow.commute``; ``assoc`` regrades each interned composite once, so
-    ``key`` equality must imply ``equal``.  The other laws run per case.
+    ``assoc`` and ``commute`` share their chases, and so their case order,
+    with ``arrow.assoc`` and ``arrow.commute``; ``assoc`` regrades each
+    interned composite once, so ``key`` equality must imply ``equal``, and
+    a keyless ``g`` costs memory in proportion to its ``assoc`` cases.
+    The other laws run per case.
     """
     name = instance or g.name
     base, objs, grades = g.base, g.objects, g.grades
@@ -812,8 +816,8 @@ def check_graded(
 
     def assoc_trials():
         num = _Interned(g.key, g.src, g.dst)
-        fix = _assoc_regrade(g, g.regrade, num)
-        return _assoc_trials(objs, grades, hom, num, g.gcomp, fix, g.equal)
+        fix_num = _assoc_regrade(g, g.regrade, num)
+        return _assoc_trials(objs, grades, hom, num, g.gcomp, fix_num, g.equal)
 
     out = [
         _report("graded.unit", name, unit_trials(), equality),

@@ -19,6 +19,7 @@ from openarrows.grading import (
     fam,
     grade_by_param,
     graded_left_strength,
+    hide,
     para,
 )
 from openarrows.laws import (
@@ -420,6 +421,40 @@ def test_hide_over_a_keyless_graded_arrow_stays_keyless():
     e = next(e for e in a.hom_cached(x, x) if len(set(e.members)) == 2)
     swapped = dataclasses.replace(e, members=e.members[::-1])
     assert a.equal(e, swapped) is True
+
+
+def _hidden_twisted():
+    objs = pair_atoms((1, 1), (2, 1))
+    return twisted_grading(carrier_set_arrow(objs), objs)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_hidden_twisted, lambda: _captured("graded.assoc", "check_graded")],
+    ids=["twisted(set)", "tag-graded"],
+)
+def test_hide_over_a_graded_arrow_keyed_otherwise_searches_the_grade_isos(make):
+    # these keys are not the multiset of member keys that fam's key is, so
+    # hide must not read them; it judges as over the keyless copy
+    g = make()
+    assert g.key is not None
+    a, keyless = hide(g), hide(dataclasses.replace(g, key=None))
+    assert a.key is None
+    pool = [
+        e for x, y in itertools.product(a.objects, repeat=2)
+        for e in a.hom(x, y)
+    ]
+    pairs = [
+        (m1, m2) for m1, m2 in itertools.product(pool, repeat=2)
+        if (a.src(m1), a.dst(m1)) == (a.src(m2), a.dst(m2))
+    ]
+    for m1, m2 in pairs:
+        assert a.equal(m1, m2) == keyless.equal(m1, m2), (m1, m2)
+    assert {a.equal(m1, m2) for m1, m2 in pairs} == {True, False}
+    for e in pool:
+        for q in g.grades:
+            for phi in g.grade_isos(q, g.grade_of(e)):
+                assert a.equal(e, g.regrade(phi, e)) is True, (e, phi)
 
 
 # -- graded bimodules through the interned tables ------------------------------

@@ -92,7 +92,10 @@ class FinFun:
     """A total function between finite sets, stored positionally.
 
     ``table[i]`` is the image of ``dom.elements[i]``.  Equality is
-    extensional: same dom, cod and table.
+    extensional: same dom, cod and table.  The public constructor checks
+    the table's length and images; the identities, composites, inverses,
+    tensors, structural isos and enumerations below are tables by
+    construction, so they go through ``_trusted``, which checks nothing.
     """
 
     dom: FinSet
@@ -106,6 +109,15 @@ class FinFun:
             y = next(y for y in self.table if y not in self.cod)
             raise DomainError(f"image {y!r} not in codomain {self.cod}")
 
+    @classmethod
+    def _trusted(cls, dom: FinSet, cod: FinSet, table: tuple) -> "FinFun":
+        """From a table already known to be total into ``cod``; checks nothing."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "dom", dom)
+        object.__setattr__(f, "cod", cod)
+        object.__setattr__(f, "table", table)
+        return f
+
     @staticmethod
     def of(dom: FinSet, cod: FinSet, fn: Callable | Mapping) -> "FinFun":
         """Tabulate a callable, or else anything with ``__getitem__``."""
@@ -114,7 +126,7 @@ class FinFun:
 
     @staticmethod
     def identity(a: FinSet) -> "FinFun":
-        return FinFun(a, a, a.elements)
+        return FinFun._trusted(a, a, a.elements)
 
     def __call__(self, x):
         return self.table[self.dom.index(x)]
@@ -138,23 +150,23 @@ class FinFun:
         at = self.cod._index
         for x, y in zip(self.dom.elements, self.table):
             back[at[y]] = x
-        return FinFun(self.cod, self.dom, tuple(back))
+        return FinFun._trusted(self.cod, self.dom, tuple(back))
 
 
 def fun_compose(f: FinFun, g: FinFun) -> FinFun:
     """Diagrammatic composition: first f, then g."""
-    if f.cod != g.dom:
+    if f.cod is not g.dom and f.cod != g.dom:
         raise CompositionError(
             f"cannot compose {f.dom}->{f.cod} with {g.dom}->{g.cod}"
         )
-    gt, gi = g.table, g.dom._index
-    return FinFun(f.dom, g.cod, tuple(gt[gi[y]] for y in f.table))
+    table = tuple(map(g.table.__getitem__, map(g.dom._index.__getitem__, f.table)))
+    return FinFun._trusted(f.dom, g.cod, table)
 
 
 def all_funs(a: FinSet, b: FinSet) -> list[FinFun]:
     """All |b|^|a| functions from a to b, in a deterministic order."""
     return [
-        FinFun(a, b, images)
+        FinFun._trusted(a, b, images)
         for images in itertools.product(b.elements, repeat=len(a))
     ]
 
@@ -163,41 +175,47 @@ def all_bijections(a: FinSet, b: FinSet) -> list[FinFun]:
     if len(a) != len(b):
         return []
     return [
-        FinFun(a, b, perm) for perm in itertools.permutations(b.elements)
+        FinFun._trusted(a, b, perm) for perm in itertools.permutations(b.elements)
     ]
 
 
 def tensor_fun(f: FinFun, g: FinFun) -> FinFun:
-    """f x g on product carriers."""
-    dom = product(f.dom, g.dom)
-    cod = product(f.cod, g.cod)
-    return FinFun.of(dom, cod, lambda xy: (f(xy[0]), g(xy[1])))
+    """f x g on product carriers; both are row-major, so the table is too."""
+    return FinFun._trusted(
+        product(f.dom, g.dom),
+        product(f.cod, g.cod),
+        tuple(itertools.product(f.table, g.table)),
+    )
 
 
 # -- canonical structural bijections ----------------------------------------
+#
+# Products are row-major, so each iso's table is read off its codomain's
+# elements by position.
 
 def sym_iso(a: FinSet, b: FinSet) -> FinFun:
     """(x, y) |-> (y, x)."""
-    return FinFun.of(product(a, b), product(b, a), lambda p: (p[1], p[0]))
+    # (x_i, y_j) sits at i*|b| + j, and (y_j, x_i) at j*|a| + i
+    cod, n_a, n_b = product(b, a), len(a), len(b)
+    ce = cod.elements
+    table = tuple(ce[j * n_a + i] for i in range(n_a) for j in range(n_b))
+    return FinFun._trusted(product(a, b), cod, table)
 
 
 def assoc_iso(a: FinSet, b: FinSet, c: FinSet) -> FinFun:
-    """((x, y), z) |-> (x, (y, z))."""
-    return FinFun.of(
-        product(product(a, b), c),
-        product(a, product(b, c)),
-        lambda p: (p[0][0], (p[0][1], p[1])),
-    )
+    """((x, y), z) |-> (x, (y, z)); both sit at (i*|b| + j)*|c| + k."""
+    cod = product(a, product(b, c))
+    return FinFun._trusted(product(product(a, b), c), cod, cod.elements)
 
 
 def runit_iso(a: FinSet) -> FinFun:
     """(x, *) |-> x."""
-    return FinFun.of(product(a, UNIT), a, lambda p: p[0])
+    return FinFun._trusted(product(a, UNIT), a, a.elements)
 
 
 def lunit_iso(a: FinSet) -> FinFun:
     """(*, x) |-> x."""
-    return FinFun.of(product(UNIT, a), a, lambda p: p[1])
+    return FinFun._trusted(product(UNIT, a), a, a.elements)
 
 
 def structural_iso(kind: str, *sets: FinSet) -> FinFun:

@@ -40,6 +40,16 @@ class Lens:
         ):
             raise CompositionError("lens backward map has wrong endpoints")
 
+    @classmethod
+    def _trusted(cls, src: PairObj, dst: PairObj, fwd: FinFun, bwd: FinFun) -> "Lens":
+        """From maps already known to have the lens's endpoints; checks nothing."""
+        lens = object.__new__(cls)
+        object.__setattr__(lens, "src", src)
+        object.__setattr__(lens, "dst", dst)
+        object.__setattr__(lens, "fwd", fwd)
+        object.__setattr__(lens, "bwd", bwd)
+        return lens
+
     def play(self, x):
         return self.fwd(x)
 
@@ -61,10 +71,10 @@ def lens_key(lens: Lens):
 def lens_pure(m: BaseMap) -> Lens:
     """Embed a base map as a lens whose coplay ignores the state."""
     # one copy of the backward table per row x of the product X x R
-    bwd = FinFun(
+    bwd = FinFun._trusted(
         product(m.src.fwd, m.dst.bwd), m.src.bwd, m.bwd.table * len(m.src.fwd)
     )
-    return Lens(m.src, m.dst, m.fwd, bwd)
+    return Lens._trusted(m.src, m.dst, m.fwd, bwd)
 
 
 def identity_lens(x: PairObj) -> Lens:
@@ -87,32 +97,35 @@ def lens_comp(l1: Lens, l2: Lens) -> Lens:
         for i, j in enumerate(ys[y] * n_q for y in l1.fwd.table)
         for k in range(n_q)
     )
-    bwd = FinFun(product(l1.src.fwd, l2.dst.bwd), l1.src.bwd, table)
-    return Lens(l1.src, l2.dst, fwd, bwd)
+    bwd = FinFun._trusted(product(l1.src.fwd, l2.dst.bwd), l1.src.bwd, table)
+    return Lens._trusted(l1.src, l2.dst, fwd, bwd)
 
 
 def lens_strength(lens: Lens, z: PairObj) -> Lens:
     src = PAIR.tensor(lens.src, z)
     dst = PAIR.tensor(lens.dst, z)
     zs, zbs = z.fwd.elements, z.bwd.elements
-    fwd = FinFun(src.fwd, dst.fwd, tuple((y, c) for y in lens.fwd.table for c in zs))
+    fwd = FinFun._trusted(
+        src.fwd, dst.fwd, tuple((y, c) for y in lens.fwd.table for c in zs)
+    )
     # ((x_i, c), (r_k, c')) |-> (coplay(x_i, r_k), c'): the coplay row of
     # x_i is lens.bwd.table[i*|R| : (i+1)*|R|], repeated for every c.
     n_r = len(lens.dst.bwd)
     b = lens.bwd.table
-    bwd = FinFun(product(src.fwd, dst.bwd), src.bwd, tuple(
+    table = tuple(
         (s, c)
         for i in range(len(lens.src.fwd))
         for _ in zs
         for s in b[i * n_r:(i + 1) * n_r]
         for c in zbs
-    ))
-    return Lens(src, dst, fwd, bwd)
+    )
+    bwd = FinFun._trusted(product(src.fwd, dst.bwd), src.bwd, table)
+    return Lens._trusted(src, dst, fwd, bwd)
 
 
 def all_lenses(x: PairObj, y: PairObj) -> list[Lens]:
     return [
-        Lens(x, y, f, g)
+        Lens._trusted(x, y, f, g)
         for f in all_funs(x.fwd, y.fwd)
         for g in all_funs(product(x.fwd, y.bwd), x.bwd)
     ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,13 +20,20 @@ from openarrows.finset import (
     DomainError,
     FinFun,
     FinSet,
+    all_bijections,
     all_funs,
+    assoc_iso,
     dist_bind,
     dist_expectation,
     dist_product,
     dist_pure,
     fun_compose,
+    lunit_iso,
     product,
+    runit_iso,
+    structural_iso,
+    sym_iso,
+    tensor_fun,
     witnesses_empty,
 )
 
@@ -73,6 +81,73 @@ def test_memoised_product_keeps_each_operands_elements():
         FinFun(B, B, (0, 2))
     with pytest.raises(DomainError):
         FinFun.of(pi, T, lambda p: "d")
+
+
+# ---------- trusted tables equal the validating construction ----------
+#
+# Composites, tensors, structural isos, inverses and enumerations build their
+# tables by position and skip validation; each must equal the function the
+# public constructor tabulates from its defining formula.
+
+_LABELS = ("p", "q", 0, 1, (0, 1))
+
+
+def carriers(min_size: int = 0, max_size: int = 3):
+    return st.lists(
+        st.sampled_from(_LABELS), min_size=min_size, max_size=max_size, unique=True
+    ).map(lambda xs: FinSet(tuple(xs)))
+
+
+def _fun(data, a: FinSet, b: FinSet) -> FinFun:
+    return FinFun(a, b, data.draw(st.tuples(*[st.sampled_from(b.elements)] * len(a))))
+
+
+@given(carriers(1), carriers(1), carriers(1), st.data())
+def test_trusted_compose_matches_the_public_constructor(a, b, c, data):
+    f, g = _fun(data, a, b), _fun(data, b, c)
+    assert fun_compose(f, g) == FinFun.of(a, c, lambda x: g(f(x)))
+
+
+@given(carriers(1), carriers(1), carriers(1), carriers(1), st.data())
+def test_trusted_tensor_matches_the_public_constructor(a, b, c, d, data):
+    f, g = _fun(data, a, b), _fun(data, c, d)
+    public = FinFun.of(product(a, c), product(b, d), lambda xy: (f(xy[0]), g(xy[1])))
+    assert tensor_fun(f, g) == public
+
+
+@given(carriers(), carriers(), carriers())
+def test_trusted_structural_isos_match_the_public_constructor(a, b, c):
+    swapped = FinFun.of(product(a, b), product(b, a), lambda p: (p[1], p[0]))
+    assert sym_iso(a, b) == swapped
+    assert assoc_iso(a, b, c) == FinFun.of(
+        product(product(a, b), c), product(a, product(b, c)),
+        lambda p: (p[0][0], (p[0][1], p[1])),
+    )
+    assert runit_iso(a) == FinFun.of(product(a, UNIT), a, lambda p: p[0])
+    assert lunit_iso(a) == FinFun.of(product(UNIT, a), a, lambda p: p[1])
+    assert structural_iso("symmetry", a, b) == sym_iso(a, b)
+    assert FinFun.identity(a) == FinFun.of(a, a, lambda x: x)
+
+
+@given(carriers(), st.data())
+def test_trusted_inverse_and_enumerations_match_the_public_constructor(a, data):
+    perm = data.draw(st.permutations(a.elements))
+    b = FinSet(perm)
+    f = FinFun(a, b, data.draw(st.permutations(b.elements)))
+    assert f.inverse() == FinFun.of(b, a, {y: x for x, y in zip(a, f.table)})
+    images = itertools.product(b.elements, repeat=len(a))
+    assert all_funs(a, b) == [FinFun(a, b, t) for t in images]
+    perms = itertools.permutations(b.elements)
+    assert all_bijections(a, b) == [FinFun(a, b, t) for t in perms]
+
+
+def test_public_finfun_still_validates_its_table():
+    with pytest.raises(DomainError, match="table length"):
+        FinFun(B, B, (0,))
+    with pytest.raises(DomainError, match="not in codomain"):
+        FinFun(B, B, (0, 2))
+    with pytest.raises(DomainError, match="not in codomain"):
+        FinFun.of(B, T, lambda x: x)
 
 
 def test_monoid_basics():

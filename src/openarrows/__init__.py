@@ -53,7 +53,6 @@ from .grading import (  # noqa: F401
     GradedBimodule,
     SizeError,
     fam,
-    fam_equal,
     grade_by_param,
     hide,
     para,

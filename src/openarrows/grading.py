@@ -27,66 +27,13 @@ from .finset import (
     sym_iso,
 )
 
-#: fam_equal refuses index sets larger than this: composition grows indices
+#: hide and fam refuse index sets larger than this: composition grows indices
 #: multiplicatively and the bijection search must stay tractable.
 DEFAULT_INDEX_BOUND = 8
 
 
 class SizeError(ValueError):
     """An index or residual set exceeded the configured bound."""
-
-
-@dataclass(frozen=True)
-class FamElement:
-    """An index set together with one morphism per index."""
-
-    src: Any
-    dst: Any
-    index: FinSet
-    members: tuple  # aligned with index.elements
-
-    def member(self, j):
-        return self.members[self.index.index(j)]
-
-
-def fam_of(src, dst, index: FinSet, fn) -> FamElement:
-    return FamElement(src, dst, index, tuple(fn(j) for j in index))
-
-
-def fam_singleton(src, dst, morphism) -> FamElement:
-    return FamElement(src, dst, FinSet((0,)), (morphism,))
-
-
-def fam_equal(
-    a_inst: ArrowInstance,
-    e1: FamElement,
-    e2: FamElement,
-    bound: int = DEFAULT_INDEX_BOUND,
-) -> bool:
-    """Equality of families up to a bijective relabelling of the index set.
-
-    With a canonical member key this reduces to multiset equality of the
-    member keys; otherwise every bijection is tried.
-    """
-    if e1.src != e2.src or e1.dst != e2.dst:
-        raise CompositionError("fam_equal: endpoint mismatch")
-    if len(e1.index) > bound or len(e2.index) > bound:
-        raise SizeError(
-            f"index sets of sizes {len(e1.index)}, {len(e2.index)} exceed "
-            f"the bound {bound}"
-        )
-    if len(e1.index) != len(e2.index):
-        return False
-    if a_inst.key is not None:
-        return sorted(map(a_inst.key, e1.members)) == sorted(
-            map(a_inst.key, e2.members)
-        )
-    for phi in all_bijections(e1.index, e2.index):
-        if all(
-            a_inst.equal(e1.member(j), e2.member(phi(j))) for j in e1.index
-        ):
-            return True
-    return False
 
 
 # -- graded arrows -----------------------------------------------------------
@@ -316,10 +263,6 @@ def fam(
         key = lambda e: tuple(sorted(map(a_inst.key, e.members)))  # noqa: E731
     graded = grade_by_param(a_inst, grades, member_pool)
     return _hide(graded, bound, key, f"fam({a_inst.name})")
-
-
-def fam_from_graded_element(e: ParamFamily) -> FamElement:
-    return FamElement(e.src, e.dst, e.grade, e.members)
 
 
 # -- the parameterisation operator ------------------------------------------

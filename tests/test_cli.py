@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import openarrows
 from openarrows.cli import main
 from openarrows.gamefile import fixture_path
 
@@ -135,6 +140,28 @@ def test_laws_mutants_exit_nonzero_and_isolate(capsys):
     for r in rows:
         assert r["failed"] == [r["target"]]
         assert r["isolated"] is True
+
+
+_LAZY_REGISTRY = """
+import contextlib, io, sys
+from openarrows.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["laws", "--suite", "optic", "--size", "1"])
+after_suite = "openarrows.mutants" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["laws", "--mutants"])
+print(after_suite, "openarrows.mutants" in sys.modules)
+"""
+
+
+def test_only_the_mutant_battery_loads_the_registry():
+    # a fresh interpreter: this one may have imported the registry already
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(openarrows.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", _LAZY_REGISTRY], env=env, capture_output=True,
+        text=True, check=True,
+    ).stdout
+    assert out.split() == ["False", "True"]
 
 
 def test_fmt_round_trips_byte_identical(tmp_path, capsys):

@@ -7,12 +7,9 @@ import pytest
 from openarrows.base import PAIR, PAIR_I, PairObj, bit_set
 from openarrows.finset import FinSet, product
 from openarrows.grading import (
+    ParamFamily,
     SizeError,
     fam,
-    fam_equal,
-    fam_from_graded_element,
-    fam_of,
-    fam_singleton,
     grade_by_param,
     para,
 )
@@ -64,50 +61,45 @@ def test_fam_assoc_up_to_relabelling():
     assert FAM.equal(lhs, rhs) is True
 
 
+def _family(index, fn):
+    return ParamFamily(X, X, index, tuple(fn(j) for j in index))
+
+
 def test_fam_equal_is_an_equivalence():
-    es = [fam_from_graded_element(e) for e in _sample(X, X, 6)]
+    es = _sample(X, X, 6)
     for e in es:
-        assert fam_equal(LENS, e, e)
+        assert FAM.equal(e, e)
     for a in es:
         for b in es:
-            assert fam_equal(LENS, a, b) == fam_equal(LENS, b, a)
+            assert FAM.equal(a, b) == FAM.equal(b, a)
             for c in es:
-                if fam_equal(LENS, a, b) and fam_equal(LENS, b, c):
-                    assert fam_equal(LENS, a, c)
+                if FAM.equal(a, b) and FAM.equal(b, c):
+                    assert FAM.equal(a, c)
 
 
 def test_fam_equal_ignores_index_labels():
     m1, m2 = _pool(X, X)
-    e = fam_of(X, X, FinSet((0, 1)), lambda j: (m1, m2)[j])
-    relabeled = fam_of(X, X, FinSet(("a", "b")), lambda j: (m2, m1)[j == "a"])
-    assert fam_equal(LENS, e, relabeled)
-    different = fam_of(X, X, FinSet((0, 1)), lambda j: m1)
-    assert not fam_equal(LENS, e, different)
-    assert not fam_equal(LENS, e, fam_singleton(X, X, m1))
+    e = _family(FinSet((0, 1)), lambda j: (m1, m2)[j])
+    relabeled = _family(FinSet(("a", "b")), lambda j: (m2, m1)[j == "a"])
+    assert FAM.equal(e, relabeled)
+    different = _family(FinSet((0, 1)), lambda j: m1)
+    assert not FAM.equal(e, different)
+    assert not FAM.equal(e, ParamFamily(X, X, FinSet((0,)), (m1,)))
 
 
 def test_fam_equal_is_a_congruence():
     m1, m2 = _pool(X, X)
-    e = fam_of(X, X, FinSet((0, 1)), lambda j: (m1, m2)[j])
-    ep = fam_of(X, X, FinSet((1, 0)), lambda j: (m1, m2)[j])
-    f = fam_singleton(X, X, m2)
-    g1 = FAM.comp(_as_graded(e), _as_graded(f))
-    g2 = FAM.comp(_as_graded(ep), _as_graded(f))
-    assert fam_equal(LENS, fam_from_graded_element(g1),
-                     fam_from_graded_element(g2))
-
-
-def _as_graded(e):
-    from openarrows.grading import ParamFamily
-
-    return ParamFamily(e.src, e.dst, e.index, e.members)
+    e = _family(FinSet((0, 1)), lambda j: (m1, m2)[j])
+    ep = _family(FinSet((1, 0)), lambda j: (m1, m2)[j])
+    f = ParamFamily(X, X, FinSet((0,)), (m2,))
+    assert FAM.equal(FAM.comp(e, f), FAM.comp(ep, f))
 
 
 def test_fam_equal_refuses_oversize_indices():
     m1, _ = _pool(X, X)
-    big = fam_of(X, X, FinSet(tuple(range(3))), lambda j: m1)
+    big = _family(FinSet(tuple(range(3))), lambda j: m1)
     with pytest.raises(SizeError):
-        fam_equal(LENS, big, big, bound=2)
+        fam(LENS, bound=2).equal(big, big)
 
 
 def test_para_composition_tensors_parameters():

@@ -8,7 +8,7 @@ import itertools
 
 import pytest
 
-from openarrows import laws
+from openarrows import laws, mutants
 from openarrows.arrow import arrow_tensor, arrow_tensor_flipped, hom_arrow
 from openarrows.base import PAIR, PAIR_I, SET, PairObj, bit_set, pair_atoms
 from openarrows.bimodule import EqFun, ctx_of_arrow, eq_from_context, with_eq
@@ -23,13 +23,7 @@ from openarrows.grading import (
     hide,
     para,
 )
-from openarrows.laws import (
-    CHECKER_LAWS,
-    LAWS,
-    MUTANTS,
-    run_mutants,
-    run_suite,
-)
+from openarrows.laws import LAWS, run_mutants, run_suite
 from openarrows.lens import LENS_PROJECTIONS, all_lenses, lens_arrow
 from openarrows.optic import (
     carrier_set_arrow,
@@ -40,11 +34,13 @@ from openarrows.optic import (
 
 
 def test_manifest_covers_every_emittable_law():
-    emitted = set()
-    for laws in CHECKER_LAWS.values():
-        emitted |= set(laws)
+    emitted = {
+        r.law for suite in laws.SUITE_NAMES for r in run_suite(suite, 1)
+    }
+    for thunk in mutants.MUTANTS.values():
+        emitted |= {r.law for r in thunk()}
     assert emitted == set(LAWS)
-    assert set(MUTANTS) == set(LAWS)
+    assert set(mutants.MUTANTS) == set(LAWS)
 
 
 def test_reports_carry_known_ids_and_statuses():
@@ -77,6 +73,11 @@ def test_oversized_suites_are_refused_with_estimates(suite):
 def test_unknown_suite_is_rejected():
     with pytest.raises(ValueError):
         run_suite("nonsense")
+
+
+def test_unknown_mutant_target_is_rejected_by_name():
+    with pytest.raises(ValueError, match="'nope'"):
+        run_mutants(["arrow.unit", "nope"])
 
 
 @pytest.mark.parametrize("suite", laws.SUITE_NAMES)
@@ -160,8 +161,8 @@ def _captured(target, runner):
     # the bimodule or arrow a mutant thunk hands to its runner
     seen = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(laws, runner, lambda got, *args, **kwargs: seen.append(got))
-        laws.MUTANTS[target]()
+        mp.setattr(mutants, runner, lambda got, *args, **kwargs: seen.append(got))
+        mutants.MUTANTS[target]()
     (got,) = seen
     return getattr(got, "bimodule", got)
 
@@ -175,9 +176,9 @@ def _keyless_arrow(a):
 
 
 _BIMODULE_MUTANTS = sorted(
-    t for t in laws.MUTANTS if t.startswith(("bimodule.", "eqmonoid."))
+    t for t in mutants.MUTANTS if t.startswith(("bimodule.", "eqmonoid."))
 )
-_CONTEXT_MUTANTS = sorted(t for t in laws.MUTANTS if t.startswith("costrength."))
+_CONTEXT_MUTANTS = sorted(t for t in mutants.MUTANTS if t.startswith("costrength."))
 
 
 @pytest.mark.parametrize("target", _BIMODULE_MUTANTS + _CONTEXT_MUTANTS)
@@ -214,9 +215,9 @@ def test_interned_bimodule_laws_match_per_case_chasing_on_suites(instance, size)
 def test_keyless_members_are_numbered_by_identity_not_equality():
     # True == 1 in Python, but this bimodule's equal tells the tags apart, so
     # (swap ; swap) acting differs from swap acting twice by tag type alone
-    b = laws._tag_bimodule(
-        [laws._B2], (0, 1),
-        lambda a, t: bool(t) if laws._is_id_fun(a) else int(t), laws._honest_psi,
+    b = mutants._tag_bimodule(
+        [mutants._B2], (0, 1),
+        lambda a, t: bool(t) if mutants._is_id_fun(a) else int(t), mutants._honest_psi,
     )
     b = dataclasses.replace(
         _keyless(b),
@@ -272,12 +273,12 @@ def test_interned_assoc_matches_per_case_chasing(instance):
 def _survives_identities(a, t):
     # tag 2 is kept only by identities: swap ; swap acts on it apart from
     # swap acting twice
-    return t if t != 2 or laws._is_id_fun(a) else 1
+    return t if t != 2 or mutants._is_id_fun(a) else 1
 
 
 def test_bimodule_failures_inside_a_slab_report_as_per_case_chasing():
-    b = laws._tag_bimodule(
-        [laws._B2], (0, 2, 1), _survives_identities, _survives_identities
+    b = mutants._tag_bimodule(
+        [mutants._B2], (0, 2, 1), _survives_identities, _survives_identities
     )
     for bim in (b, _keyless(b)):
         got = _checked_bimodule(bim, "mid-slab")
@@ -290,8 +291,8 @@ def test_bimodule_failures_inside_a_slab_report_as_per_case_chasing():
 
 
 def test_assoc_failure_inside_a_slab_reports_as_per_case_chasing():
-    a = laws._tag_arrow(
-        "mid-slab", [laws._B2], (0, 1, 2), lambda t1, t2: laws._MAGMA[(t1, t2)], 0
+    a = mutants._tag_arrow(
+        "mid-slab", [mutants._B2], (0, 1, 2), lambda t1, t2: mutants._MAGMA[(t1, t2)], 0
     )
     for arr in (a, _keyless_arrow(a)):
         (got,) = [r for r in laws.check_arrow_laws(arr) if r.law == "arrow.assoc"]
@@ -364,7 +365,7 @@ def _reference_arrow_laws(a, name):
 
 
 _ARROW_MUTANTS = sorted(
-    t for t in laws.MUTANTS if t.startswith(("arrow.", "strength."))
+    t for t in mutants.MUTANTS if t.startswith(("arrow.", "strength."))
 )
 
 
@@ -581,7 +582,7 @@ def _verdicts(reports):
     return [(r.law, r.status, r.checked) for r in reports]
 
 
-_GBIM_MUTANTS = sorted(t for t in laws.MUTANTS if t.startswith("gbim."))
+_GBIM_MUTANTS = sorted(t for t in mutants.MUTANTS if t.startswith("gbim."))
 
 
 @pytest.mark.parametrize("target", _GBIM_MUTANTS)
@@ -590,8 +591,8 @@ def test_interned_gbim_laws_match_per_case_chasing_on_mutants(target):
     assert gb.key is not None
     # numbered by identity, every distinct result is handed to equal
     for b in (gb, dataclasses.replace(gb, key=None)):
-        got = _checked_gbim(b, [laws._B2], laws._GRADES2, target)
-        assert got == _reference_gbim(b, [laws._B2], laws._GRADES2, target)
+        got = _checked_gbim(b, [mutants._B2], mutants._GRADES2, target)
+        assert got == _reference_gbim(b, [mutants._B2], mutants._GRADES2, target)
         if target in _INTERNED_GBIM_LAWS:
             assert target not in {r.law for r in got if r.status == "pass"}
 
@@ -743,7 +744,7 @@ def _checked_graded(g, name, **iso_args):
     return [r for r in reports if r.law in _SHARED_GRADED_LAWS]
 
 
-_GRADED_MUTANTS = sorted(t for t in laws.MUTANTS if t.startswith("graded."))
+_GRADED_MUTANTS = sorted(t for t in mutants.MUTANTS if t.startswith("graded."))
 
 
 @pytest.mark.parametrize("target", _GRADED_MUTANTS)
@@ -841,12 +842,14 @@ def test_every_registered_family_has_a_key():
 
     with pytest.MonkeyPatch.context() as mp:
         for checker in _CHECKERS:
-            mp.setattr(laws, checker, record)
+            for module in (laws, mutants):
+                if hasattr(module, checker):
+                    mp.setattr(module, checker, record)
         for suite in laws._SUITE_FNS.values():
             suite(1)
-        for thunk in laws.MUTANTS.values():
+        for thunk in mutants.MUTANTS.values():
             thunk()
-    assert len(seen) > len(laws.MUTANTS)
+    assert len(seen) > len(mutants.MUTANTS)
     unkeyed = []
     for got in seen:
         family = getattr(got, "bimodule", got)  # a context's bimodule

@@ -69,7 +69,6 @@ from .games import (  # noqa: F401
     GameContext,
     NormalFormGame,
     OpenGame,
-    ProbGame,
     decision,
     decisions_to_normal_form,
     equilibria,
@@ -81,9 +80,7 @@ from .games import (  # noqa: F401
     par,
     payoff_block,
     prob_decision,
-    prob_par,
     prob_payoff_block,
-    prob_seq,
     seq,
     trivial_context,
 )

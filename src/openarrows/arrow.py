@@ -17,8 +17,18 @@ class CommutativityError(ValueError):
     """Parallel tensor requested on an arrow not flagged commutative."""
 
 
+class CachedHom:
+    """``hom_cached(x, y)``: ``hom(x, y)`` listed once per pair, in ``_hom_cache``."""
+
+    def hom_cached(self, x, y) -> list:
+        k = (x, y)
+        if k not in self._hom_cache:
+            self._hom_cache[k] = list(self.hom(x, y))
+        return self._hom_cache[k]
+
+
 @dataclass
-class ArrowInstance:
+class ArrowInstance(CachedHom):
     """A strong hom-family with identity lift, composition and strength.
 
     ``hom(X, Y)`` enumerates the registered morphisms between two objects;
@@ -41,12 +51,6 @@ class ArrowInstance:
     key: Callable[[Any], Any] | None = None
     commutative: bool = False
     _hom_cache: dict = field(default_factory=dict, repr=False)
-
-    def hom_cached(self, x, y) -> list:
-        k = (x, y)
-        if k not in self._hom_cache:
-            self._hom_cache[k] = list(self.hom(x, y))
-        return self._hom_cache[k]
 
     def identity(self, x):
         return self.pure(self.base.id(x))

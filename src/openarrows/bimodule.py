@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .arrow import ArrowInstance, dimap, left_strength, verdict_all
+from .arrow import ArrowInstance, CachedHom, dimap, left_strength, verdict_all
 from .finset import CompositionError, DomainError, Monoid
 from .lens import PointProjections
 
@@ -30,7 +30,7 @@ class MonoidOnProfunctor:
 
 
 @dataclass
-class Bimodule:
+class Bimodule(CachedHom):
     """A hom-family with compatible left and right actions of an arrow."""
 
     name: str
@@ -47,12 +47,6 @@ class Bimodule:
     commutative: bool = False
     _hom_cache: dict = field(default_factory=dict, repr=False)
     _index_cache: dict = field(default_factory=dict, repr=False)
-
-    def hom_cached(self, x, y) -> list:
-        k = (x, y)
-        if k not in self._hom_cache:
-            self._hom_cache[k] = list(self.hom(x, y))
-        return self._hom_cache[k]
 
     def index(self, x, y) -> dict:
         """Canonical-key -> position map for the enumeration of B(X, Y)."""

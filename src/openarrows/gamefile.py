@@ -38,14 +38,13 @@ from .finset import (
 )
 from .games import (
     GameContext,
+    OpenGame,
     decision,
     lift_covariant,
     par,
     payoff_block,
     prob_decision,
-    prob_par,
     prob_payoff_block,
-    prob_seq,
     seq,
     trivial_context,
 )
@@ -576,10 +575,10 @@ def format_game_file(gf: GameFile) -> str:
 class BuiltGame:
     """A resolved composition: the game object plus its ingredients."""
 
-    prob: bool
-    game: Any  # OpenGame | ProbGame
+    prob: bool  # judged on probes (PROB_ARROW) rather than by rows
+    game: OpenGame  # what the composition term denotes
     expr: Any
-    atoms: dict  # name -> OpenGame | ProbGame
+    atoms: dict  # atom name -> OpenGame
 
 
 def _finset(gf: GameFile, name: str) -> FinSet:
@@ -665,8 +664,8 @@ def build_game(gf: GameFile, m_monoid=BOOL_AND) -> BuiltGame:
         left, right = build(e.left), build(e.right)
         try:
             if e.op == "seq":
-                return (prob_seq if prob else seq)(left, right)
-            return (prob_par if prob else par)(left, right)
+                return seq(left, right)
+            return par(left, right)
         except (DomainError, ValueError) as exc:
             raise EndpointError(
                 f"at {_format_expr(e)}: {exc}"

@@ -1,32 +1,33 @@
-"""Open games: strategy-indexed lenses with context-judged equilibria.
+"""Open games: lens families paired with context-judged equilibria.
 
-A game bundles a finite strategy set, a lens per strategy, and a
-monoid-valued equilibrium judgement per strategy, evaluated lazily at
-contexts (a start point plus a payoff continuation).  Sequential and
-parallel composition follow the action formulas of the equilibrium
-bimodule; a brute-force normal-form oracle provides an independent
-check.  Best-response and probabilistic variants carry relations and
-distribution-indexed predicates in place of plain judgements.
+Every game is one member of a graded product arrow,
+``graded_product(param(lens), judgement)``: its ``plays`` are a lens per
+strategy (a ``ParamFamily`` whose grade is the strategy index), and its
+judgement is an element of a graded bimodule at the same grade.  ``seq``
+is the product's ``gcomp`` and ``par`` its ``graded_tensor``, whatever
+the judgement:
+
+- a Boolean or deviation-witness judgement is a row (``row_bimodule``):
+  at a context, one monoid value per strategy in grade order, computed
+  only when asked for;
+- a probabilistic judgement is a predicate on a distribution over
+  contexts and one over strategies (``prob_bimodule``).
+
+Best-response relations form a third graded bimodule, which the law
+suites check, and a brute-force normal-form oracle gives an independent
+check of the Boolean verdicts.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
-from .arrow import ArrowInstance, arrow_tensor
 from .base import PAIR, PAIR_I, BaseMap, PairObj
-from .bimodule import (
-    Bimodule,
-    ContextStruct,
-    CtxPair,
-    MonoidOnProfunctor,
-    WithBMor,
-    ctx_of_arrow,
-    with_bimodule,
-)
+from .bimodule import ContextStruct, CtxPair, ctx_of_arrow
 from .finset import (
     BOOL_AND,
     STAR,
@@ -45,6 +46,7 @@ from .finset import (
     product,
 )
 from .grading import (
+    GradedArrow,
     GradedBimodule,
     GradedPairMor,
     ParamFamily,
@@ -62,83 +64,8 @@ from .lens import (
 
 _LENS = lens_arrow([])
 GAME_CTX: ContextStruct = ctx_of_arrow(_LENS, LENS_PROJECTIONS)
-
-
-# -- lazily evaluated equilibrium judgements ---------------------------------
-
-@dataclass(frozen=True)
-class LazyEq:
-    """A monoid-valued function on contexts, kept as a closure.
-
-    Games compose pointwise in the context argument, so tabulating at
-    composition time (as the exhaustively checkable bimodule does) would
-    enumerate huge intermediate context spaces for nothing.
-    """
-
-    src: PairObj
-    dst: PairObj
-    fn: Callable[[CtxPair], Any]
-
-    def at(self, c: CtxPair):
-        return self.fn(c)
-
-
-def lazy_eq_bimodule(m_monoid: Monoid) -> Bimodule:
-    ctx = GAME_CTX
-
-    def no_hom(x, y):
-        raise DomainError("lazy equilibrium judgements are not enumerable")
-
-    def lact(a, h):
-        return LazyEq(
-            _LENS.src(a), h.dst, lambda c: h.fn(ctx.bimodule.ract(c, a))
-        )
-
-    def ract(h, a):
-        return LazyEq(
-            h.src, _LENS.dst(a), lambda c: h.fn(ctx.bimodule.lact(a, c))
-        )
-
-    def st(h, z_obj):
-        return LazyEq(
-            PAIR.tensor(h.src, z_obj),
-            PAIR.tensor(h.dst, z_obj),
-            lambda c: h.fn(ctx.cst(c, h.dst, h.src, z_obj)),
-        )
-
-    def equal(h1, h2):
-        if (h1.src, h1.dst) != (h2.src, h2.dst):
-            return False
-        return all(
-            h1.fn(c) == h2.fn(c)
-            for c in ctx.bimodule.hom_cached(h1.dst, h1.src)
-        )
-
-    monoid = MonoidOnProfunctor(
-        e=lambda x, y: LazyEq(x, y, lambda _: m_monoid.unit),
-        m=lambda h1, h2: LazyEq(
-            h1.src, h1.dst, lambda c: m_monoid.op(h1.fn(c), h2.fn(c))
-        ),
-        commutative=m_monoid.commutative,
-    )
-    return Bimodule(
-        name=f"lazyeq({m_monoid.name})",
-        arrow=_LENS,
-        hom=no_hom,
-        lact=lact,
-        ract=ract,
-        equal=equal,
-        st=st,
-        monoid=monoid,
-        commutative=True,
-    )
-
-
-def game_arrow(m_monoid: Monoid) -> ArrowInstance:
-    """Lens plus lazy equilibrium judgement, as a commutative arrow."""
-    arrow = with_bimodule(_LENS, lazy_eq_bimodule(m_monoid))
-    arrow.name = f"game({m_monoid.name})"
-    return arrow
+_GRADED = grade_by_param(_LENS)
+_ONE = FinSet((STAR,))  # the strategy index of a game without a choice
 
 
 # -- contexts as the user sees them ------------------------------------------
@@ -176,43 +103,169 @@ def trivial_context(g) -> GameContext:
     )
 
 
+# -- row judgements -------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class RowElement:
+    """A judgement of every strategy at each context, computed on demand.
+
+    ``row(c)`` holds one monoid value per element of ``grade``, in its
+    order.  Nothing is tabulated: games compose pointwise in the context,
+    so enumerating contexts when composing would be work for nothing.
+    """
+
+    src: PairObj
+    dst: PairObj
+    grade: FinSet  # the strategy index
+    row: Callable[[CtxPair], tuple] = field(repr=False)
+
+
+def row_bimodule(m_monoid: Monoid) -> GradedBimodule:
+    """Rows of ``m_monoid`` values in context, acted on by lens families.
+
+    The left action reads the operand's row at the context extended by
+    each prefix lens; the right action reads it at the context with each
+    suffix lens prepended, and interleaves those rows into the order of
+    the product grade.  Either runs one context action per member of the
+    family.  ``st`` reads the row at the costrength, ``regrade`` permutes
+    positions, ``m`` combines two rows position by position and ``e`` is
+    a row of units.  Equality compares rows at every context ``GAME_CTX``
+    enumerates.
+    """
+    ctx = GAME_CTX
+    op, unit = m_monoid.op, m_monoid.unit
+
+    def hom(grade, x, y):
+        raise DomainError("judgement rows are not enumerable")
+
+    def glact(a: ParamFamily, b: RowElement):
+        def row(c):
+            return tuple(
+                v for aj in a.members for v in b.row(ctx.bimodule.ract(c, aj))
+            )
+
+        return RowElement(a.src, b.dst, product(a.grade, b.grade), row)
+
+    def gract(b: RowElement, a: ParamFamily):
+        def row(c):
+            cols = [b.row(ctx.bimodule.lact(ak, c)) for ak in a.members]
+            return tuple(v for vs in zip(*cols) for v in vs)
+
+        return RowElement(b.src, a.dst, product(b.grade, a.grade), row)
+
+    def st(b: RowElement, z_obj: PairObj):
+        return RowElement(
+            PAIR.tensor(b.src, z_obj),
+            PAIR.tensor(b.dst, z_obj),
+            b.grade,
+            lambda c: b.row(ctx.cst(c, b.dst, b.src, z_obj)),
+        )
+
+    def regrade(phi: FinFun, b: RowElement):
+        pos = [b.grade.index(j) for j in phi.table]
+        return RowElement(
+            b.src, b.dst, phi.dom, lambda c: tuple(map(b.row(c).__getitem__, pos))
+        )
+
+    def equal(b1, b2):
+        if (b1.src, b1.dst, b1.grade) != (b2.src, b2.dst, b2.grade):
+            return False
+        return all(
+            b1.row(c) == b2.row(c)
+            for c in ctx.bimodule.hom_cached(b1.dst, b1.src)
+        )
+
+    def e(grade, x, y):
+        units = (unit,) * len(grade)
+        return RowElement(x, y, grade, lambda c: units)
+
+    return GradedBimodule(
+        name=f"rows({m_monoid.name})",
+        arrow=_GRADED,
+        hom=hom,
+        glact=glact,
+        gract=gract,
+        regrade=regrade,
+        equal=equal,
+        st=st,
+        e=e,
+        m=lambda b1, b2: RowElement(
+            b1.src, b1.dst, b1.grade, lambda c: tuple(map(op, b1.row(c), b2.row(c)))
+        ),
+        commutative=m_monoid.commutative,
+    )
+
+
+@functools.cache
+def row_arrow(m_monoid: Monoid) -> GradedArrow:
+    """Lens families paired with rows of ``m_monoid`` judgements."""
+    return graded_product(_GRADED, row_bimodule(m_monoid))
+
+
 # -- open games ---------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class OpenGame:
-    """A strategy-indexed family of lens-plus-judgement morphisms."""
+    """A game: a member of a game arrow, kept with that arrow.
 
-    monoid: Monoid
-    index: FinSet
-    members: tuple  # WithBMor(Lens, LazyEq), aligned with index
-    arrow: ArrowInstance = field(repr=False)
+    The member pairs the game's plays, a lens per strategy, with its
+    judgement at the same grade: a ``RowElement`` under ``row_arrow(m)``,
+    a ``ProbElement`` under ``PROB_ARROW``.  Games compose only with games
+    on the same arrow.
+    """
+
+    arrow: GradedArrow = field(repr=False)
+    member: GradedPairMor
+
+    @property
+    def plays(self) -> ParamFamily:
+        return self.member.arrow_part
+
+    @property
+    def judgement(self):
+        return self.member.bim_part
 
     @property
     def src(self) -> PairObj:
-        return self.members[0].src
+        return self.plays.src
 
     @property
     def dst(self) -> PairObj:
-        return self.members[0].dst
+        return self.plays.dst
 
-    def member(self, j) -> WithBMor:
-        return self.members[self.index.index(j)]
+    @property
+    def index(self) -> FinSet:
+        return self.plays.grade
 
     def play(self, j) -> Lens:
-        return self.member(j).inner
+        return self.plays.member(j)
 
-    def eq_at(self, j, ctx: GameContext | CtxPair):
+    def row(self, ctx: GameContext | CtxPair) -> tuple:
+        """Every strategy's judgement at a context, in index order."""
         c = ctx.to_ctx_pair() if isinstance(ctx, GameContext) else ctx
         if (c.dst, c.src) != (self.src, self.dst):
             raise DomainError(
                 f"context for {c.dst}->{c.src} cannot judge a game "
                 f"{self.src}->{self.dst}"
             )
-        return self.member(j).extra.at(c)
+        return self.judgement.row(c)
+
+    def judge(self, ctx, d: Dist) -> bool:
+        """A probabilistic verdict on a strategy distribution, at a context
+        or a distribution over contexts."""
+        if isinstance(ctx, GameContext):
+            ctx = game_ctx_to_prob(ctx.to_ctx_pair())
+        if isinstance(ctx, ProbCtx):
+            ctx = dist_pure(ctx)
+        return self.judgement.pred(ctx, d)
 
 
-def _mk_game(monoid: Monoid, index: FinSet, members, arrow) -> OpenGame:
-    return OpenGame(monoid=monoid, index=index, members=tuple(members), arrow=arrow)
+def _game(arrow: GradedArrow, index: FinSet, lenses: tuple, element, judge) -> OpenGame:
+    # an atom: lenses aligned with index; ``element`` is the judgement's type
+    plays = ParamFamily(lenses[0].src, lenses[0].dst, index, lenses)
+    return OpenGame(
+        arrow, GradedPairMor(plays, element(plays.src, plays.dst, index, judge))
+    )
 
 
 def decision(
@@ -244,28 +297,30 @@ def decision(
     src = PairObj(x_set, UNIT)
     dst = PairObj(y_set, util)
     index = FinSet(tuple(all_funs(x_set, y_set)))
-    arrow = game_arrow(m_monoid)
+    bwd = FinFun.of(product(x_set, util), UNIT, lambda _: STAR)
 
-    def member(j: FinFun) -> WithBMor:
-        bwd = FinFun.of(product(x_set, util), UNIT, lambda _: STAR)
-        lens = Lens(src, dst, j, bwd)
+    def row(c: CtxPair) -> tuple:
+        x = c.state.fwd(STAR)
+        pay = {y: Fraction(c.cont.coplay(y, STAR)) for y in y_set}
+        verdict = {}
+        for y, mine in pay.items():
+            devs = [z for z, v in pay.items() if v > mine]
+            verdict[y] = m_monoid.unit if not devs else fail_value(devs)
+        return tuple(verdict[j(x)] for j in index)
 
-        def judge(c: CtxPair):
-            x = c.state.fwd(STAR)
-            k = lambda y: Fraction(c.cont.coplay(y, STAR))  # noqa: E731
-            mine = k(j(x))
-            devs = [y for y in y_set if k(y) > mine]
-            return m_monoid.unit if not devs else fail_value(devs)
+    lenses = tuple(Lens(src, dst, j, bwd) for j in index)
+    return _game(row_arrow(m_monoid), index, lenses, RowElement, row)
 
-        return WithBMor(lens, LazyEq(src, dst, judge))
 
-    return _mk_game(m_monoid, index, (member(j) for j in index), arrow)
+def _unit_game(lens: Lens, m_monoid: Monoid) -> OpenGame:
+    # one strategy, always in equilibrium
+    units = (m_monoid.unit,)
+    return _game(row_arrow(m_monoid), _ONE, (lens,), RowElement, lambda c: units)
 
 
 def lift_pure(m: BaseMap, m_monoid: Monoid = BOOL_AND) -> OpenGame:
     """A base map as a game: one strategy, always in equilibrium."""
-    arrow = game_arrow(m_monoid)
-    return _mk_game(m_monoid, FinSet((STAR,)), (arrow.pure(m),), arrow)
+    return _unit_game(_LENS.pure(m), m_monoid)
 
 
 def lift_covariant(
@@ -294,16 +349,13 @@ def lift_contravariant(
 
 def payoff_block(u: FinFun, m_monoid: Monoid = BOOL_AND) -> OpenGame:
     """Close a game: consume the final move, pay off along the backward pass."""
-    src = PairObj(u.dom, u.cod)
     lens = Lens(
-        src,
+        PairObj(u.dom, u.cod),
         PAIR_I,
         FinFun.of(u.dom, UNIT, lambda _: STAR),
         FinFun.of(product(u.dom, UNIT), u.cod, lambda p: u(p[0])),
     )
-    arrow = game_arrow(m_monoid)
-    eq = LazyEq(src, PAIR_I, lambda _: m_monoid.unit)
-    return _mk_game(m_monoid, FinSet((STAR,)), (WithBMor(lens, eq),), arrow)
+    return _unit_game(lens, m_monoid)
 
 
 def seq(g1: OpenGame, g2: OpenGame) -> OpenGame:
@@ -311,54 +363,41 @@ def seq(g1: OpenGame, g2: OpenGame) -> OpenGame:
         raise CompositionError(
             f"cannot sequence a game into {g1.dst} with one out of {g2.src}"
         )
-    _check_same_monoid(g1, g2)
-    index = product(g1.index, g2.index)
-    members = (
-        g1.arrow.comp(g1.member(j), g2.member(k)) for j, k in index
-    )
-    return _mk_game(g1.monoid, index, members, g1.arrow)
+    arrow = _shared_arrow(g1, g2)
+    return OpenGame(arrow, arrow.gcomp(g1.member, g2.member))
 
 
 def par(g1: OpenGame, g2: OpenGame) -> OpenGame:
-    _check_same_monoid(g1, g2)
-    index = product(g1.index, g2.index)
-    members = (
-        arrow_tensor(g1.arrow, g1.member(j), g2.member(k)) for j, k in index
-    )
-    return _mk_game(g1.monoid, index, members, g1.arrow)
+    arrow = _shared_arrow(g1, g2)
+    return OpenGame(arrow, graded_tensor(arrow, g1.member, g2.member))
 
 
-def _check_same_monoid(g1: OpenGame, g2: OpenGame) -> None:
-    if g1.monoid.name != g2.monoid.name:
+def _shared_arrow(g1: OpenGame, g2: OpenGame) -> GradedArrow:
+    if g1.arrow is not g2.arrow:
         raise DomainError(
-            f"cannot compose games over monoids "
-            f"{g1.monoid.name!r} and {g2.monoid.name!r}"
+            f"cannot compose games over {g1.arrow.name!r} and {g2.arrow.name!r}"
         )
+    return g1.arrow
 
 
 def equilibria(g: OpenGame, ctx: GameContext) -> dict:
     """Each strategy's judgement at the context, in index order."""
-    c = ctx.to_ctx_pair()
-    return {j: g.eq_at(j, c) for j in g.index}
+    return dict(zip(g.index, g.row(ctx)))
 
 
 def equilibrium_set(g: OpenGame, ctx: GameContext) -> list:
-    if g.monoid.name != BOOL_AND.name:
+    if g.arrow is not row_arrow(BOOL_AND):
         raise DomainError("equilibrium sets need Boolean judgements")
     return [j for j, v in equilibria(g, ctx).items() if v]
 
 
 def map_monoid(g: OpenGame, target: Monoid, h: Callable[[Any], Any]) -> OpenGame:
-    """Transport judgements along a monoid homomorphism."""
-    arrow = game_arrow(target)
-    members = tuple(
-        WithBMor(
-            m.inner,
-            LazyEq(m.extra.src, m.extra.dst, lambda c, f=m.extra.fn: h(f(c))),
-        )
-        for m in g.members
+    """Transport row judgements along a monoid homomorphism."""
+    row = g.judgement.row
+    return _game(
+        row_arrow(target), g.index, g.plays.members, RowElement,
+        lambda c: tuple(map(h, row(c))),
     )
-    return _mk_game(target, g.index, members, arrow)
 
 
 # -- the brute-force oracle ---------------------------------------------------
@@ -652,7 +691,9 @@ class ProbCtx:
     src: PairObj
     dst: PairObj
     state: Any  # element of src.fwd
-    cont: Callable[[Any], Any]  # dst.fwd -> payoff values (shape of dst.bwd)
+    # dst.fwd -> payoff values (shape of dst.bwd); out of the repr, which
+    # orders a Dist's support and must not depend on a closure's address
+    cont: Callable[[Any], Any] = field(repr=False)
 
 
 def game_ctx_to_prob(c: CtxPair) -> ProbCtx:
@@ -852,47 +893,10 @@ def prob_bimodule(
     )
 
 
-@dataclass
-class ProbGame:
-    """A strategy-indexed lens family with a distribution-judged predicate."""
-
-    index: FinSet
-    plays: ParamFamily
-    pred: ProbElement
-
-    @property
-    def src(self) -> PairObj:
-        return self.plays.src
-
-    @property
-    def dst(self) -> PairObj:
-        return self.plays.dst
-
-    def judge(self, ctx, d: Dist) -> bool:
-        if isinstance(ctx, GameContext):
-            ctx = game_ctx_to_prob(ctx.to_ctx_pair())
-        if isinstance(ctx, ProbCtx):
-            ctx = dist_pure(ctx)
-        return self.pred.pred(ctx, d)
+PROB_ARROW = graded_product(_GRADED, prob_bimodule(_GRADED))
 
 
-_PROB_GRADED = grade_by_param(_LENS)
-_PROB_BIM = prob_bimodule(_PROB_GRADED)
-_PROB_ARROW = graded_product(_PROB_GRADED, _PROB_BIM)
-
-
-def prob_game(index: FinSet, plays: Callable[[Any], Lens], pred) -> ProbGame:
-    family = ParamFamily(
-        plays(index.elements[0]).src,
-        plays(index.elements[0]).dst,
-        index,
-        tuple(plays(j) for j in index),
-    )
-    element = ProbElement(family.src, family.dst, index, pred)
-    return ProbGame(index, family, element)
-
-
-def prob_decision(x_set: FinSet, y_set: FinSet, util: FinSet) -> ProbGame:
+def prob_decision(x_set: FinSet, y_set: FinSet, util: FinSet) -> OpenGame:
     """A decision judged on mixed strategies by exact expected payoff.
 
     A distribution passes at (x, k) when its expected payoff is at least
@@ -916,33 +920,11 @@ def prob_decision(x_set: FinSet, y_set: FinSet, util: FinSet) -> ProbGame:
         )
         return all(expected >= value(cd, j) for j in base.index)
 
-    return prob_game(base.index, base.play, pred)
+    return _game(PROB_ARROW, base.index, base.plays.members, ProbElement, pred)
 
 
-def prob_payoff_block(u: FinFun) -> ProbGame:
+def prob_payoff_block(u: FinFun) -> OpenGame:
     base = payoff_block(u)
-
-    def pred(cd: Dist, d: Dist) -> bool:
-        return True
-
-    return prob_game(base.index, base.play, pred)
-
-
-def _prob_member(g: ProbGame) -> GradedPairMor:
-    return GradedPairMor(g.plays, g.pred)
-
-
-def _from_member(m: GradedPairMor) -> ProbGame:
-    return ProbGame(m.arrow_part.grade, m.arrow_part, m.bim_part)
-
-
-def prob_seq(g1: ProbGame, g2: ProbGame) -> ProbGame:
-    return _from_member(
-        _PROB_ARROW.gcomp(_prob_member(g1), _prob_member(g2))
-    )
-
-
-def prob_par(g1: ProbGame, g2: ProbGame) -> ProbGame:
-    return _from_member(
-        graded_tensor(_PROB_ARROW, _prob_member(g1), _prob_member(g2))
+    return _game(
+        PROB_ARROW, base.index, base.plays.members, ProbElement, lambda cd, d: True
     )

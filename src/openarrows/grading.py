@@ -477,7 +477,11 @@ class GradedPairMor:
 
 
 def graded_product(graded: GradedArrow, gbim: GradedBimodule) -> GradedArrow:
-    """Pair a graded arrow with a graded monoid bimodule, gradewise."""
+    """Pair a graded arrow with a graded monoid bimodule, gradewise.
+
+    The product is keyed by the pair of its parts' keys when both parts
+    have one, and keyless otherwise.
+    """
     if gbim.e is None or gbim.m is None:
         raise CompositionError(
             f"graded bimodule {gbim.name!r} has no per-grade monoid"
@@ -521,6 +525,10 @@ def graded_product(graded: GradedArrow, gbim: GradedBimodule) -> GradedArrow:
             gbim.equal(m1.bim_part, m2.bim_part),
         ))
 
+    key = None
+    if graded.key is not None and gbim.key is not None:
+        key = lambda m: (graded.key(m.arrow_part), gbim.key(m.bim_part))  # noqa: E731
+
     return GradedArrow(
         name=f"{graded.name}*{gbim.name}",
         base=graded.base,
@@ -538,7 +546,7 @@ def graded_product(graded: GradedArrow, gbim: GradedBimodule) -> GradedArrow:
         grade_of=lambda m: graded.grade_of(m.arrow_part),
         src=lambda m: graded.src(m.arrow_part),
         dst=lambda m: graded.dst(m.arrow_part),
-        key=None,
+        key=key,
         commutative=graded.commutative and gbim.commutative,
         grade_structural=graded.grade_structural,
     )

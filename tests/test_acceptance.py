@@ -38,9 +38,7 @@ from openarrows.games import (
     par,
     payoff_block,
     prob_decision,
-    prob_par,
     prob_payoff_block,
-    prob_seq,
     seq,
     trivial_context,
 )
@@ -248,9 +246,8 @@ def test_uniform_mix_survives_and_every_pure_probe_fails():
     pay = {("H", "H"): (1, -1), ("H", "T"): (-1, 1),
            ("T", "H"): (-1, 1), ("T", "T"): (1, -1)}
     u = FinFun.of(product(coins, coins), product(vals, vals), lambda p: pay[p])
-    pm = prob_seq(
-        prob_par(prob_decision(UNIT, coins, vals),
-                 prob_decision(UNIT, coins, vals)),
+    pm = seq(
+        par(prob_decision(UNIT, coins, vals), prob_decision(UNIT, coins, vals)),
         prob_payoff_block(u),
     )
     cc = trivial_context(pm)

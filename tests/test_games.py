@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from openarrows.bimodule import CtxPair
+from openarrows import laws
+from openarrows.base import PAIR_I
+from openarrows.bimodule import CtxPair, ctx_of_arrow, eq_apply
 from openarrows.finset import (
     BOOL_AND,
     STAR,
@@ -22,6 +28,10 @@ from openarrows.finset import (
     witnesses_empty,
 )
 from openarrows.games import (
+    GAME_CTX,
+    OpenGame,
+    ProbCtx,
+    RowElement,
     best_response_fixed_points,
     decision,
     decision_relation,
@@ -33,13 +43,13 @@ from openarrows.games import (
     par,
     payoff_block,
     prob_decision,
-    prob_par,
     prob_payoff_block,
-    prob_seq,
+    row_bimodule,
     seq,
     trivial_context,
 )
-from openarrows.lens import cont_lens, point_lens
+from openarrows.grading import GradedPairMor, ParamFamily
+from openarrows.lens import LENS_PROJECTIONS, cont_lens, point_lens
 
 MOVES = FinSet(("C", "D"))
 COINS = FinSet(("H", "T"))
@@ -118,8 +128,7 @@ def test_map_monoid_collapses_witnesses():
     db = map_monoid(d, BOOL_AND, witnesses_empty)
     k = FinFun.of(MOVES, UTIL4, {"C": 0, "D": 3})
     ctx = CtxPair(d.dst, d.src, point_lens(d.src, STAR), cont_lens(d.dst, k))
-    for j in d.index:
-        assert db.eq_at(j, ctx) == witnesses_empty(d.eq_at(j, ctx))
+    assert db.row(ctx) == tuple(map(witnesses_empty, d.row(ctx)))
 
 
 def test_best_response_fixed_points_match_equilibria():
@@ -150,7 +159,7 @@ def _prob_two_player(moves, pay, util):
     u = FinFun.of(joint, product(util, util), lambda p: pay[p])
     p1 = prob_decision(UNIT, moves, util)
     p2 = prob_decision(UNIT, moves, util)
-    return prob_seq(prob_par(p1, p2), prob_payoff_block(u))
+    return seq(par(p1, p2), prob_payoff_block(u))
 
 
 def _joint(moves, da, db):
@@ -189,3 +198,151 @@ def test_trivial_context_requires_a_closed_game():
     d = decision(UNIT, MOVES, UTIL4)
     with pytest.raises(DomainError):
         trivial_context(d)
+
+
+def test_prob_context_repr_holds_no_address():
+    # a Dist orders its support by repr: contexts that differ only in their
+    # continuation keep construction order, the same in every run
+    c1 = ProbCtx(PAIR_I, PAIR_I, STAR, lambda y: 0)
+    c2 = ProbCtx(PAIR_I, PAIR_I, STAR, lambda y: 1)
+    assert repr(c1) == repr(c2)
+    assert " at 0x" not in repr(c1)
+    half = Fraction(1, 2)
+    assert [c for c, _ in Dist([(c1, half), (c2, half)]).weights] == [c1, c2]
+    assert [c for c, _ in Dist([(c2, half), (c1, half)]).weights] == [c2, c1]
+
+
+# ---------- one composition path ----------
+
+ONE = FinSet((STAR,))
+
+
+def _suite_eq_bimodules():
+    # the tabulated equilibrium bimodules the bimodule suite checks
+    found = {}
+
+    def record(b, name, *args):
+        found[name] = b
+        return []
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laws, "check_bimodule", record)
+        mp.setattr(laws, "check_eqmonoid", record)
+        laws.bimodule_suite(2)
+    return {"bool": (found["eq(lens,bool)"], BOOL_AND),
+            "witness": (found["eq(lens,witness)"], WITNESSES)}
+
+
+@pytest.mark.parametrize("monoid", ["bool", "witness"])
+def test_row_actions_match_the_tabulated_equilibrium_bimodule(monoid):
+    # every tabulated predicate, lifted to a one-grade row, is acted on and
+    # strengthened as the law-checked tabulated bimodule does, at every context
+    eq, m_monoid = _suite_eq_bimodules()[monoid]
+    rows = row_bimodule(m_monoid)
+    lens = eq.arrow
+    cb = ctx_of_arrow(lens, LENS_PROJECTIONS)
+    objs = list(dict.fromkeys(lens.objects))
+
+    def lift(h):
+        return RowElement(h.src, h.dst, ONE, lambda c: (eq_apply(cb, h, c),))
+
+    def family(a):
+        return ParamFamily(a.src, a.dst, ONE, (a,))
+
+    def agree(got, want):
+        contexts = cb.bimodule.hom_cached(want.dst, want.src)
+        assert (got.src, got.dst, len(got.grade)) == (want.src, want.dst, 1)
+        for c in contexts:
+            assert got.row(c) == (eq_apply(cb, want, c),), (want, c)
+        return len(contexts)
+
+    for x, y in itertools.product(objs, repeat=2):
+        hs = eq.hom_cached(x, y)
+        for h1, h2 in itertools.product(hs, repeat=2):
+            assert rows.equal(lift(h1), lift(h2)) == (h1 == h2)
+    checked = 0
+    for x, y, z in itertools.product(objs, repeat=3):
+        for a in lens.hom_cached(x, y):
+            for h in eq.hom_cached(y, z):
+                checked += agree(rows.glact(family(a), lift(h)), eq.lact(a, h))
+        for h in eq.hom_cached(x, y):
+            checked += agree(rows.st(lift(h), z), eq.st(h, z))
+            for a in lens.hom_cached(y, z):
+                checked += agree(rows.gract(lift(h), family(a)), eq.ract(h, a))
+    assert checked > 1000
+
+
+def test_row_regrade_permutes_and_merge_combines_position_by_position():
+    rows = row_bimodule(WITNESSES)
+    grade = FinSet((0, 1, 2))
+    b = RowElement(PAIR_I, PAIR_I, grade, lambda c: (("a",), (), ("b",)))
+    phi = FinFun.of(grade, grade, {0: 2, 1: 0, 2: 1})
+    c = GAME_CTX.bimodule.hom_cached(PAIR_I, PAIR_I)[0]
+    moved = rows.regrade(phi, b)
+    assert moved.row(c) == (("b",), ("a",), ())
+    assert rows.m(b, moved).row(c) == (("a", "b"), ("a",), ("b",))
+    assert rows.m(rows.e(grade, PAIR_I, PAIR_I), b).row(c) == b.row(c)
+
+
+MOVES7 = FinSet(tuple(f"m{i}" for i in range(7)))
+UTIL7 = FinSet(tuple(range(7)))
+
+
+def test_composing_evaluates_no_judgement_and_enumerates_no_context(monkeypatch):
+    rows_read = []
+
+    def spied(g):
+        row = g.judgement.row
+
+        def counted(c):
+            rows_read.append(c)
+            return row(c)
+
+        judgement = dataclasses.replace(g.judgement, row=counted)
+        return OpenGame(g.arrow, GradedPairMor(g.plays, judgement))
+
+    def no_enumeration(*args):
+        raise AssertionError("a game context was enumerated")
+
+    u = FinFun.of(product(MOVES7, MOVES7), product(UTIL7, UTIL7),
+                  lambda p: (int(p[0][1]), int(p[1][1])))
+    d1, d2 = (spied(decision(UNIT, MOVES7, UTIL7)) for _ in range(2))
+    with monkeypatch.context() as mp:
+        mp.setattr(GAME_CTX.bimodule, "hom", no_enumeration)
+        mp.setattr(GAME_CTX.bimodule, "hom_cached", no_enumeration)
+        g = seq(par(d1, d2), payoff_block(u))
+    assert rows_read == []
+    assert len(g.index) == 49
+    # each decision's row is read once per strategy of the other player
+    assert _profiles(equilibria(g, trivial_context(g))) == [("m6", "m6")]
+    assert len(rows_read) == 14
+
+
+PAYOFFS = FinSet(tuple(range(-3, 4)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 4), st.integers(2, 4), st.data())
+def test_generated_two_player_games_agree_with_the_oracle(n1, n2, data):
+    rows = FinSet(tuple(f"r{i}" for i in range(n1)))
+    cols = FinSet(tuple(f"c{i}" for i in range(n2)))
+    joint = product(rows, cols)
+    pays = data.draw(st.lists(
+        st.tuples(st.sampled_from(PAYOFFS.elements), st.sampled_from(PAYOFFS.elements)),
+        min_size=len(joint), max_size=len(joint),
+    ))
+    pay = dict(zip(joint, pays))
+    u = FinFun.of(joint, product(PAYOFFS, PAYOFFS), pay)
+
+    def game(m_monoid):
+        d1 = decision(UNIT, rows, PAYOFFS, m_monoid=m_monoid)
+        d2 = decision(UNIT, cols, PAYOFFS, m_monoid=m_monoid)
+        return d1, d2, seq(par(d1, d2), payoff_block(u, m_monoid))
+
+    d1, d2, gb = game(BOOL_AND)
+    _, _, gw = game(WITNESSES)
+    boolean = gb.row(trivial_context(gb))
+    assert tuple(map(witnesses_empty, gw.row(trivial_context(gw)))) == boolean
+    utils = [FinFun.of(joint, PAYOFFS, lambda p, i=i: pay[p][i]) for i in range(2)]
+    oracle_eq, _ = nash_oracle(decisions_to_normal_form([d1, d2], utils))
+    assert _profiles(equilibria(gb, trivial_context(gb))) == sorted(oracle_eq)

@@ -15,11 +15,13 @@ from openarrows.bimodule import EqFun, ctx_of_arrow, eq_from_context, with_eq
 from openarrows.finset import BOOL_AND, STAR, UNIT, DomainError, FinSet
 from openarrows.games import GAME_CTX, BestRespElement, best_resp_bimodule
 from openarrows.grading import (
+    GradedPairMor,
     ParaMor,
     SizeError,
     fam,
     grade_by_param,
     graded_left_strength,
+    graded_product,
     hide,
     para,
 )
@@ -693,6 +695,64 @@ def test_bestresp_default_pool_is_every_game_context():
     assert len(contexts) > 1
     assert gb.key(b) == (grade.elements, tuple(b.row(c) for c in contexts))
     assert b.row(contexts[0]) == frozenset({(0, 0), (0, 1), (1, 1)})
+
+
+# -- the graded product: the one composition path of open games ---------------
+
+_GRADED_LAWS = {law for law in LAWS if law.startswith("graded.")}
+
+
+def _bestresp_product(size):
+    # param(lens) paired with the graded suite's best-response bimodule, over
+    # that bimodule's objects
+    gb, objects, _grades = _suite_gbims(size)["bestresp(lens)"]
+    return dataclasses.replace(graded_product(gb.arrow, gb), objects=objects), gb
+
+
+def test_graded_product_passes_the_graded_laws():
+    prod, _gb = _bestresp_product(1)
+    reports = laws.check_graded(prod, "param(lens)*bestresp")
+    assert {r.law for r in reports} == _GRADED_LAWS
+    assert {r.status for r in reports} == {"pass"}
+
+
+def test_graded_product_with_swapped_action_operands_fails_a_graded_law():
+    prod, gb = _bestresp_product(1)
+    g = gb.arrow
+
+    def swapped(m1, m2):
+        # each action takes the other member's part, which is well typed
+        # on endomorphisms only
+        return GradedPairMor(
+            g.gcomp(m1.arrow_part, m2.arrow_part),
+            gb.m(gb.glact(m2.arrow_part, m1.bim_part),
+                 gb.gract(m2.bim_part, m1.arrow_part)),
+        )
+
+    bad = dataclasses.replace(prod, gcomp=swapped, objects=prod.objects[-1:])
+    reports = laws.check_graded(bad, "swapped")
+    assert {r.law for r in reports} == _GRADED_LAWS
+    assert "fail" in {r.status for r in reports}
+
+
+def test_graded_product_is_keyed_by_its_parts_when_both_are():
+    prod, gb = _bestresp_product(2)
+    g = gb.arrow
+    assert graded_product(g, dataclasses.replace(gb, key=None)).key is None
+    assert graded_product(dataclasses.replace(g, key=None), gb).key is None
+    pool = [
+        m for p in prod.grades for x, y in itertools.product(prod.objects, repeat=2)
+        for m in prod.hom(p, x, y)
+    ]
+    m = pool[-1]
+    assert prod.key(m) == (g.key(m.arrow_part), gb.key(m.bim_part))
+    # over the pool and its composites, some distinct members share a key
+    composed = [
+        prod.gcomp(m1, m2) for m1, m2 in itertools.product(pool, repeat=2)
+        if prod.dst(m1) == prod.src(m2)
+    ]
+    assert len({prod.key(m) for m in composed}) < len(composed)
+    _assert_keys_decide_equality(prod, pool + composed)
 
 
 # -- graded arrows through the arrow chases ------------------------------------

@@ -10,11 +10,8 @@ against a brute-force Nash oracle via the ``openarrows`` CLI.
 
 from .finset import (  # noqa: F401
     BOOL_AND,
-    RAT_ALGEBRA,
-    TRIVIAL,
     UNIT,
     WITNESSES,
-    ConvexAlgebra,
     Dist,
     FinFun,
     FinSet,
@@ -24,7 +21,6 @@ from .finset import (  # noqa: F401
     all_funs,
     product,
     dist_bind,
-    dist_expectation,
     dist_pure,
     fun_compose,
     structural_iso,
@@ -66,15 +62,12 @@ from .optic import (  # noqa: F401
     twisted_grading,
 )
 from .games import (  # noqa: F401
-    GameContext,
     NormalFormGame,
     OpenGame,
     decision,
     decisions_to_normal_form,
     equilibria,
-    equilibrium_set,
     lift_covariant,
-    lift_contravariant,
     lift_pure,
     nash_oracle,
     par,

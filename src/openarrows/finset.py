@@ -10,7 +10,7 @@ anywhere in the package.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -257,8 +257,6 @@ class Monoid:
 
 BOOL_AND = Monoid("bool-and", lambda a, b: a and b, True, carrier=FinSet((True, False)))
 
-TRIVIAL = Monoid("trivial", lambda a, b: STAR, STAR, carrier=UNIT)
-
 
 def _multiset_union(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(a + b, key=repr))
@@ -353,34 +351,3 @@ def dist_bind(d: Dist, k: Callable[[Any], Dist]) -> Dist:
 
 def dist_product(d1: Dist, d2: Dist) -> Dist:
     return dist_bind(d1, lambda x: d2.map(lambda y: (x, y)))
-
-
-@dataclass(frozen=True)
-class ConvexAlgebra:
-    """An evaluation of finite distributions into a value domain."""
-
-    name: str
-    contains: Callable[[Any], bool]
-    eval: Callable[[Dist], Any] = field(default=None)  # type: ignore[assignment]
-
-    def expectation(self, d: Dist):
-        for x, _ in d.weights:
-            if not self.contains(x):
-                raise DomainError(f"support element {x!r} outside {self.name}")
-        return self.eval(d)
-
-
-def _rat_expect(d: Dist) -> Fraction:
-    return sum((w * Fraction(x) for x, w in d.weights), Fraction(0))
-
-
-#: Exact rationals with expectation as the evaluation.
-RAT_ALGEBRA = ConvexAlgebra(
-    "rationals",
-    lambda x: isinstance(x, (int, Fraction)),
-    _rat_expect,
-)
-
-
-def dist_expectation(alg: ConvexAlgebra, d: Dist):
-    return alg.expectation(d)

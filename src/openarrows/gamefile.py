@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
+from .bimodule import CtxPair
 from .finset import (
     BOOL_AND,
     STAR,
@@ -37,9 +38,9 @@ from .finset import (
     product,
 )
 from .games import (
-    GameContext,
     OpenGame,
     decision,
+    game_context,
     lift_covariant,
     par,
     payoff_block,
@@ -703,7 +704,7 @@ def probe_distribution(gf: GameFile, built: BuiltGame, probe: ProbeDecl) -> Dist
     return walk(built.expr)
 
 
-def resolve_context(gf: GameFile, built: BuiltGame, name: str | None) -> GameContext:
+def resolve_context(gf: GameFile, built: BuiltGame, name: str | None) -> CtxPair:
     """A declared (or trivial) context, checked against the game's boundary."""
     g = built.game
     if name is None:
@@ -735,9 +736,7 @@ def resolve_context(gf: GameFile, built: BuiltGame, name: str | None) -> GameCon
             raise ContextError(
                 f"context {name!r} pays {v!r} outside the utility carrier"
             )
-    return GameContext(
-        g.src, g.dst, decl.state, FinFun.of(g.dst.fwd, g.dst.bwd, table)
-    )
+    return game_context(g, decl.state, FinFun.of(g.dst.fwd, g.dst.bwd, table))
 
 
 def strategy_label(j) -> str:

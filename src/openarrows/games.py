@@ -11,7 +11,11 @@ the judgement:
   at a context, one monoid value per strategy in grade order, computed
   only when asked for;
 - a probabilistic judgement is a predicate on a distribution over
-  contexts and one over strategies (``prob_bimodule``).
+  contexts and one over strategies (``prob_bimodule``); a decision takes
+  its expected payoffs over the context distribution it is judged at.
+
+Contexts are ``CtxPair``s: ``game_context`` builds one and
+``trivial_context`` gives a closed game's unique one.
 
 Best-response relations form a third graded bimodule, which the law
 suites check, and a brute-force normal-form oracle gives an independent
@@ -50,6 +54,7 @@ from .grading import (
     GradedBimodule,
     GradedPairMor,
     ParamFamily,
+    SizeError,
     grade_by_param,
     graded_product,
     graded_tensor,
@@ -66,41 +71,46 @@ _LENS = lens_arrow([])
 GAME_CTX: ContextStruct = ctx_of_arrow(_LENS, LENS_PROJECTIONS)
 _GRADED = grade_by_param(_LENS)
 _ONE = FinSet((STAR,))  # the strategy index of a game without a choice
+#: equality of game judgements refuses endpoints with more contexts than this
+CONTEXT_BOUND = 2**16
 
 
-# -- contexts as the user sees them ------------------------------------------
+# -- contexts -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GameContext:
-    """Where a game starts and how its output is paid off."""
-
-    src: PairObj
-    dst: PairObj
-    state: Any  # element of src.fwd
-    cont: FinFun  # dst.fwd -> dst.bwd
-
-    def to_ctx_pair(self) -> CtxPair:
-        return CtxPair(
-            self.dst,
-            self.src,
-            point_lens(self.src, self.state),
-            cont_lens(self.dst, self.cont),
-        )
+def game_context(g, state, cont: FinFun) -> CtxPair:
+    """The context that starts ``g`` at ``state`` and pays its output by ``cont``."""
+    return CtxPair(g.dst, g.src, point_lens(g.src, state), cont_lens(g.dst, cont))
 
 
-def trivial_context(g) -> GameContext:
+def trivial_context(g) -> CtxPair:
     """The unique context of a closed game (all four carriers singletons)."""
     for carrier in (g.src.fwd, g.dst.fwd, g.dst.bwd):
         if len(carrier) != 1:
             raise DomainError(
                 f"game {g.src}->{g.dst} is not closed; supply a context"
             )
-    return GameContext(
-        g.src,
-        g.dst,
+    return game_context(
+        g,
         g.src.fwd.elements[0],
         FinFun.of(g.dst.fwd, g.dst.bwd, lambda _: g.dst.bwd.elements[0]),
     )
+
+
+def context_count(x: PairObj, y: PairObj) -> int:
+    """How many lens contexts ``Ctx(x, y)`` there are: a point of ``y``
+    paired with a continuation out of ``x``."""
+    return len(y.fwd) * len(x.bwd) ** len(x.fwd)
+
+
+def _game_contexts(x: PairObj, y: PairObj) -> list:
+    # every context a game x -> y is judged at, refused before enumerating
+    # when there are too many to list
+    n = context_count(y, x)
+    if n > CONTEXT_BOUND:
+        raise SizeError(
+            f"a game {x}->{y} has {n} contexts, over the bound of {CONTEXT_BOUND}"
+        )
+    return GAME_CTX.bimodule.hom_cached(y, x)
 
 
 # -- row judgements -------------------------------------------------------------
@@ -130,7 +140,7 @@ def row_bimodule(m_monoid: Monoid) -> GradedBimodule:
     family.  ``st`` reads the row at the costrength, ``regrade`` permutes
     positions, ``m`` combines two rows position by position and ``e`` is
     a row of units.  Equality compares rows at every context ``GAME_CTX``
-    enumerates.
+    enumerates, and refuses (``SizeError``) more than ``CONTEXT_BOUND``.
     """
     ctx = GAME_CTX
     op, unit = m_monoid.op, m_monoid.unit
@@ -170,10 +180,7 @@ def row_bimodule(m_monoid: Monoid) -> GradedBimodule:
     def equal(b1, b2):
         if (b1.src, b1.dst, b1.grade) != (b2.src, b2.dst, b2.grade):
             return False
-        return all(
-            b1.row(c) == b2.row(c)
-            for c in ctx.bimodule.hom_cached(b1.dst, b1.src)
-        )
+        return all(b1.row(c) == b2.row(c) for c in _game_contexts(b1.src, b1.dst))
 
     def e(grade, x, y):
         units = (unit,) * len(grade)
@@ -240,9 +247,8 @@ class OpenGame:
     def play(self, j) -> Lens:
         return self.plays.member(j)
 
-    def row(self, ctx: GameContext | CtxPair) -> tuple:
+    def row(self, c: CtxPair) -> tuple:
         """Every strategy's judgement at a context, in index order."""
-        c = ctx.to_ctx_pair() if isinstance(ctx, GameContext) else ctx
         if (c.dst, c.src) != (self.src, self.dst):
             raise DomainError(
                 f"context for {c.dst}->{c.src} cannot judge a game "
@@ -250,14 +256,10 @@ class OpenGame:
             )
         return self.judgement.row(c)
 
-    def judge(self, ctx, d: Dist) -> bool:
-        """A probabilistic verdict on a strategy distribution, at a context
-        or a distribution over contexts."""
-        if isinstance(ctx, GameContext):
-            ctx = game_ctx_to_prob(ctx.to_ctx_pair())
-        if isinstance(ctx, ProbCtx):
-            ctx = dist_pure(ctx)
-        return self.judgement.pred(ctx, d)
+    def judge(self, c: CtxPair, d: Dist) -> bool:
+        """A probabilistic verdict on a strategy distribution at a context."""
+        pc = ProbCtx(c.dst, c.src, c.state.fwd(STAR), lambda y: c.cont.coplay(y, STAR))
+        return self.judgement.pred(dist_pure(pc), d)
 
 
 def _game(arrow: GradedArrow, index: FinSet, lenses: tuple, element, judge) -> OpenGame:
@@ -335,18 +337,6 @@ def lift_covariant(
     return lift_pure(m, m_monoid)
 
 
-def lift_contravariant(
-    g: FinFun, fwd_carrier: FinSet = UNIT, m_monoid: Monoid = BOOL_AND
-) -> OpenGame:
-    m = BaseMap(
-        PairObj(fwd_carrier, g.cod),
-        PairObj(fwd_carrier, g.dom),
-        FinFun.identity(fwd_carrier),
-        g,
-    )
-    return lift_pure(m, m_monoid)
-
-
 def payoff_block(u: FinFun, m_monoid: Monoid = BOOL_AND) -> OpenGame:
     """Close a game: consume the final move, pay off along the backward pass."""
     lens = Lens(
@@ -380,15 +370,9 @@ def _shared_arrow(g1: OpenGame, g2: OpenGame) -> GradedArrow:
     return g1.arrow
 
 
-def equilibria(g: OpenGame, ctx: GameContext) -> dict:
+def equilibria(g: OpenGame, c: CtxPair) -> dict:
     """Each strategy's judgement at the context, in index order."""
-    return dict(zip(g.index, g.row(ctx)))
-
-
-def equilibrium_set(g: OpenGame, ctx: GameContext) -> list:
-    if g.arrow is not row_arrow(BOOL_AND):
-        raise DomainError("equilibrium sets need Boolean judgements")
-    return [j for j, v in equilibria(g, ctx).items() if v]
+    return dict(zip(g.index, g.row(c)))
 
 
 def map_monoid(g: OpenGame, target: Monoid, h: Callable[[Any], Any]) -> OpenGame:
@@ -536,11 +520,12 @@ def best_resp_bimodule(
     running the real context action once per (member, context).
 
     Equality compares rows over the context pool of the endpoints
-    (``context_pool``, by default every context ``GAME_CTX`` enumerates),
-    and the key is the grade with those rows, so key equality is equality.
+    (``context_pool``, by default every context ``GAME_CTX`` enumerates, up
+    to ``CONTEXT_BOUND``), and the key is the grade with those rows, so key
+    equality is equality.
     """
     ctx = GAME_CTX
-    pool_of = context_pool or (lambda x, y: ctx.bimodule.hom_cached(y, x))
+    pool_of = context_pool or _game_contexts
     pools: dict = {}
 
     def ctxs(x, y):
@@ -665,41 +650,16 @@ def dist_marginal(d: Dist, which: int) -> Dist:
     return d.map(lambda p: p[which])
 
 
-def mix_values(d: Dist):
-    """Convex combination of payoff values, componentwise on tuples.
-
-    Rationals average to their exact expectation; unit markers and equal
-    non-numeric values pass through.
-    """
-    support = [x for x, _ in d.weights]
-    first = support[0]
-    if all(x == first for x in support):
-        return first
-    if all(isinstance(x, (int, Fraction)) for x in support):
-        return sum((w * Fraction(x) for x, w in d.weights), Fraction(0))
-    if all(isinstance(x, tuple) and len(x) == len(first) for x in support):
-        return tuple(
-            mix_values(d.map(lambda t, i=i: t[i])) for i in range(len(first))
-        )
-    raise DomainError(f"values {support!r} admit no convex combination")
-
-
 @dataclass(frozen=True)
 class ProbCtx:
-    """A context whose continuation may pay off in exact expectations."""
+    """A context as a start point and a payoff closure, read lazily."""
 
     src: PairObj
     dst: PairObj
     state: Any  # element of src.fwd
-    # dst.fwd -> payoff values (shape of dst.bwd); out of the repr, which
-    # orders a Dist's support and must not depend on a closure's address
+    # dst.fwd -> dst.bwd; out of the repr, which orders a Dist's support
+    # and must not depend on a closure's address
     cont: Callable[[Any], Any] = field(repr=False)
-
-
-def game_ctx_to_prob(c: CtxPair) -> ProbCtx:
-    return ProbCtx(
-        c.dst, c.src, c.state.fwd(STAR), lambda y: c.cont.coplay(y, STAR)
-    )
 
 
 def prob_ctx_ract(c: ProbCtx, lens: Lens) -> ProbCtx:
@@ -712,39 +672,7 @@ def prob_ctx_lact(lens: Lens, c: ProbCtx) -> ProbCtx:
     if lens.dst != c.dst:
         raise CompositionError("probabilistic context: continuation mismatch")
     return ProbCtx(
-        c.src,
-        lens.src,
-        c.state,
-        lambda y: _coplay_values(lens, y, c.cont(lens.fwd(y))),
-    )
-
-
-def _coplay_values(lens: Lens, y, r):
-    # a backward pass over possibly off-carrier payoff values: only lenses
-    # whose coplay is independent of the request, or whose request carrier
-    # contains the value, are supported
-    if r in lens.dst.bwd:
-        return lens.coplay(y, r)
-    probe = {lens.coplay(y, q) for q in lens.dst.bwd}
-    if len(probe) == 1:
-        return probe.pop()
-    raise DomainError(
-        "backward value off the carrier for a state-dependent coplay"
-    )
-
-
-def prob_ctx_mix(d: Dist) -> ProbCtx:
-    """Convex combination of contexts sharing a state."""
-    ctxs = [c for c, _ in d.weights]
-    first = ctxs[0]
-    if any((c.src, c.dst, c.state) != (first.src, first.dst, first.state)
-           for c in ctxs):
-        raise DomainError("cannot mix contexts with different states")
-    return ProbCtx(
-        first.src,
-        first.dst,
-        first.state,
-        lambda y: mix_values(d.map(lambda c: c.cont(y))),
+        c.src, lens.src, c.state, lambda y: lens.coplay(y, c.cont(lens.fwd(y)))
     )
 
 
@@ -764,12 +692,12 @@ def prob_ctx_cst(c: ProbCtx, x_obj: PairObj, y_obj: PairObj, z_obj: PairObj):
 class ProbElement:
     """A distribution-indexed equilibrium predicate in context.
 
-    The predicate is judged at a *distribution over contexts*: upstream
-    mixed strategies push the start point around, so the judgement must
-    see the resulting context mixture rather than any single context.
-    Context distributions are infinite, so the predicate stays a closure;
-    the bimodule's actions build each judgement's distributions through
-    the trusted ``Dist`` arithmetic.
+    The predicate is judged at a *distribution over contexts*: strategy
+    distributions upstream spread the start point, and those downstream
+    spread the continuation, so the judgement sees weighted contexts
+    rather than any single one.  Context distributions are infinite, so
+    the predicate stays a closure; the bimodule's actions build each
+    judgement's distributions through the trusted ``Dist`` arithmetic.
     """
 
     src: PairObj
@@ -786,10 +714,11 @@ def prob_bimodule(
 ) -> GradedBimodule:
     """Distribution-judged predicates acted on by lens families.
 
-    The left action pushes the context distribution forward through the
-    prefix marginal (each charged prefix strategy extends the state, with
-    the product weight); the right action pays each context's continuation
-    off in expectation over the suffix marginal via the convex algebra.
+    The left action spreads each context over the prefix marginal (each
+    charged prefix strategy extends the state, with the product weight);
+    the right action spreads it over the suffix marginal (each charged
+    suffix strategy is prepended to the continuation).  Expected payoffs
+    are taken only where a decision is judged.
 
     Equality compares the verdicts at every registered context (as a
     point distribution, or a given distribution) and every registered
@@ -828,12 +757,11 @@ def prob_bimodule(
 
         def pred(cd: Dist, d: Dist) -> bool:
             suffix = dist_marginal(d, 1)
-            mixed = cd.map(
-                lambda c: prob_ctx_mix(
-                    suffix.map(lambda j2: prob_ctx_lact(a.member(j2), c))
-                )
+            spread = dist_bind(
+                cd,
+                lambda c: suffix.map(lambda j2: prob_ctx_lact(a.member(j2), c)),
             )
-            return b.pred(mixed, dist_marginal(d, 0))
+            return b.pred(spread, dist_marginal(d, 0))
 
         return ProbElement(b.src, a.dst, grade, pred)
 
@@ -905,7 +833,7 @@ def prob_decision(x_set: FinSet, y_set: FinSet, util: FinSet) -> OpenGame:
     base = decision(x_set, y_set, util)
 
     def value(cd: Dist, j) -> Fraction:
-        # expected payoff of the pure strategy j over the context mixture
+        # expected payoff of the pure strategy j over the contexts
         return sum(
             (
                 w * Fraction(c.cont(base.play(j).fwd(c.state)))

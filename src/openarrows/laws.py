@@ -50,6 +50,7 @@ from .games import (
     ProbCtx,
     ProbElement,
     best_resp_bimodule,
+    context_count,
     prob_bimodule,
 )
 from .grading import (
@@ -950,10 +951,6 @@ def _eq_h(x: PairObj, y: PairObj, values: int = 2) -> int:
     return values ** (len(x.fwd) * (len(y.bwd) ** len(y.fwd)))
 
 
-def _ctx_h(x: PairObj, y: PairObj) -> int:
-    return len(y.fwd) * (len(x.bwd) ** len(x.fwd))
-
-
 def arrow_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
     atoms4 = pair_atoms((1, 1), (size, 1), (1, size), (size, size))
     atoms3 = pair_atoms((1, 1), (size, 1), (1, size))
@@ -1060,7 +1057,7 @@ def context_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
 
     cst_objs = pair_atoms((1, 1), (1, size))
     est = sum(
-        _ctx_h(big(x, z, w), big(y, z, w))
+        context_count(big(x, z, w), big(y, z, w))
         for x, y, z, w in itertools.product(atoms3, repeat=4)
     ) + sum(
         opt_h(big(x, z, w), big(y, z, w))
@@ -1167,8 +1164,8 @@ def graded_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
     )
 
     def ri_lenses(x, y):
-        # only request-independent backward passes: mixing continuations
-        # moves payoffs off the carrier, which state-dependent coplay rejects
+        # request-independent backward passes only; any other pool would
+        # change the probequib(lens) reports and perfbench/expected_laws.json
         g0 = all_funs(x.fwd, x.bwd)[0]
         bwd = FinFun.of(product(x.fwd, y.bwd), x.bwd, lambda t: g0(t[0]))
         return [Lens(x, y, f, bwd) for f in all_funs(x.fwd, y.fwd)[:2]]

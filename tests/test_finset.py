@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from openarrows.finset import (
     BOOL_AND,
-    RAT_ALGEBRA,
     STAR,
     UNIT,
     WITNESSES,
@@ -24,7 +23,6 @@ from openarrows.finset import (
     all_funs,
     assoc_iso,
     dist_bind,
-    dist_expectation,
     dist_product,
     dist_pure,
     fun_compose,
@@ -251,4 +249,3 @@ def test_dist_normalizes_support():
 def test_dist_product_and_expectation():
     d = Dist([(0, Fraction(1, 4)), (1, Fraction(3, 4))])
     assert dist_product(dist_pure("l"), d).weight(("l", 1)) == Fraction(3, 4)
-    assert dist_expectation(RAT_ALGEBRA, d.map(Fraction)) == Fraction(3, 4)

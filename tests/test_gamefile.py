@@ -120,7 +120,7 @@ def test_resolve_context_checks_compatibility():
     gf = parse_game_text(PD)
     built = build_game(gf)
     ctx = resolve_context(gf, built, None)
-    assert ctx.src == built.game.src
+    assert ctx.dst == built.game.src
     gf2 = parse_game_text(
         PD + "context bad\n  state C\n  cont C = 0\n"
     )

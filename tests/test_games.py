@@ -48,7 +48,7 @@ from openarrows.games import (
     seq,
     trivial_context,
 )
-from openarrows.grading import GradedPairMor, ParamFamily
+from openarrows.grading import GradedPairMor, ParamFamily, SizeError
 from openarrows.lens import LENS_PROJECTIONS, cont_lens, point_lens
 
 MOVES = FinSet(("C", "D"))
@@ -318,6 +318,17 @@ def test_composing_evaluates_no_judgement_and_enumerates_no_context(monkeypatch)
     assert len(rows_read) == 14
 
 
+def test_comparing_games_with_too_many_contexts_fails_before_enumerating(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("a game context was enumerated")
+
+    g = par(decision(UNIT, MOVES7, UTIL7), decision(UNIT, MOVES7, UTIL7))
+    monkeypatch.setattr(GAME_CTX.bimodule, "hom", no_enumeration)
+    monkeypatch.setattr(GAME_CTX.bimodule, "hom_cached", no_enumeration)
+    with pytest.raises(SizeError, match="contexts, over the bound"):
+        g.arrow.equal(g.member, g.member)
+
+
 PAYOFFS = FinSet(tuple(range(-3, 4)))
 
 
@@ -346,3 +357,57 @@ def test_generated_two_player_games_agree_with_the_oracle(n1, n2, data):
     utils = [FinFun.of(joint, PAYOFFS, lambda p, i=i: pay[p][i]) for i in range(2)]
     oracle_eq, _ = nash_oracle(decisions_to_normal_form([d1, d2], utils))
     assert _profiles(equilibria(gb, trivial_context(gb))) == sorted(oracle_eq)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 4), st.integers(2, 4), st.data())
+def test_probabilistic_verdicts_are_exact_expected_payoff_checks(n1, n2, data):
+    rows = FinSet(tuple(f"r{i}" for i in range(n1)))
+    cols = FinSet(tuple(f"c{i}" for i in range(n2)))
+    joint = product(rows, cols)
+    values = st.sampled_from(PAYOFFS.elements)
+    utils = [data.draw(st.lists(values, min_size=len(joint), max_size=len(joint)))
+             for _ in range(2)]
+    # an indifferent player passes every probe, so the verdicts turn on the
+    # other player's expected payoffs alone
+    flat = data.draw(st.sampled_from((None, 0, 1)))
+    if flat is not None:
+        utils[flat] = [utils[flat][0]] * len(joint)
+    pay = dict(zip(joint, zip(*utils)))
+    u = FinFun.of(joint, product(PAYOFFS, PAYOFFS), pay)
+    g = seq(
+        par(prob_decision(UNIT, rows, PAYOFFS), prob_decision(UNIT, cols, PAYOFFS)),
+        prob_payoff_block(u),
+    )
+
+    def mixed(moves):
+        # weights k/n with 2 <= n <= 4, on at least two moves
+        order = data.draw(st.permutations(moves.elements))
+        n = data.draw(st.integers(2, 4))
+        picks = order[:2] + data.draw(
+            st.lists(st.sampled_from(order[:n]), min_size=n - 2, max_size=n - 2)
+        )
+        return {m: Fraction(picks.count(m), n) for m in moves if m in picks}
+
+    def payoff(i, p, q):
+        return sum(
+            wp * wq * pay[(r, c)][i] for r, wp in p.items() for c, wq in q.items()
+        )
+
+    def strategies(moves, weights):
+        return Dist([(FinFun.of(UNIT, moves, lambda _x, m=m: m), w)
+                     for m, w in weights.items()])
+
+    # a random profile, and each pure move of one player against the other's
+    # random mix: the verdicts at the pure moves trace a best-response set
+    p, q = mixed(rows), mixed(cols)
+    probes = [(p, q)] + [({r: 1}, q) for r in rows] + [(p, {c: 1}) for c in cols]
+    ctx = trivial_context(g)
+    for a, b in probes:
+        stable = all(payoff(0, a, b) >= payoff(0, {r: 1}, b) for r in rows) and all(
+            payoff(1, a, b) >= payoff(1, a, {c: 1}) for c in cols
+        )
+        d = dist_product(
+            dist_product(strategies(rows, a), strategies(cols, b)), dist_pure(STAR)
+        )
+        assert g.judge(ctx, d) is stable, (a, b)

@@ -48,3 +48,64 @@ def test_no_module_imports_a_name_it_never_reads():
         if (found := unused_imports(p.read_text()))
     }
     assert unused == {}
+
+
+def reexports(init_source: str) -> list[str]:
+    """The names ``__init__`` binds by ``from .module import ...``."""
+    return [
+        alias.asname or alias.name
+        for node in ast.parse(init_source).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
+def read_names(source: str) -> set[str]:
+    """Names a module loads, bare or as an attribute, outside the body of
+    the function or class that defines them."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in inside:
+                found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node.attr not in inside:
+                found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+def unread_exports(init_source: str, sources: list[str]) -> list[str]:
+    """Re-exported functions and constants that no source reads; classes
+    are exempt."""
+    trees = [ast.parse(s) for s in sources]
+    classes = {
+        node.name for t in trees for node in ast.walk(t)
+        if isinstance(node, ast.ClassDef)
+    }
+    read = set().union(*map(read_names, sources))
+    return sorted(
+        name for name in reexports(init_source)
+        if name not in classes and name not in read
+    )
+
+
+def test_the_scan_finds_an_unread_export():
+    init = "from .m import (\n    K,\n    a,\n    b,\n)\nfrom .n import c\n"
+    m = "K = 1\ndef a(n):\n    return a(n - 1)\ndef b():\n    return K\nclass c:\n    pass\n"
+    t = "import openarrows\nopenarrows.m.b()\n"
+    assert unread_exports(init, [m, t]) == ["a"]
+
+
+def test_every_reexported_function_and_constant_is_read():
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    paths += list(pathlib.Path(__file__).parent.glob("*.py"))
+    assert len(paths) > 20
+    init = (PACKAGE / "__init__.py").read_text()
+    assert unread_exports(init, [p.read_text() for p in paths]) == []

@@ -33,9 +33,9 @@ class ArrowInstance(CachedHom):
 
     ``hom(X, Y)`` enumerates the registered morphisms between two objects;
     for big carriers it may enumerate a registered generating pool rather
-    than the full set (law reports state which).  ``equal`` may return
-    None for "unknown" when the instance's equality is only
-    semi-decidable (optics over non-cartesian bases).
+    than the full set (law reports state which).  ``equal`` is two-valued;
+    optics, which live on the cartesian base, decide it by their canonical
+    lens form.
     """
 
     name: str
@@ -45,7 +45,7 @@ class ArrowInstance(CachedHom):
     pure: Callable[[Any], Any]
     comp: Callable[[Any, Any], Any]
     st: Callable[[Any, Any], Any]
-    equal: Callable[[Any, Any], bool | None]
+    equal: Callable[[Any, Any], bool]
     src: Callable[[Any], Any] = operator.attrgetter("src")
     dst: Callable[[Any], Any] = operator.attrgetter("dst")
     key: Callable[[Any], Any] | None = None
@@ -54,28 +54,6 @@ class ArrowInstance(CachedHom):
 
     def identity(self, x):
         return self.pure(self.base.id(x))
-
-
-def verdict_all(verdicts) -> bool | None:
-    """Conjunction of computed ``equal`` verdicts: False if any is False,
-    else None if any is unknown, else True."""
-    unknown = False
-    for r in verdicts:
-        if r is False:
-            return False
-        unknown = unknown or r is None
-    return None if unknown else True
-
-
-def verdict_any(verdicts) -> bool | None:
-    """Three-valued search: True at the first True verdict, computing no
-    later one; else None if any was unknown, else False."""
-    unknown = False
-    for r in verdicts:
-        if r is True:
-            return True
-        unknown = unknown or r is None
-    return None if unknown else False
 
 
 def dimap(a_inst: ArrowInstance, f, a, g):

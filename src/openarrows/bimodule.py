@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .arrow import ArrowInstance, CachedHom, dimap, left_strength, verdict_all
+from .arrow import ArrowInstance, CachedHom, dimap, left_strength
 from .finset import CompositionError, DomainError, Monoid
 from .lens import PointProjections
 
@@ -38,7 +38,7 @@ class Bimodule(CachedHom):
     hom: Callable[[Any, Any], list]
     lact: Callable[[Any, Any], Any]  # A(X,Y) x B(Y,Z) -> B(X,Z)
     ract: Callable[[Any, Any], Any]  # B(X,Y) x A(Y,Z) -> B(X,Z)
-    equal: Callable[[Any, Any], bool | None]
+    equal: Callable[[Any, Any], bool]
     src: Callable[[Any], Any] = operator.attrgetter("src")
     dst: Callable[[Any], Any] = operator.attrgetter("dst")
     key: Callable[[Any], Any] | None = None
@@ -333,9 +333,7 @@ def with_bimodule(a_inst: ArrowInstance, bim: Bimodule) -> ArrowInstance:
         return WithBMor(a_inst.st(m.inner, z), bim.st(m.extra, z))
 
     def equal(m1, m2):
-        return verdict_all(
-            (a_inst.equal(m1.inner, m2.inner), bim.equal(m1.extra, m2.extra))
-        )
+        return a_inst.equal(m1.inner, m2.inner) and bim.equal(m1.extra, m2.extra)
 
     key = None
     if a_inst.key is not None and bim.key is not None:

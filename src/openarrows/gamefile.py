@@ -439,7 +439,11 @@ def _parse_probe(toks, body, declare):
             if not (_FRACTION.match(wt.text) or _INT.match(wt.text)):
                 raise ParseError(f"weight {wt.text!r} is not a rational",
                                  wt.line, wt.col)
-            weights.append((_value(pairs[j]), Fraction(wt.text)))
+            w = Fraction(wt.text)
+            if w < 0:
+                raise ParseError(f"weight {wt.text!r} is negative",
+                                 wt.line, wt.col)
+            weights.append((_value(pairs[j]), w))
         if sum(w for _, w in weights) != 1:
             raise ParseError(f"probe weights for {who!r} must sum to 1",
                              row[0].line, row[0].col)
@@ -586,6 +590,10 @@ def _finset(gf: GameFile, name: str) -> FinSet:
     return FinSet(gf.sets[name].elements)
 
 
+def _obs_set(gf: GameFile, d: DecisionDecl) -> FinSet:
+    return UNIT if d.obs is None else _finset(gf, d.obs)
+
+
 def _payoff_fun(gf: GameFile, p: PayoffDecl) -> FinFun:
     if len(p.args) > 2 or len(p.utils) > 2:
         raise GameFileError(
@@ -640,7 +648,7 @@ def build_game(gf: GameFile, m_monoid=BOOL_AND) -> BuiltGame:
             return atoms[name]
         if name in gf.decisions:
             d = gf.decisions[name]
-            obs = UNIT if d.obs is None else _finset(gf, d.obs)
+            obs = _obs_set(gf, d)
             moves, util = _finset(gf, d.moves), _finset(gf, d.util)
             g = (prob_decision(obs, moves, util) if d.prob
                  else decision(obs, moves, util, m_monoid=m_monoid))
@@ -679,7 +687,8 @@ def probe_distribution(gf: GameFile, built: BuiltGame, probe: ProbeDecl) -> Dist
     """The joint strategy distribution a probe describes.
 
     The joint index nests like the composition term, so the distribution
-    is assembled by the same tree walk, taking independent products.
+    is assembled by the same tree walk, taking independent products.  A
+    probed move is the constant strategy out of the decision's observation.
     """
     parts = dict(probe.parts)
 
@@ -695,9 +704,9 @@ def probe_distribution(gf: GameFile, built: BuiltGame, probe: ProbeDecl) -> Dist
             raise GameFileError(
                 f"probe {probe.name!r} leaves decision {e.name!r} unassigned"
             )
-        moves = _finset(gf, d.moves)
+        obs, moves = _obs_set(gf, d), _finset(gf, d.moves)
         return Dist(tuple(
-            (FinFun.of(UNIT, moves, lambda _x, m=m: m), w)
+            (FinFun.of(obs, moves, lambda _x, m=m: m), w)
             for m, w in parts[e.name]
         ))
 

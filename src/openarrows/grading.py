@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .arrow import ArrowInstance, left_strength, verdict_all, verdict_any
+from .arrow import ArrowInstance, left_strength
 from .base import BaseMap, PairObj
 from .finset import (
     CompositionError,
@@ -54,7 +54,7 @@ class GradedArrow:
     gcomp: Callable[[Any, Any], Any]
     st: Callable[[Any, Any], Any]
     regrade: Callable[[Any, Any], Any]  # (grade iso q -> p, elem at p) -> at q
-    equal: Callable[[Any, Any], bool | None]
+    equal: Callable[[Any, Any], bool]
     # an element's grade and endpoints; by default its fields of those names
     grade_of: Callable[[Any], Any] = operator.attrgetter("grade")
     src: Callable[[Any], Any] = operator.attrgetter("src")
@@ -164,9 +164,7 @@ def grade_by_param(
     def equal(e1, e2):
         if (e1.src, e1.dst, e1.grade) != (e2.src, e2.dst, e2.grade):
             return False
-        return verdict_all(
-            [a_inst.equal(m1, m2) for m1, m2 in zip(e1.members, e2.members)]
-        )
+        return all(map(a_inst.equal, e1.members, e2.members))
 
     key = None
     if a_inst.key is not None:
@@ -229,7 +227,7 @@ def _hide(graded: GradedArrow, bound: int, key, name: str) -> ArrowInstance:
             return False
         if key is not None:
             return key(e1) == key(e2)
-        return verdict_any(
+        return any(
             graded.equal(graded.regrade(phi, e1), e2)
             for phi in graded.grade_isos(q, p)
         )
@@ -385,7 +383,7 @@ def para(
         if a_inst.key is not None and _blockable(p1.param) and _blockable(p2.param):
             return _block_keys(p1) == _block_keys(p2)
         # reindex p1's inner along phi^-1 to p2's parameter
-        return verdict_any(
+        return any(
             a_inst.equal(
                 a_inst.comp(
                     a_inst.pure(base.tensor_mor(base.inv(phi), base.id(p1.src))),
@@ -454,7 +452,7 @@ class GradedBimodule:
     glact: Callable[[Any, Any], Any]  # A_p(X,Y) x B_q(Y,Z) -> B_pq(X,Z)
     gract: Callable[[Any, Any], Any]  # B_p(X,Y) x A_q(Y,Z) -> B_pq(X,Z)
     regrade: Callable[[Any, Any], Any]
-    equal: Callable[[Any, Any], bool | None]
+    equal: Callable[[Any, Any], bool]
     # an element's grade and endpoints; by default its fields of those names
     grade_of: Callable[[Any], Any] = operator.attrgetter("grade")
     src: Callable[[Any], Any] = operator.attrgetter("src")
@@ -520,10 +518,10 @@ def graded_product(graded: GradedArrow, gbim: GradedBimodule) -> GradedArrow:
         )
 
     def equal(m1, m2):
-        return verdict_all((
-            graded.equal(m1.arrow_part, m2.arrow_part),
-            gbim.equal(m1.bim_part, m2.bim_part),
-        ))
+        return (
+            graded.equal(m1.arrow_part, m2.arrow_part)
+            and gbim.equal(m1.bim_part, m2.bim_part)
+        )
 
     key = None
     if graded.key is not None and gbim.key is not None:

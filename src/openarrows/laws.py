@@ -85,7 +85,7 @@ class LawReport:
 
     law: str
     instance: str
-    status: str  # "pass" | "fail" | "unknown"
+    status: str  # "pass" | "fail"
     checked: int
     counterexample: tuple | None = None  # (inputs, lhs, rhs), stringified
     equality: str = "structural"
@@ -143,14 +143,13 @@ def _report(law: str, instance: str, trials: Iterator, equality: str) -> LawRepo
     """Stops at the first failing trial ``(inputs, lhs, rhs, verdict)``; an
     ``int`` trial is a slab of that many passing cases."""
     checked = 0
-    unknown = False
     for trial in trials:
         if trial.__class__ is int:
             checked += trial
             continue
         checked += 1
         inputs, lhs, rhs, verdict = trial
-        if verdict is False:
+        if not verdict:
             return LawReport(
                 law,
                 instance,
@@ -159,9 +158,7 @@ def _report(law: str, instance: str, trials: Iterator, equality: str) -> LawRepo
                 (tuple(_clip(i) for i in inputs), _clip(lhs), _clip(rhs)),
                 equality,
             )
-        if verdict is None:
-            unknown = True
-    return LawReport(law, instance, "unknown" if unknown else "pass", checked, None, equality)
+    return LawReport(law, instance, "pass", checked, None, equality)
 
 
 # -- interned operation tables ------------------------------------------------

@@ -1,13 +1,14 @@
 """Optics over a base arrow, their canonical forms, and optic contexts.
 
 An optic between pair objects routes the forward pass through a hidden
-residual carrier that the backward pass may consult.  Optics are taken up
-to "sliding" a base map across the residual; over the cartesian base the
-quotient is decided by canonicalizing to a lens, and in general equality
-is three-valued.  The grade-indexed view (one component per base
-morphism between residual carriers) exposes the same data as a graded
-arrow, and the optic-shaped context re-injects spectator carriers into
-the residual rather than splitting points.
+residual carrier that the backward pass may consult.  Optics live on the
+cartesian base, where they are taken up to "sliding" a map across the
+residual and every sliding class holds exactly one lens, so equality is
+decided by that canonical lens form.  The grade-indexed view (one
+component per base morphism between residual carriers) exposes the same
+data as a graded arrow, and the optic-shaped context of the lens arrow
+re-injects spectator carriers into the residual rather than splitting
+points.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .arrow import ArrowInstance, hom_arrow, left_strength, verdict_all
+from .arrow import ArrowInstance, hom_arrow, left_strength
 from .base import PAIR, BaseMap, PairObj, SET
 from .bimodule import Bimodule, ContextStruct, CtxPair, ctx_of_arrow
 from .finset import (
     STAR,
     CompositionError,
-    DomainError,
     FinFun,
     FinSet,
     all_funs,
@@ -31,7 +31,7 @@ from .finset import (
     runit_iso,
     sym_iso,
 )
-from .grading import GradedArrow, SizeError
+from .grading import GradedArrow
 from .lens import (
     LENS_PROJECTIONS,
     Lens,
@@ -45,19 +45,15 @@ from .lens import (
 DEFAULT_RESIDUAL_CAP = 8
 
 
-class UnsupportedBaseError(DomainError):
-    """An operation needing the cartesian base got something else."""
-
-
 @dataclass(frozen=True)
 class Optic:
     """A residual carrier with a left part into it and a right part out of it."""
 
     src: PairObj
     dst: PairObj
-    residual: Any  # an object of the inner arrow's base
-    left: Any  # A(X, P (x) Y)
-    right: Any  # A(P (x) R, S)
+    residual: FinSet
+    left: FinFun  # X -> P (x) Y
+    right: FinFun  # P (x) R -> S
 
 
 def carrier_set_arrow(objects: list[PairObj]) -> ArrowInstance:
@@ -115,16 +111,10 @@ def _st_right(a_inst: ArrowInstance, right, p, r, z1):
     return a_inst.comp(a_inst.pure(c.inv(c.assoc(p, r, z1))), a_inst.st(right, z1))
 
 
-def optic_comp(
-    a_inst: ArrowInstance,
-    o1: Optic,
-    o2: Optic,
-    cap: int = DEFAULT_RESIDUAL_CAP,
-) -> Optic:
+def optic_comp(a_inst: ArrowInstance, o1: Optic, o2: Optic) -> Optic:
     """Compose optics; the residuals multiply.
 
-    Above the residual cap the composite canonicalizes through a lens
-    when the base is cartesian, and is refused otherwise.
+    Above ``DEFAULT_RESIDUAL_CAP`` the composite canonicalizes through a lens.
     """
     if o1.dst != o2.src:
         raise CompositionError(
@@ -133,14 +123,8 @@ def optic_comp(
     c = a_inst.base
     p, q = o1.residual, o2.residual
     pq = c.tensor(p, q)
-    if len(pq) > cap:
-        if isinstance(o1.left, FinFun):
-            return embed_lens(
-                lens_comp(optic_canonicalize(o1), optic_canonicalize(o2))
-            )
-        raise SizeError(
-            f"composite residual of size {len(pq)} exceeds the cap {cap}"
-        )
+    if len(pq) > DEFAULT_RESIDUAL_CAP:
+        return embed_lens(lens_comp(optic_canonicalize(o1), optic_canonicalize(o2)))
     left = _comp_left(a_inst, o1.left, o2.left, p, q, o2.dst.fwd)
     right = _comp_right(a_inst, o1.right, o2.right, p, q, o2.dst.bwd)
     return Optic(o1.src, o2.dst, pq, left, right)
@@ -158,13 +142,6 @@ def optic_strength(a_inst: ArrowInstance, o: Optic, z: PairObj) -> Optic:
 
 # -- the cartesian canonical form --------------------------------------------
 
-def _require_cartesian(o: Optic) -> None:
-    if not (isinstance(o.left, FinFun) and isinstance(o.right, FinFun)):
-        raise UnsupportedBaseError(
-            "canonicalization needs the identity arrow on finite sets"
-        )
-
-
 def embed_lens(lens: Lens) -> Optic:
     """A lens as an optic: the residual remembers the whole input."""
     x = lens.src.fwd
@@ -175,8 +152,7 @@ def embed_lens(lens: Lens) -> Optic:
 
 
 def optic_canonicalize(o: Optic) -> Lens:
-    """The unique lens in an optic's sliding class (cartesian base only)."""
-    _require_cartesian(o)
+    """The unique lens in an optic's sliding class."""
     fwd = FinFun.of(o.src.fwd, o.dst.fwd, lambda x: o.left(x)[1])
     bwd = FinFun.of(
         product(o.src.fwd, o.dst.bwd),
@@ -186,55 +162,21 @@ def optic_canonicalize(o: Optic) -> Lens:
     return Lens(o.src, o.dst, fwd, bwd)
 
 
-def optic_equiv(a_inst: ArrowInstance, o1: Optic, o2: Optic) -> bool | None:
-    """Sliding-equivalence of optics: True, False, or None for unknown.
+def optic_equiv(o1: Optic, o2: Optic) -> bool:
+    """Sliding-equivalence of optics: same endpoints and canonical lens."""
+    return (
+        (o1.src, o1.dst) == (o2.src, o2.dst)
+        and optic_canonicalize(o1) == optic_canonicalize(o2)
+    )
 
-    Cartesian base: decide by canonical form.  Otherwise search for a
-    single sliding witness between the representatives; its absence does
-    not prove inequality, so the answer degrades to None.
+
+def optic_arrow(objects: list[PairObj]) -> ArrowInstance:
+    """The optic arrow over the carriers of the given pair objects.
+
+    Every sliding class contains an embedded lens, so the hom
+    enumeration lists exactly those.
     """
-    if (o1.src, o1.dst) != (o2.src, o2.dst):
-        return False
-    if isinstance(o1.left, FinFun) and isinstance(o2.left, FinFun):
-        return optic_canonicalize(o1) == optic_canonicalize(o2)
-    c = a_inst.base
-    if o1.residual == o2.residual:
-        if (
-            a_inst.equal(o1.left, o2.left) is True
-            and a_inst.equal(o1.right, o2.right) is True
-        ):
-            return True
-    for oa, ob in ((o1, o2), (o2, o1)):
-        # f : P_a -> P_b slides oa onto ob when
-        # ob.left = oa.left ; (f (x) id) and oa.right = (f (x) id) ; ob.right
-        y, r = oa.dst.fwd, oa.dst.bwd
-        for f in c.morphisms(oa.residual, ob.residual):
-            shifted_left = a_inst.comp(
-                oa.left, a_inst.pure(c.tensor_mor(f, c.id(y)))
-            )
-            shifted_right = a_inst.comp(
-                a_inst.pure(c.tensor_mor(f, c.id(r))), ob.right
-            )
-            if (
-                a_inst.equal(shifted_left, ob.left) is True
-                and a_inst.equal(shifted_right, oa.right) is True
-            ):
-                return True
-    return None
-
-
-def optic_arrow(
-    objects: list[PairObj],
-    a_inst: ArrowInstance | None = None,
-    cap: int = DEFAULT_RESIDUAL_CAP,
-) -> ArrowInstance:
-    """The optic arrow over an inner arrow; defaults to the cartesian base.
-
-    Over the cartesian base every sliding class contains an embedded
-    lens, so the hom enumeration lists exactly those.
-    """
-    if a_inst is None:
-        a_inst = carrier_set_arrow(objects)
+    a_inst = carrier_set_arrow(objects)
 
     def hom(x, y):
         return [embed_lens(lens) for lens in all_lenses(x, y)]
@@ -245,9 +187,9 @@ def optic_arrow(
         objects=list(objects),
         hom=hom,
         pure=lambda m: optic_pure(a_inst, m),
-        comp=lambda o1, o2: optic_comp(a_inst, o1, o2, cap),
+        comp=lambda o1, o2: optic_comp(a_inst, o1, o2),
         st=lambda o, z: optic_strength(a_inst, o, z),
-        equal=lambda o1, o2: optic_equiv(a_inst, o1, o2),
+        equal=optic_equiv,
         key=lambda o: lens_key(optic_canonicalize(o)),
         commutative=True,
     )
@@ -366,9 +308,7 @@ def twisted_grading(
     def equal(e1, e2):
         if (e1.src, e1.dst, e1.grade) != (e2.src, e2.dst, e2.grade):
             return False
-        return verdict_all(
-            (a_inst.equal(e1.left, e2.left), a_inst.equal(e1.right, e2.right))
-        )
+        return a_inst.equal(e1.left, e2.left) and a_inst.equal(e1.right, e2.right)
 
     key = None
     if a_inst.key is not None:
@@ -413,33 +353,44 @@ def twisted_grading(
 
 # -- optic-shaped contexts ----------------------------------------------------
 #
-# A context for morphisms X -> Y of a commutative arrow G on the pair base:
-# a residual pair object bridging a state into it and a continuation out
-# of it.  No point-splitting is needed; the costrength re-injects the
-# spectator into the residual.
+# A context for lenses X -> Y: a residual pair object bridging a state into
+# it and a continuation out of it.  No point-splitting is needed; the
+# costrength re-injects the spectator into the residual.
 
 @dataclass(frozen=True)
 class OpticCtx:
     src: PairObj
     dst: PairObj
     residual: PairObj
-    state: Any  # G(I, Theta (x) Y)
-    cont: Any  # G(Theta (x) X, I)
+    state: Lens  # I -> Theta (x) Y
+    cont: Lens  # Theta (x) X -> I
 
 
-def optic_context(
-    g_inst: ArrowInstance,
-    residual_pool: list[PairObj],
-    canonical_key: Callable[[OpticCtx], Any] | None = None,
+def lens_optic_context(
+    g_inst: ArrowInstance, residual_pool: list[PairObj]
 ) -> ContextStruct:
-    """Contexts of an arrow on the pair base, in residual-bridged form.
+    """Contexts of the lens arrow in residual-bridged form.
 
-    ``canonical_key`` (when the sliding quotient is decidable, e.g. for the
-    lens arrow) makes equality exact; otherwise equality is three-valued
-    via a sliding-witness search on the pair base.
+    Two contexts are equal when they collapse to the same (point,
+    continuation) pair, the sliding-invariant content of a context.
     """
     base = g_inst.base
     unit = base.unit
+    plain = ctx_of_arrow(g_inst, LENS_PROJECTIONS)
+
+    def key(c: OpticCtx):
+        # the state picks a point (theta, y); fixing theta in the
+        # continuation and projecting its coplay recovers the bare
+        # continuation
+        theta, y = c.state.fwd(STAR)
+        cont_fun = FinFun.of(
+            c.src.fwd,
+            c.src.bwd,
+            lambda x: c.cont.coplay((theta, x), STAR)[1],
+        )
+        return plain.bimodule.key(
+            CtxPair(c.src, c.dst, point_lens(c.dst, y), cont_lens(c.src, cont_fun))
+        )
 
     def hom(x, y):
         return [
@@ -484,28 +435,7 @@ def optic_context(
         )
 
     def equal(c1, c2):
-        if (c1.src, c1.dst) != (c2.src, c2.dst):
-            return False
-        if canonical_key is not None:
-            return canonical_key(c1) == canonical_key(c2)
-        if c1.residual == c2.residual:
-            if (
-                g_inst.equal(c1.state, c2.state) is True
-                and g_inst.equal(c1.cont, c2.cont) is True
-            ):
-                return True
-        for ca, cb in ((c1, c2), (c2, c1)):
-            for f in base.morphisms(ca.residual, cb.residual):
-                pad_y = g_inst.pure(base.tensor_mor(f, base.id(ca.dst)))
-                pad_x = g_inst.pure(base.tensor_mor(f, base.id(ca.src)))
-                if (
-                    g_inst.equal(g_inst.comp(ca.state, pad_y), cb.state) is True
-                    and g_inst.equal(g_inst.comp(pad_x, cb.cont), ca.cont) is True
-                ):
-                    return True
-        return None
-
-    key = canonical_key
+        return (c1.src, c1.dst) == (c2.src, c2.dst) and key(c1) == key(c2)
 
     bim = Bimodule(
         name=f"opticctx({g_inst.name})",
@@ -518,36 +448,3 @@ def optic_context(
         commutative=True,
     )
     return ContextStruct(bimodule=bim, cst=cst)
-
-
-# -- the lens specialization --------------------------------------------------
-
-def lens_optic_ctx_canonical(c: OpticCtx) -> CtxPair:
-    """Collapse a residual-bridged lens context to a (point, continuation) pair.
-
-    The state lens out of the unit picks a point (theta, y); fixing theta
-    in the continuation and projecting its coplay recovers the bare
-    continuation, which is exactly the sliding-invariant content.
-    """
-    theta, y = c.state.fwd(STAR)
-    cont_fun = FinFun.of(
-        c.src.fwd,
-        c.src.bwd,
-        lambda x: c.cont.coplay((theta, x), STAR)[1],
-    )
-    return CtxPair(
-        c.src, c.dst, point_lens(c.dst, y), cont_lens(c.src, cont_fun)
-    )
-
-
-def lens_optic_context(
-    g_inst: ArrowInstance, residual_pool: list[PairObj]
-) -> ContextStruct:
-    """The optic context of the lens arrow, with decidable equality."""
-    plain = ctx_of_arrow(g_inst, LENS_PROJECTIONS)
-
-    def canonical_key(c: OpticCtx):
-        pair = lens_optic_ctx_canonical(c)
-        return plain.bimodule.key(pair)
-
-    return optic_context(g_inst, residual_pool, canonical_key)

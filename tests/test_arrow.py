@@ -12,8 +12,6 @@ from openarrows.arrow import (
     hom_arrow,
     induced_category,
     left_strength,
-    verdict_all,
-    verdict_any,
 )
 from openarrows.base import SET, bit_set
 from openarrows.finset import UNIT, FinFun, FinSet, fun_compose
@@ -80,20 +78,3 @@ def test_hom_cache_is_stable():
     first = HOM.hom_cached(B, B)
     assert HOM.hom_cached(B, B) is first
     assert len(first) == 4
-
-
-def test_verdicts_combine_three_valued():
-    assert verdict_all([True, None, True]) is None
-    assert verdict_all([None, False, True]) is False
-    assert verdict_all([True, True]) is True
-    assert verdict_any([False, None]) is None
-    assert verdict_any([False, False]) is False
-    computed = []
-
-    def verdicts():
-        for r in (None, True, False):
-            computed.append(r)
-            yield r
-
-    assert verdict_any(verdicts()) is True
-    assert computed == [None, True]  # the search stops at the first True

@@ -55,6 +55,23 @@ def test_solve_probes_mixed_survives(capsys):
     }
 
 
+def test_solve_probes_a_decision_with_an_observation(tmp_path, capsys):
+    # each probed move is a constant strategy out of the observed set
+    f = tmp_path / "observe.game"
+    f.write_text(
+        "set obs a b\nset moves H T\nset util 0 1\n"
+        "probdecision q : obs -> moves utility util\n"
+        "game g = q\n"
+        "context c\n  state a\n  cont H = 1\n  cont T = 0\n"
+        "probe best\n  q = H 1\n"
+        "probe worse\n  q = T 1\n"
+    )
+    assert main(["solve", str(f), "--context", "c"]) == 0
+    assert dict(line.split("\t") for line in _lines(capsys)) == {
+        "best": "true", "worse": "false",
+    }
+
+
 def test_solve_witness_monoid_lists_deviations(capsys):
     assert main(["solve", PD, "--closed", "--monoid", "witness"]) == 0
     out = dict(line.split("\t") for line in _lines(capsys))

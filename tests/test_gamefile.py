@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from openarrows.cli import main
 from openarrows.gamefile import (
     ContextDecl,
     EndpointError,
@@ -106,6 +107,20 @@ def test_probe_weights_must_sum_to_one():
     ) + "probe p\n  row = C 1/2 D 1/4\n  col = D 1\n"
     with pytest.raises(ParseError, match="sum to 1"):
         parse_game_text(text)
+
+
+@pytest.mark.parametrize("command", ["solve", "fmt"])
+def test_negative_probe_weight_is_a_parse_error(command, tmp_path, capsys):
+    # the weights sum to 1, so only the sign check catches the row
+    text = PD.replace("decision row", "probdecision row").replace(
+        "decision col", "probdecision col"
+    ) + "probe p\n  row = C -1/2 D 3/2\n  col = D 1\n"
+    f = tmp_path / "neg.game"
+    f.write_text(text)
+    assert main([command, str(f)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 13, column 11: weight '-1/2' is negative\n"
+    )
 
 
 def test_probe_distribution_follows_the_composition_tree():

@@ -48,7 +48,7 @@ def test_manifest_covers_every_emittable_law():
 def test_reports_carry_known_ids_and_statuses():
     for r in run_suite("optic"):
         assert r.law in LAWS
-        assert r.status in ("pass", "fail", "unknown")
+        assert r.status in ("pass", "fail")
         assert r.checked > 0
 
 

@@ -19,6 +19,7 @@ from .finset import (  # noqa: F401
     Rat,
     STAR,
     all_funs,
+    clear_identity_memos,
     product,
     dist_bind,
     dist_pure,

@@ -31,7 +31,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .finset import STAR, FinFun, FinSet, product
+from .finset import STAR, FinFun, FinSet, clear_identity_memos, product
 from .gamefile import (
     GameFileError,
     Node,
@@ -86,7 +86,8 @@ def _emit(record: dict, fmt: str, columns: tuple) -> None:
 
 def cmd_solve(args) -> int:
     gf = parse_game_file(args.file)
-    built = build_game(gf, monoid_by_name(args.monoid))
+    built = (gf.built if args.monoid == "bool"
+             else build_game(gf, monoid_by_name(args.monoid)))
     ctx = resolve_context(gf, built, None if args.closed else args.context)
     if built.prob:
         probes = sorted(gf.probes)
@@ -148,7 +149,7 @@ def cmd_laws(args) -> int:
 
 def cmd_oracle(args) -> int:
     gf = parse_game_file(args.file)
-    built = build_game(gf)
+    built = gf.built
     e = built.expr
     shape_ok = (
         isinstance(e, Node) and e.op == "seq"
@@ -270,6 +271,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # one call owns the carriers it built: the next call shares none
+        clear_identity_memos()
 
 
 if __name__ == "__main__":

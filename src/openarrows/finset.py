@@ -9,6 +9,7 @@ anywhere in the package.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,28 +64,61 @@ class FinSet:
 UNIT = FinSet((STAR,))
 
 
-#: (id(a), id(b)) -> (a, b, a x b).  An entry keeps its operands alive, so
-#: no other object can take their ids while it is cached.
-_PRODUCTS: dict = {}
-_PRODUCTS_MAX = 4096  # entries; the memo is emptied when it is full
+#: Every memo ``identity_memo`` made, so ``clear_identity_memos`` finds them.
+_IDENTITY_MEMOS: list = []
+_IDENTITY_MEMO_MAX = 4096  # entries; a full memo is emptied before it grows
 
 
+def identity_memo(build: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
+    """Memoise ``build(a, b)`` on the identity of its operands, not on equality.
+
+    Each entry is ``(id(a), id(b)) -> (a, b, result)`` and keeps its operands
+    alive, so no other object can take their ids while it is cached.  A memo
+    lives until ``clear_identity_memos`` empties it, which ``cli.main`` does
+    when each call returns; within a call, a memo that holds 4,096 entries
+    is emptied before the next one is added.
+    """
+    memo: dict = {}
+    _IDENTITY_MEMOS.append(memo)
+
+    @functools.wraps(build)
+    def memoised(a, b):
+        key = (id(a), id(b))
+        hit = memo.get(key)
+        if hit is not None:
+            return hit[2]
+        if len(memo) >= _IDENTITY_MEMO_MAX:
+            memo.clear()
+        out = build(a, b)
+        memo[key] = (a, b, out)
+        return out
+
+    return memoised
+
+
+def clear_identity_memos() -> None:
+    """Empty every identity memo (``product``, ``PairBase.tensor``).
+
+    Carriers built before the call stay valid; later calls on the same
+    operands build equal carriers afresh.  ``cli.main`` calls this when each
+    command returns; a library caller that builds many unrelated games can
+    call it between them to release their carriers.
+    """
+    for memo in _IDENTITY_MEMOS:
+        memo.clear()
+
+
+@identity_memo
 def product(a: FinSet, b: FinSet) -> FinSet:
     """Cartesian product; elements are 2-tuples in row-major order.
 
-    Memoised on the identity of the operands, not on equality: carriers
-    that compare equal may hold different elements (``FinSet((1, 0)) ==
+    Memoised by ``identity_memo``, not on equality: carriers that compare
+    equal may hold different elements (``FinSet((1, 0)) ==
     FinSet((True, False))``), and the product must carry the caller's own.
+    The memo lasts one CLI call (``clear_identity_memos``), and within a
+    call holds at most 4,096 entries.
     """
-    key = (id(a), id(b))
-    hit = _PRODUCTS.get(key)
-    if hit is not None:
-        return hit[2]
-    if len(_PRODUCTS) >= _PRODUCTS_MAX:
-        _PRODUCTS.clear()
-    out = FinSet(tuple(itertools.product(a.elements, b.elements)))
-    _PRODUCTS[key] = (a, b, out)
-    return out
+    return FinSet(tuple(itertools.product(a.elements, b.elements)))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ round-trips bit-for-bit through :func:`format_game_file`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
@@ -138,6 +138,9 @@ class ProbeDecl:
 @dataclass(frozen=True)
 class GameFile:
     decls: tuple
+    #: The game under the Boolean monoid, which parsing builds to type-check
+    #: the composition; ``None`` for a file that was not parsed.
+    built: BuiltGame | None = field(default=None, compare=False, repr=False)
 
     def _of(self, kind):
         return {d.name: d for d in self.decls if isinstance(d, kind)}
@@ -334,8 +337,7 @@ def parse_game_text(text: str) -> GameFile:
                              head.line, head.col)
 
     gf = GameFile(tuple(decls))
-    _validate(gf)
-    return gf
+    return GameFile(gf.decls, _validate(gf))
 
 
 def _parse_payoff(toks, body, declare):
@@ -458,7 +460,7 @@ def parse_game_file(path) -> GameFile:
 
 # -- static validation --------------------------------------------------------
 
-def _validate(gf: GameFile) -> None:
+def _validate(gf: GameFile) -> BuiltGame:
     games = [d for d in gf.decls if isinstance(d, GameDecl)]
     if not games:
         raise GameFileError("no game declared")
@@ -525,7 +527,7 @@ def _validate(gf: GameFile) -> None:
                 if m not in moves:
                     raise GameFileError(f"probe {pr.name!r} plays {m!r} "
                                         f"outside the move set of {who!r}")
-    build_game(gf)  # type-check the composition
+    return build_game(gf)  # type-checks the composition
 
 
 # -- formatting ---------------------------------------------------------------

@@ -48,7 +48,6 @@ from openarrows.lens import (
     LENS_PROJECTIONS,
     Lens,
     all_lenses,
-    cont_lens,
     lens_arrow,
     lens_comp,
     lens_strength,

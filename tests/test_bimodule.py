@@ -18,7 +18,7 @@ from openarrows.bimodule import (
     with_bimodule,
     with_eq,
 )
-from openarrows.finset import BOOL_AND, WITNESSES, DomainError, FinFun, FinSet
+from openarrows.finset import BOOL_AND, WITNESSES, DomainError, FinFun
 from openarrows.lens import (
     LENS_PROJECTIONS,
     cont_lens,

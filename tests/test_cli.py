@@ -12,7 +12,7 @@ import pytest
 
 import openarrows
 from openarrows.cli import main
-from openarrows.gamefile import fixture_path
+from openarrows.gamefile import build_game, fixture_path
 
 PD = fixture_path("prisoners_dilemma.game")
 MP = fixture_path("matching_pennies.game")
@@ -44,6 +44,27 @@ def test_solve_is_deterministic(capsys):
     first = capsys.readouterr().out
     main(["solve", PD, "--closed"])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["solve", PD, "--closed"], 1),
+    (["solve", PD, "--closed", "--monoid", "witness"], 2),
+    (["solve", MPP], 1),
+    (["oracle", PD], 1),
+    (["fmt", PD], 1),
+])
+def test_each_command_builds_the_boolean_game_once(argv, builds, capsys, monkeypatch):
+    # parsing builds the Boolean game to type-check it; solve and oracle reuse it
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_game(*args, **kwargs)
+
+    monkeypatch.setattr(openarrows.gamefile, "build_game", counted)
+    monkeypatch.setattr(openarrows.cli, "build_game", counted)
+    assert main(argv) == 0
+    assert len(calls) == builds
 
 
 def test_solve_probes_mixed_survives(capsys):
@@ -179,6 +200,35 @@ def test_only_the_mutant_battery_loads_the_registry():
         text=True, check=True,
     ).stdout
     assert out.split() == ["False", "True"]
+
+
+_MEMO_LIFETIME = """
+import contextlib, io, json, sys
+from openarrows import finset
+from openarrows.cli import main
+for argv in (["solve", sys.argv[1], "--closed"], ["laws", "--suite", "optic", "--size", "1"]):
+    outs = []
+    for _ in range(2):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            rc = main(argv)
+        outs.append([rc, out.getvalue()])
+        print(json.dumps([argv[0], [len(m) for m in finset._IDENTITY_MEMOS]]))
+    print(json.dumps([argv[0], outs[0] == outs[1], outs[0][0]]))
+"""
+
+
+def test_each_cli_call_empties_the_identity_memos():
+    # a fresh interpreter: product and PAIR.tensor memoise nothing at import
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(openarrows.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", _MEMO_LIFETIME, PD], env=env, capture_output=True,
+        text=True,
+    )
+    rows = [json.loads(line) for line in run.stdout.splitlines()]
+    assert rows == [
+        ["solve", [0, 0]], ["solve", [0, 0]], ["solve", True, 0],
+        ["laws", [0, 0]], ["laws", [0, 0]], ["laws", True, 0],
+    ], run.stderr
 
 
 def test_fmt_round_trips_byte_identical(tmp_path, capsys):

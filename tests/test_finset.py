@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from openarrows.base import PAIR, PairObj
 from openarrows.finset import (
     BOOL_AND,
     STAR,
@@ -22,6 +23,7 @@ from openarrows.finset import (
     all_bijections,
     all_funs,
     assoc_iso,
+    clear_identity_memos,
     dist_bind,
     dist_product,
     dist_pure,
@@ -79,6 +81,18 @@ def test_memoised_product_keeps_each_operands_elements():
         FinFun(B, B, (0, 2))
     with pytest.raises(DomainError):
         FinFun.of(pi, T, lambda p: "d")
+
+
+def test_identity_memos_share_within_a_call_and_rebuild_after_clearing():
+    a, b = FinSet((1, "x")), FinSet(((0, 1), None, 2))
+    x, y = PairObj(a, b), PairObj(b, T)
+    p, t = product(a, b), PAIR.tensor(x, y)
+    assert product(a, b) is p and PAIR.tensor(x, y) is t
+    clear_identity_memos()
+    p2, t2 = product(a, b), PAIR.tensor(x, y)
+    assert p2 is not p and t2 is not t
+    assert p2.elements == p.elements == tuple((u, v) for u in a for v in b)
+    assert t2.fwd.elements == t.fwd.elements and t2.bwd.elements == t.bwd.elements
 
 
 # ---------- trusted tables equal the validating construction ----------

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from openarrows.base import PAIR, PAIR_I, BaseMap, PairObj, bit_set
 from openarrows.finset import (
-    STAR,
     CompositionError,
     DomainError,
     FinFun,

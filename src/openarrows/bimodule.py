@@ -15,9 +15,9 @@ import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .arrow import ArrowInstance, CachedHom, dimap, left_strength
-from .finset import CompositionError, DomainError, Monoid
-from .lens import PointProjections
+from .arrow import ArrowInstance, CachedHom
+from .finset import CompositionError, DomainError, FinFun, Monoid, product
+from .lens import Lens, point_lens
 
 
 @dataclass
@@ -83,7 +83,7 @@ class ContextStruct:
         return self.cst(moved, x_obj, y_obj, z_obj)
 
 
-# -- the canonical context of an arrow with projection at points -------------
+# -- the canonical context of the lens arrow --------------------------------
 
 @dataclass(frozen=True)
 class CtxPair:
@@ -98,12 +98,8 @@ class CtxPair:
     cont: Any
 
 
-def ctx_of_arrow(a_inst: ArrowInstance, proj: PointProjections) -> ContextStruct:
-    """Contexts as (point, continuation) pairs, for arrows that can split points."""
-    if proj is None:
-        raise DomainError(
-            f"arrow {a_inst.name!r} has no projection at points; cannot build contexts"
-        )
+def ctx_of_arrow(a_inst: ArrowInstance) -> ContextStruct:
+    """Contexts of a lens arrow as (point, continuation) pairs."""
     base = a_inst.base
     unit = base.unit
 
@@ -127,19 +123,37 @@ def ctx_of_arrow(a_inst: ArrowInstance, proj: PointProjections) -> ContextStruct
         return CtxPair(c.src, a_inst.dst(a), a_inst.comp(c.state, a), c.cont)
 
     def cst(c, x_obj, y_obj, z_obj):
-        # Ctx(X (x) Z, Y (x) Z) -> Ctx(X, Y): split the state's point, pad the
-        # spectator half onto the continuation.
-        p0 = proj.p0(c.state, y_obj, z_obj)
-        p1 = proj.p1(c.state, y_obj, z_obj)
-        # pad the spectator point on the left of X, deleting the unit factor:
-        # A(I, Z) -> A(X (x) I, X (x) Z) -> A(X, X (x) Z)
-        padded = dimap(
-            a_inst,
-            base.inv(base.runit(x_obj)),
-            left_strength(a_inst, p1, x_obj),
-            base.id(base.tensor(x_obj, z_obj)),
+        # Ctx(X (x) Z, Y (x) Z) -> Ctx(X, Y): the state's point (y, z) splits;
+        # the continuation is read at the spectator point z, keeping the X
+        # half of its coplay.
+        j, k = c.state, c.cont
+        if j.src != unit:
+            raise DomainError("projection at points needs a morphism out of the unit")
+        if j.dst != base.tensor(y_obj, z_obj):
+            raise DomainError("target does not decompose as the stated tensor")
+        xz = base.tensor(x_obj, z_obj)
+        if k.src != xz:
+            raise CompositionError(
+                f"cannot compose lens {x_obj}->{xz} with {k.src}->{k.dst}"
+            )
+        y, z = j.fwd.table[0]
+        # X (x) Z is row-major: (x_i, z) sits at i*|Z| + m, and k's coplay
+        # row at (x_i, z) is the |R| cells from (i*|Z| + m)*|R|
+        m, n_z, n_r = z_obj.fwd.index(z), len(z_obj.fwd), len(k.dst.bwd)
+        b = k.bwd.table
+        fwd = FinFun._trusted(x_obj.fwd, k.dst.fwd, k.fwd.table[m::n_z])
+        bwd = FinFun._trusted(
+            product(x_obj.fwd, k.dst.bwd),
+            x_obj.bwd,
+            tuple(
+                s
+                for row in range(m * n_r, len(b), n_z * n_r)
+                for s, _ in b[row:row + n_r]
+            ),
         )
-        return CtxPair(x_obj, y_obj, p0, a_inst.comp(padded, c.cont))
+        return CtxPair(
+            x_obj, y_obj, point_lens(y_obj, y), Lens._trusted(x_obj, k.dst, fwd, bwd)
+        )
 
     key = None
     if a_inst.key is not None:

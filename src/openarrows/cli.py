@@ -35,7 +35,6 @@ from .finset import STAR, FinFun, FinSet, clear_identity_memos, product
 from .gamefile import (
     GameFileError,
     Node,
-    build_game,
     format_game_file,
     monoid_by_name,
     parse_game_file,
@@ -85,9 +84,8 @@ def _emit(record: dict, fmt: str, columns: tuple) -> None:
 
 
 def cmd_solve(args) -> int:
-    gf = parse_game_file(args.file)
-    built = (gf.built if args.monoid == "bool"
-             else build_game(gf, monoid_by_name(args.monoid)))
+    gf = parse_game_file(args.file, monoid_by_name(args.monoid))
+    built = gf.built
     ctx = resolve_context(gf, built, None if args.closed else args.context)
     if built.prob:
         probes = sorted(gf.probes)

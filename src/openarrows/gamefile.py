@@ -138,8 +138,9 @@ class ProbeDecl:
 @dataclass(frozen=True)
 class GameFile:
     decls: tuple
-    #: The game under the Boolean monoid, which parsing builds to type-check
-    #: the composition; ``None`` for a file that was not parsed.
+    #: The game under the monoid it was parsed for (Boolean unless asked),
+    #: which parsing builds to type-check the composition; ``None`` for a
+    #: file that was not parsed.
     built: BuiltGame | None = field(default=None, compare=False, repr=False)
 
     def _of(self, kind):
@@ -272,7 +273,7 @@ def _format_expr(e) -> str:
 
 # -- parsing ------------------------------------------------------------------
 
-def parse_game_text(text: str) -> GameFile:
+def parse_game_text(text: str, m_monoid=BOOL_AND) -> GameFile:
     lines = _tokenize(text)
     decls: list = []
     names: dict[str, _Tok] = {}
@@ -337,7 +338,7 @@ def parse_game_text(text: str) -> GameFile:
                              head.line, head.col)
 
     gf = GameFile(tuple(decls))
-    return GameFile(gf.decls, _validate(gf))
+    return GameFile(gf.decls, _validate(gf, m_monoid))
 
 
 def _parse_payoff(toks, body, declare):
@@ -453,14 +454,14 @@ def _parse_probe(toks, body, declare):
     return ProbeDecl(name, tuple(parts))
 
 
-def parse_game_file(path) -> GameFile:
+def parse_game_file(path, m_monoid=BOOL_AND) -> GameFile:
     with open(path, encoding="utf-8") as fh:
-        return parse_game_text(fh.read())
+        return parse_game_text(fh.read(), m_monoid)
 
 
 # -- static validation --------------------------------------------------------
 
-def _validate(gf: GameFile) -> BuiltGame:
+def _validate(gf: GameFile, m_monoid) -> BuiltGame:
     games = [d for d in gf.decls if isinstance(d, GameDecl)]
     if not games:
         raise GameFileError("no game declared")
@@ -527,7 +528,7 @@ def _validate(gf: GameFile) -> BuiltGame:
                 if m not in moves:
                     raise GameFileError(f"probe {pr.name!r} plays {m!r} "
                                         f"outside the move set of {who!r}")
-    return build_game(gf)  # type-checks the composition
+    return build_game(gf, m_monoid)  # type-checks the composition
 
 
 # -- formatting ---------------------------------------------------------------
@@ -640,8 +641,6 @@ def build_game(gf: GameFile, m_monoid=BOOL_AND) -> BuiltGame:
             "cannot mix plain and probabilistic decisions in one game"
         )
     prob = kinds == {"prob"}
-    if prob and m_monoid.name != BOOL_AND.name:
-        raise GameFileError("probabilistic games judge Booleans only")
 
     atoms: dict = {}
 
@@ -682,7 +681,12 @@ def build_game(gf: GameFile, m_monoid=BOOL_AND) -> BuiltGame:
                 f"at {_format_expr(e)}: {exc}"
             ) from exc
 
-    return BuiltGame(prob, build(expr), expr, atoms)
+    game = build(expr)
+    # probabilistic atoms ignore the monoid, so an ill-typed composition is
+    # reported before the monoid is refused
+    if prob and m_monoid.name != BOOL_AND.name:
+        raise GameFileError("probabilistic games judge Booleans only")
+    return BuiltGame(prob, game, expr, atoms)
 
 
 def probe_distribution(gf: GameFile, built: BuiltGame, probe: ProbeDecl) -> Dist:

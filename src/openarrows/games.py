@@ -60,7 +60,6 @@ from .grading import (
     graded_tensor,
 )
 from .lens import (
-    LENS_PROJECTIONS,
     Lens,
     cont_lens,
     lens_arrow,
@@ -68,7 +67,7 @@ from .lens import (
 )
 
 _LENS = lens_arrow([])
-GAME_CTX: ContextStruct = ctx_of_arrow(_LENS, LENS_PROJECTIONS)
+GAME_CTX: ContextStruct = ctx_of_arrow(_LENS)
 _GRADED = grade_by_param(_LENS)
 _ONE = FinSet((STAR,))  # the strategy index of a game without a choice
 #: equality of game judgements refuses endpoints with more contexts than this

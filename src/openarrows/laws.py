@@ -62,7 +62,7 @@ from .grading import (
     graded_left_strength,
     para,
 )
-from .lens import LENS_PROJECTIONS, Lens, all_lenses, cont_lens, lens_arrow, point_lens
+from .lens import Lens, all_lenses, cont_lens, lens_arrow, point_lens
 from .optic import (
     DEFAULT_RESIDUAL_CAP,
     TwGrade,
@@ -971,13 +971,13 @@ def arrow_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
     reports += _arrow_laws(lens_arrow(atoms4), "lens")
 
     lens3 = lens_arrow(atoms3)
-    weq = with_eq(lens3, ctx_of_arrow(lens3, LENS_PROJECTIONS), BOOL_AND)
+    weq = with_eq(lens3, ctx_of_arrow(lens3), BOOL_AND)
     reports += check_arrow_laws(weq, "witheq(lens,bool)")
 
     # strength laws tabulate values over tensored contexts, which is much
     # costlier per trial; quantify them over the two-object universe
     lens2 = lens_arrow(atoms2)
-    weq2 = with_eq(lens2, ctx_of_arrow(lens2, LENS_PROJECTIONS), BOOL_AND)
+    weq2 = with_eq(lens2, ctx_of_arrow(lens2), BOOL_AND)
     reports += check_strength(weq2, "witheq(lens,bool)")
     reports += check_commutativity(weq2, "witheq(lens,bool)")
 
@@ -1020,11 +1020,11 @@ def bimodule_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
     reports: list[LawReport] = []
 
     lens3 = lens_arrow(atoms3)
-    ctx3 = ctx_of_arrow(lens3, LENS_PROJECTIONS)
+    ctx3 = ctx_of_arrow(lens3)
     reports += check_bimodule(ctx3.bimodule, "ctx(lens)")
 
     lens2 = lens_arrow(atoms2)
-    ctx2 = ctx_of_arrow(lens2, LENS_PROJECTIONS)
+    ctx2 = ctx_of_arrow(lens2)
     eq_bool = eq_from_context(ctx2, BOOL_AND)
     reports += check_bimodule(eq_bool, "eq(lens,bool)")
     reports += check_eqmonoid(eq_bool, "eq(lens,bool)")
@@ -1065,7 +1065,7 @@ def context_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
     reports: list[LawReport] = []
 
     lens3 = lens_arrow(atoms3)
-    ctx3 = ctx_of_arrow(lens3, LENS_PROJECTIONS)
+    ctx3 = ctx_of_arrow(lens3)
     reports += check_context(ctx3, "ctx(lens)")
 
     lens2 = lens_arrow(atoms2)

@@ -182,28 +182,3 @@ def lens_cont(lens: Lens) -> FinFun:
         raise DomainError("not a continuation: target is not the unit pair object")
     return FinFun.of(lens.src.fwd, lens.src.bwd, lambda y: lens.coplay(y, STAR))
 
-
-# -- projection at points ----------------------------------------------------
-
-def lens_proj_points(j: Lens, x_obj: PairObj, x2_obj: PairObj) -> tuple[Lens, Lens]:
-    """Split a global point of a tensor into points of the two factors."""
-    if j.src != PAIR_I:
-        raise DomainError("projection at points needs a morphism out of the unit")
-    if j.dst != PAIR.tensor(x_obj, x2_obj):
-        raise DomainError("target does not decompose as the stated tensor")
-    x, x2 = j.fwd(STAR)
-    return point_lens(x_obj, x), point_lens(x2_obj, x2)
-
-
-@dataclass(frozen=True)
-class PointProjections:
-    """The pair of splitting maps an arrow may carry on its global points."""
-
-    p0: object  # (j, X, X') -> morphism I -> X
-    p1: object  # (j, X, X') -> morphism I -> X'
-
-
-LENS_PROJECTIONS = PointProjections(
-    p0=lambda j, x_obj, x2_obj: lens_proj_points(j, x_obj, x2_obj)[0],
-    p1=lambda j, x_obj, x2_obj: lens_proj_points(j, x_obj, x2_obj)[1],
-)

@@ -33,7 +33,6 @@ from .finset import (
 )
 from .grading import GradedArrow
 from .lens import (
-    LENS_PROJECTIONS,
     Lens,
     all_lenses,
     cont_lens,
@@ -376,7 +375,7 @@ def lens_optic_context(
     """
     base = g_inst.base
     unit = base.unit
-    plain = ctx_of_arrow(g_inst, LENS_PROJECTIONS)
+    plain = ctx_of_arrow(g_inst)
 
     def key(c: OpticCtx):
         # the state picks a point (theta, y); fixing theta in the

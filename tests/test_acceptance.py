@@ -45,7 +45,6 @@ from openarrows.games import (
 from openarrows.grading import ParamFamily, fam
 from openarrows.laws import run_mutants, run_suite
 from openarrows.lens import (
-    LENS_PROJECTIONS,
     Lens,
     all_lenses,
     lens_arrow,
@@ -148,7 +147,7 @@ def test_graded_case_counts_match_the_recorded_table():
 # -- 4: the displayed formulas, symbol for symbol on bit carriers -------------
 
 LENS = lens_arrow([I, X])
-CTX = ctx_of_arrow(LENS, LENS_PROJECTIONS)
+CTX = ctx_of_arrow(LENS)
 WEQ = with_eq(LENS, CTX, BOOL_AND)
 
 

@@ -6,7 +6,10 @@ import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from openarrows.arrow import dimap, left_strength
 from openarrows.base import PAIR, PAIR_I, PairObj, bit_set
 from openarrows.bimodule import (
     CtxPair,
@@ -18,10 +21,10 @@ from openarrows.bimodule import (
     with_bimodule,
     with_eq,
 )
-from openarrows.finset import BOOL_AND, WITNESSES, DomainError, FinFun
+from openarrows.finset import BOOL_AND, WITNESSES, DomainError, FinFun, FinSet
 from openarrows.lens import (
-    LENS_PROJECTIONS,
     cont_lens,
+    identity_lens,
     lens_arrow,
     lens_comp,
     lens_point,
@@ -32,7 +35,7 @@ B = bit_set(2)
 X = PairObj(B, B)
 I = PAIR_I
 LENS = lens_arrow([I, X])
-CTX = ctx_of_arrow(LENS, LENS_PROJECTIONS)
+CTX = ctx_of_arrow(LENS)
 
 
 def _cont(table) -> FinFun:
@@ -74,6 +77,73 @@ def test_costrength_splits_state_and_pads_continuation():
     assert c.cont == cont_lens(X, FinFun.of(B, B, lambda y: y))
 
 
+def _composed_cst(c, x, y, z):
+    # the costrength as a composite of lenses: split the state's point,
+    # pad the spectator point onto X (X -> X (x) I -> X (x) Z) and run the
+    # continuation after the padding
+    yv, zv = lens_point(c.state)
+    padded = dimap(
+        LENS,
+        PAIR.inv(PAIR.runit(x)),
+        left_strength(LENS, point_lens(z, zv), x),
+        PAIR.id(PAIR.tensor(x, z)),
+    )
+    return CtxPair(x, y, point_lens(y, yv), lens_comp(padded, c.cont))
+
+
+def _objs(tag):
+    # 1-3 points on each side, labelled apart so no two carriers compare equal
+    def carrier(side):
+        return st.integers(1, 3).map(
+            lambda n: FinSet(tuple(f"{tag}{side}{i}" for i in range(n)))
+        )
+    return st.builds(PairObj, carrier("f"), carrier("b"))
+
+
+def _assert_cst_matches_composite(c, x, y, z):
+    got, want = CTX.cst(c, x, y, z), _composed_cst(c, x, y, z)
+    assert got == want
+    assert CTX.bimodule.key(got) == CTX.bimodule.key(want)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_objs("x"), _objs("y"), _objs("z"), st.data())
+def test_costrength_reads_the_continuation_at_the_spectator_point(x, y, z, data):
+    xz, yz = PAIR.tensor(x, z), PAIR.tensor(y, z)
+    point = data.draw(st.sampled_from(yz.fwd.elements))
+    table = data.draw(st.tuples(*[st.sampled_from(xz.bwd.elements)] * len(xz.fwd)))
+    k = cont_lens(xz, FinFun(xz.fwd, xz.bwd, table))
+    c = CtxPair(xz, yz, point_lens(yz, point), k)
+    _assert_cst_matches_composite(c, x, y, z)
+
+
+def test_costrength_matches_the_composite_with_a_spectator_larger_than_x():
+    x = PairObj(FinSet(("x0",)), FinSet(("s0", "s1")))
+    y = PairObj(FinSet(("y0", "y1")), FinSet(("r0",)))
+    z = PairObj(FinSet(("z0", "z1", "z2")), FinSet(("t0", "t1")))
+    # every context: 6 state points by 4**3 continuation tables
+    ctxs = CTX.bimodule.hom_cached(PAIR.tensor(x, z), PAIR.tensor(y, z))
+    assert len(ctxs) == 6 * 4 ** 3
+    for c in ctxs:
+        _assert_cst_matches_composite(c, x, y, z)
+
+
+def test_costrength_needs_a_state_out_of_the_unit():
+    xx = PAIR.tensor(X, X)
+    k = FinFun.of(xx.fwd, xx.bwd, lambda p: p)
+    b = CtxPair(xx, xx, identity_lens(xx), cont_lens(xx, k))
+    with pytest.raises(DomainError, match="out of the unit"):
+        CTX.cst(b, X, X, X)
+
+
+def test_costrength_needs_a_state_into_the_stated_tensor():
+    xx = PAIR.tensor(X, X)
+    k = FinFun.of(xx.fwd, xx.bwd, lambda p: p)
+    b = CtxPair(xx, xx, point_lens(xx, (1, 0)), cont_lens(xx, k))
+    with pytest.raises(DomainError, match="stated tensor"):
+        CTX.cst(b, X, I, X)
+
+
 def test_eq_bimodule_tabulates_over_contexts():
     eq = eq_from_context(CTX, BOOL_AND)
     h = eq_tabulate(CTX, X, X, lambda c: lens_point(c.state) == 0)
@@ -99,8 +169,7 @@ def test_witness_monoid_needs_a_value_pool():
 
 
 def test_with_eq_pairs_lenses_with_predicates():
-    weq = with_eq(lens_arrow([I]), ctx_of_arrow(lens_arrow([I]), LENS_PROJECTIONS),
-                  BOOL_AND)
+    weq = with_eq(lens_arrow([I]), ctx_of_arrow(lens_arrow([I])), BOOL_AND)
     ms = weq.hom_cached(I, I)
     assert len(ms) == 2  # one lens, two Boolean tables over the one context
     m = ms[0]
@@ -164,7 +233,7 @@ def test_eq_actions_read_each_predicate_not_a_cached_result():
 
 def test_eq_actions_on_a_keyless_arrow_raise_domain_error():
     keyless = dataclasses.replace(LENS, key=None, _hom_cache={})
-    eq = eq_from_context(ctx_of_arrow(keyless, LENS_PROJECTIONS), BOOL_AND)
+    eq = eq_from_context(ctx_of_arrow(keyless), BOOL_AND)
     a = keyless.identity(X)
     h = eq.hom_cached(X, X)[0]
     with pytest.raises(DomainError):

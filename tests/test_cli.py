@@ -48,13 +48,14 @@ def test_solve_is_deterministic(capsys):
 
 @pytest.mark.parametrize("argv, builds", [
     (["solve", PD, "--closed"], 1),
-    (["solve", PD, "--closed", "--monoid", "witness"], 2),
+    (["solve", PD, "--closed", "--monoid", "witness"], 1),
     (["solve", MPP], 1),
     (["oracle", PD], 1),
     (["fmt", PD], 1),
 ])
 def test_each_command_builds_the_boolean_game_once(argv, builds, capsys, monkeypatch):
-    # parsing builds the Boolean game to type-check it; solve and oracle reuse it
+    # parsing builds the game, under the monoid solve asks for, to type-check
+    # it; solve and oracle reuse it
     calls = []
 
     def counted(*args, **kwargs):
@@ -62,7 +63,6 @@ def test_each_command_builds_the_boolean_game_once(argv, builds, capsys, monkeyp
         return build_game(*args, **kwargs)
 
     monkeypatch.setattr(openarrows.gamefile, "build_game", counted)
-    monkeypatch.setattr(openarrows.cli, "build_game", counted)
     assert main(argv) == 0
     assert len(calls) == builds
 
@@ -98,6 +98,24 @@ def test_solve_witness_monoid_lists_deviations(capsys):
     out = dict(line.split("\t") for line in _lines(capsys))
     assert out["D,D"] == "[]"
     assert out["C,C"] != "[]"
+
+
+@pytest.mark.parametrize("game, err", [
+    ("(seq (par d e) p)", "probabilistic games judge Booleans only"),
+    ("(seq d e)", "at (seq d e): cannot sequence"),
+])
+def test_solve_witness_refuses_probabilistic_games_after_type_checking(
+    game, err, tmp_path, capsys
+):
+    f = tmp_path / "prob.game"
+    f.write_text(
+        "set m a b\nset u 0 1\nprobdecision d : m utility u\n"
+        "probdecision e : m utility u\npayoff p : m m -> u u\n"
+        "  a a = 0 0\n  a b = 0 1\n  b a = 1 0\n  b b = 1 1\n"
+        f"game g = {game}\nprobe q\n  d = a 1\n  e = b 1\n"
+    )
+    assert main(["solve", str(f), "--monoid", "witness"]) == 2
+    assert err in capsys.readouterr().err
 
 
 def test_solve_unknown_context_exits_2(capsys):

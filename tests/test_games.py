@@ -49,7 +49,7 @@ from openarrows.games import (
     trivial_context,
 )
 from openarrows.grading import GradedPairMor, ParamFamily, SizeError
-from openarrows.lens import LENS_PROJECTIONS, cont_lens, point_lens
+from openarrows.lens import cont_lens, point_lens
 
 MOVES = FinSet(("C", "D"))
 COINS = FinSet(("H", "T"))
@@ -240,7 +240,7 @@ def test_row_actions_match_the_tabulated_equilibrium_bimodule(monoid):
     eq, m_monoid = _suite_eq_bimodules()[monoid]
     rows = row_bimodule(m_monoid)
     lens = eq.arrow
-    cb = ctx_of_arrow(lens, LENS_PROJECTIONS)
+    cb = ctx_of_arrow(lens)
     objs = list(dict.fromkeys(lens.objects))
 
     def lift(h):

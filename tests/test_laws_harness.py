@@ -26,7 +26,7 @@ from openarrows.grading import (
     para,
 )
 from openarrows.laws import LAWS, run_mutants, run_suite
-from openarrows.lens import LENS_PROJECTIONS, all_lenses, lens_arrow
+from openarrows.lens import all_lenses, lens_arrow
 from openarrows.optic import (
     carrier_set_arrow,
     lens_optic_context,
@@ -198,10 +198,10 @@ def _suite_bimodules(size):
     # built as the bimodule and context suites build them
     atoms3 = pair_atoms((1, 1), (size, 1), (1, size))
     atoms2 = pair_atoms((size, 1), (1, size))
-    ctx2 = ctx_of_arrow(lens_arrow(atoms2), LENS_PROJECTIONS)
+    ctx2 = ctx_of_arrow(lens_arrow(atoms2))
     octx = lens_optic_context(lens_arrow(atoms2), [PAIR_I, atoms2[0]])
     return {
-        "ctx(lens)": ctx_of_arrow(lens_arrow(atoms3), LENS_PROJECTIONS).bimodule,
+        "ctx(lens)": ctx_of_arrow(lens_arrow(atoms3)).bimodule,
         "eq(lens,bool)": eq_from_context(ctx2, BOOL_AND),
         "opticctx(lens)": octx.bimodule,
     }
@@ -247,9 +247,7 @@ def _keyed_arrows():
     return {
         "hom(set)": hom_arrow(SET, [UNIT, bit_set(2)]),
         "lens": lens_arrow(atoms3),
-        "witheq(lens,bool)": with_eq(
-            lens2, ctx_of_arrow(lens2, LENS_PROJECTIONS), BOOL_AND
-        ),
+        "witheq(lens,bool)": with_eq(lens2, ctx_of_arrow(lens2), BOOL_AND),
         "optic(set)": optic_arrow(atoms3),
         "keyed arrow.assoc mutant": _captured("arrow.assoc", "_run_tag_arrow"),
     }
@@ -386,7 +384,7 @@ def test_shared_arrow_laws_match_per_case_chasing_on_mutants(target):
 
 def _weq(atoms):
     lens = lens_arrow(atoms)
-    return with_eq(lens, ctx_of_arrow(lens, LENS_PROJECTIONS), BOOL_AND)
+    return with_eq(lens, ctx_of_arrow(lens), BOOL_AND)
 
 
 def _colimit_twins(size, keyless):

@@ -24,7 +24,6 @@ from openarrows.lens import (
     lens_comp,
     lens_cont,
     lens_point,
-    lens_proj_points,
     lens_pure,
     lens_strength,
     point_lens,
@@ -90,7 +89,7 @@ def test_points_and_continuations_round_trip():
     assert c.dst == PAIR_I and lens_cont(c) == k
     xx = PAIR.tensor(X, X)
     j = point_lens(xx, (0, 1))
-    p0, p1 = lens_proj_points(j, X, X)
+    p0, p1 = (point_lens(X, x) for x in lens_point(j))
     assert lens_point(p0) == 0 and lens_point(p1) == 1
 
 

@@ -17,7 +17,7 @@ from typing import Any, Callable
 
 from .arrow import ArrowInstance, CachedHom
 from .finset import CompositionError, DomainError, FinFun, Monoid, product
-from .lens import Lens, point_lens
+from .lens import Lens, _point_lens
 
 
 @dataclass
@@ -151,9 +151,8 @@ def ctx_of_arrow(a_inst: ArrowInstance) -> ContextStruct:
                 for s, _ in b[row:row + n_r]
             ),
         )
-        return CtxPair(
-            x_obj, y_obj, point_lens(y_obj, y), Lens._trusted(x_obj, k.dst, fwd, bwd)
-        )
+        cont = Lens._trusted(x_obj, k.dst, fwd, bwd)
+        return CtxPair(x_obj, y_obj, _point_lens(y_obj, y), cont)
 
     key = None
     if a_inst.key is not None:

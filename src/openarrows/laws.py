@@ -67,7 +67,6 @@ from .optic import (
     DEFAULT_RESIDUAL_CAP,
     TwGrade,
     TwIso,
-    carrier_set_arrow,
     lens_optic_context,
     optic_arrow,
     twisted_grading,
@@ -1106,15 +1105,12 @@ def graded_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
 
     bit = bit_set(2)
     tw_objs = pair_atoms((size, 1), (1, size))
-    inner = carrier_set_arrow(tw_objs)
     tw_grades = [
         TwGrade(FinFun.identity(UNIT)),
         TwGrade(FinFun.identity(bit)),
         TwGrade(FinFun.of(bit, bit, lambda _j: 0)),
     ]
-    tw = twisted_grading(
-        inner, tw_objs, tw_grades, member_pool=_truncated(inner.hom_cached, 2)
-    )
+    tw = twisted_grading(tw_objs, tw_grades, member_pool=_truncated(all_funs, 2))
     reports += check_graded(
         tw,
         "twisted(set)",

@@ -154,11 +154,16 @@ def lens_arrow(objects: list[PairObj]) -> ArrowInstance:
 def point_lens(x_obj: PairObj, x) -> Lens:
     if x not in x_obj.fwd:
         raise DomainError(f"{x!r} not in {x_obj.fwd}")
-    fwd = FinFun.of(PAIR_I.fwd, x_obj.fwd, lambda _: x)
-    bwd = FinFun.of(
-        product(PAIR_I.fwd, x_obj.bwd), PAIR_I.bwd, lambda _: STAR
+    return _point_lens(x_obj, x)
+
+
+def _point_lens(x_obj: PairObj, x) -> Lens:
+    """The point at ``x``, already known to lie in ``x_obj.fwd``; checks nothing."""
+    fwd = FinFun._trusted(PAIR_I.fwd, x_obj.fwd, (x,))
+    bwd = FinFun._trusted(
+        product(PAIR_I.fwd, x_obj.bwd), PAIR_I.bwd, (STAR,) * len(x_obj.bwd)
     )
-    return Lens(PAIR_I, x_obj, fwd, bwd)
+    return Lens._trusted(PAIR_I, x_obj, fwd, bwd)
 
 
 def lens_point(lens: Lens):

@@ -1,26 +1,30 @@
-"""Optics over a base arrow, their canonical forms, and optic contexts.
+"""Optics as set-function tables, their canonical forms, and optic contexts.
 
 An optic between pair objects routes the forward pass through a hidden
 residual carrier that the backward pass may consult.  Optics live on the
-cartesian base, where they are taken up to "sliding" a map across the
-residual and every sliding class holds exactly one lens, so equality is
-decided by that canonical lens form.  The grade-indexed view (one
-component per base morphism between residual carriers) exposes the same
-data as a graded arrow, and the optic-shaped context of the lens arrow
-re-injects spectator carriers into the residual rather than splitting
-points.
+cartesian base: both parts are tables of finite functions, and composition
+and strength build each part as one table.  Optics are taken up to
+"sliding" a map across the residual, and every sliding class holds exactly
+one lens, so equality is decided by that canonical lens form.  The
+grade-indexed view (one component per function between residual carriers)
+exposes the same data as a graded arrow.  The optic-shaped context of the
+lens arrow re-injects spectator carriers into the residual rather than
+splitting points; its key and costrength read the state's and the
+continuation's tables.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .arrow import ArrowInstance, hom_arrow, left_strength
+from .arrow import ArrowInstance, left_strength
 from .base import PAIR, BaseMap, PairObj, SET
-from .bimodule import Bimodule, ContextStruct, CtxPair, ctx_of_arrow
+from .bimodule import Bimodule, ContextStruct
 from .finset import (
     STAR,
+    UNIT,
     CompositionError,
     FinFun,
     FinSet,
@@ -32,14 +36,7 @@ from .finset import (
     sym_iso,
 )
 from .grading import GradedArrow
-from .lens import (
-    Lens,
-    all_lenses,
-    cont_lens,
-    lens_comp,
-    lens_key,
-    point_lens,
-)
+from .lens import Lens, _point_lens, all_lenses, lens_comp, lens_key
 
 DEFAULT_RESIDUAL_CAP = 8
 
@@ -55,62 +52,50 @@ class Optic:
     right: FinFun  # P (x) R -> S
 
 
-def carrier_set_arrow(objects: list[PairObj]) -> ArrowInstance:
-    """The identity arrow on the carriers of pair objects, smallest first.
-
-    The inner arrow of cartesian optics over those objects.
-    """
-    carriers = {o.fwd for o in objects} | {o.bwd for o in objects}
-    return hom_arrow(SET, sorted(carriers, key=lambda s: (len(s), repr(s.elements))))
-
-
-def optic_pure(a_inst: ArrowInstance, m: BaseMap) -> Optic:
+def optic_pure(m: BaseMap) -> Optic:
     """Embed a pair-base map with the unit carrier as residual."""
-    c = a_inst.base
-    unit = c.unit
-    left = a_inst.pure(c.compose(m.fwd, c.inv(c.lunit(m.dst.fwd))))
-    right = a_inst.pure(c.compose(c.lunit(m.dst.bwd), m.bwd))
-    return Optic(m.src, m.dst, unit, left, right)
+    # x |-> (*, fwd(x)), and (*, r) |-> bwd(r)
+    left = FinFun._trusted(
+        m.src.fwd, product(UNIT, m.dst.fwd), tuple((STAR, y) for y in m.fwd.table)
+    )
+    right = FinFun._trusted(product(UNIT, m.dst.bwd), m.src.bwd, m.bwd.table)
+    return Optic(m.src, m.dst, UNIT, left, right)
 
 
-# The composite and strength formulas, over residuals given explicitly: an
+# The composite and strength tables, over residuals given explicitly: an
 # optic passes its one residual to both sides, a component of the twisted
 # grading its left residual to the left part and its right one to the right.
 
-def _comp_left(a_inst: ArrowInstance, left1, left2, p, q, z):
-    # X -> P (x) Y -> P (x) (Q (x) Z) -> (P (x) Q) (x) Z
-    c = a_inst.base
-    return a_inst.comp(
-        a_inst.comp(left1, left_strength(a_inst, left2, p)),
-        a_inst.pure(c.inv(c.assoc(p, q, z))),
-    )
+def _comp_left(left1: FinFun, left2: FinFun, p, q, z) -> FinFun:
+    # X -> (P (x) Q) (x) Z: x |-> ((a, b), w), where left1(x) = (a, y) and
+    # left2(y) = (b, w)
+    at, t2 = left2.dom._index, left2.table
+    table = tuple(((a, b), w) for a, y in left1.table for b, w in [t2[at[y]]])
+    return FinFun._trusted(left1.dom, product(product(p, q), z), table)
 
 
-def _comp_right(a_inst: ArrowInstance, right1, right2, p, q, w):
-    # (P (x) Q) (x) W -> P (x) (Q (x) W) -> P (x) R -> S
-    c = a_inst.base
-    return a_inst.comp(
-        a_inst.comp(
-            a_inst.pure(c.assoc(p, q, w)),
-            left_strength(a_inst, right2, p),
-        ),
-        right1,
-    )
+def _comp_right(right1: FinFun, right2: FinFun, p, q, w) -> FinFun:
+    # (P (x) Q) (x) W -> S: ((a, b), v) |-> right1(a, right2(b, v)).  The
+    # domain is row-major, so under a_i the (b, v) run through right2's
+    # domain in order, and right1's row of a_i starts at i*|R|.
+    rs, n_r, t1 = right2.cod._index, len(right2.cod), right1.table
+    table = tuple(t1[i * n_r + rs[r]] for i in range(len(p)) for r in right2.table)
+    return FinFun._trusted(product(product(p, q), w), right1.cod, table)
 
 
-def _st_left(a_inst: ArrowInstance, left, p, y, z0):
-    # X (x) Z0 -> (P (x) Y) (x) Z0 -> P (x) (Y (x) Z0)
-    c = a_inst.base
-    return a_inst.comp(a_inst.st(left, z0), a_inst.pure(c.assoc(p, y, z0)))
+def _st_left(left: FinFun, p, y, z0) -> FinFun:
+    # X (x) Z0 -> P (x) (Y (x) Z0): (x, c) |-> (a, (v, c)), where left(x) = (a, v)
+    table = tuple((a, (v, c)) for a, v in left.table for c in z0.elements)
+    return FinFun._trusted(product(left.dom, z0), product(p, product(y, z0)), table)
 
 
-def _st_right(a_inst: ArrowInstance, right, p, r, z1):
-    # P (x) (R (x) Z1) -> (P (x) R) (x) Z1 -> S (x) Z1
-    c = a_inst.base
-    return a_inst.comp(a_inst.pure(c.inv(c.assoc(p, r, z1))), a_inst.st(right, z1))
+def _st_right(right: FinFun, p, r, z1) -> FinFun:
+    # P (x) (R (x) Z1) -> S (x) Z1: (a, (r, c)) |-> (right(a, r), c)
+    table = tuple((s, c) for s in right.table for c in z1.elements)
+    return FinFun._trusted(product(p, product(r, z1)), product(right.cod, z1), table)
 
 
-def optic_comp(a_inst: ArrowInstance, o1: Optic, o2: Optic) -> Optic:
+def optic_comp(o1: Optic, o2: Optic) -> Optic:
     """Compose optics; the residuals multiply.
 
     Above ``DEFAULT_RESIDUAL_CAP`` the composite canonicalizes through a lens.
@@ -119,23 +104,22 @@ def optic_comp(a_inst: ArrowInstance, o1: Optic, o2: Optic) -> Optic:
         raise CompositionError(
             f"cannot compose optic {o1.src}->{o1.dst} with {o2.src}->{o2.dst}"
         )
-    c = a_inst.base
     p, q = o1.residual, o2.residual
-    pq = c.tensor(p, q)
+    pq = product(p, q)
     if len(pq) > DEFAULT_RESIDUAL_CAP:
         return embed_lens(lens_comp(optic_canonicalize(o1), optic_canonicalize(o2)))
-    left = _comp_left(a_inst, o1.left, o2.left, p, q, o2.dst.fwd)
-    right = _comp_right(a_inst, o1.right, o2.right, p, q, o2.dst.bwd)
+    left = _comp_left(o1.left, o2.left, p, q, o2.dst.fwd)
+    right = _comp_right(o1.right, o2.right, p, q, o2.dst.bwd)
     return Optic(o1.src, o2.dst, pq, left, right)
 
 
-def optic_strength(a_inst: ArrowInstance, o: Optic, z: PairObj) -> Optic:
+def optic_strength(o: Optic, z: PairObj) -> Optic:
     """Pad a spectator pair object; the residual is untouched."""
     p = o.residual
     src = PAIR.tensor(o.src, z)
     dst = PAIR.tensor(o.dst, z)
-    left = _st_left(a_inst, o.left, p, o.dst.fwd, z.fwd)
-    right = _st_right(a_inst, o.right, p, o.dst.bwd, z.bwd)
+    left = _st_left(o.left, p, o.dst.fwd, z.fwd)
+    right = _st_right(o.right, p, o.dst.bwd, z.bwd)
     return Optic(src, dst, p, left, right)
 
 
@@ -144,21 +128,24 @@ def optic_strength(a_inst: ArrowInstance, o: Optic, z: PairObj) -> Optic:
 def embed_lens(lens: Lens) -> Optic:
     """A lens as an optic: the residual remembers the whole input."""
     x = lens.src.fwd
-    left = FinFun.of(
-        x, product(x, lens.dst.fwd), lambda v: (v, lens.fwd(v))
+    left = FinFun._trusted(
+        x, product(x, lens.dst.fwd), tuple(zip(x.elements, lens.fwd.table))
     )
     return Optic(lens.src, lens.dst, x, left, lens.bwd)
 
 
 def optic_canonicalize(o: Optic) -> Lens:
     """The unique lens in an optic's sliding class."""
-    fwd = FinFun.of(o.src.fwd, o.dst.fwd, lambda x: o.left(x)[1])
-    bwd = FinFun.of(
+    # x |-> y and (x, r) |-> right(a, r), where left(x) = (a, y); right's
+    # row of a starts at |R| times a's position in the residual
+    at, n_r, t = o.residual._index, len(o.dst.bwd), o.right.table
+    fwd = FinFun._trusted(o.src.fwd, o.dst.fwd, tuple(y for _, y in o.left.table))
+    bwd = FinFun._trusted(
         product(o.src.fwd, o.dst.bwd),
         o.src.bwd,
-        lambda xr: o.right((o.left(xr[0])[0], xr[1])),
+        tuple(t[at[a] * n_r + k] for a, _ in o.left.table for k in range(n_r)),
     )
-    return Lens(o.src, o.dst, fwd, bwd)
+    return Lens._trusted(o.src, o.dst, fwd, bwd)
 
 
 def optic_equiv(o1: Optic, o2: Optic) -> bool:
@@ -170,24 +157,23 @@ def optic_equiv(o1: Optic, o2: Optic) -> bool:
 
 
 def optic_arrow(objects: list[PairObj]) -> ArrowInstance:
-    """The optic arrow over the carriers of the given pair objects.
+    """The optic arrow over the given pair objects.
 
     Every sliding class contains an embedded lens, so the hom
     enumeration lists exactly those.
     """
-    a_inst = carrier_set_arrow(objects)
 
     def hom(x, y):
         return [embed_lens(lens) for lens in all_lenses(x, y)]
 
     return ArrowInstance(
-        name=f"optic({a_inst.name})",
+        name="optic(set)",
         base=PAIR,
         objects=list(objects),
         hom=hom,
-        pure=lambda m: optic_pure(a_inst, m),
-        comp=lambda o1, o2: optic_comp(a_inst, o1, o2),
-        st=lambda o, z: optic_strength(a_inst, o, z),
+        pure=optic_pure,
+        comp=optic_comp,
+        st=optic_strength,
         equal=optic_equiv,
         key=lambda o: lens_key(optic_canonicalize(o)),
         commutative=True,
@@ -231,63 +217,63 @@ class TwElement:
     src: PairObj
     dst: PairObj
     grade: TwGrade
-    left: Any  # A(X, P' (x) Y)
-    right: Any  # A(P (x) R, S)
+    left: FinFun  # X -> P' (x) Y
+    right: FinFun  # P (x) R -> S
 
 
-def _tw_isos(c, q: TwGrade, p: TwGrade) -> list[TwIso]:
+def _tw_isos(q: TwGrade, p: TwGrade) -> list[TwIso]:
     out = []
-    for u in c.isos(q.left_res, p.left_res):
-        lhs = c.compose(u, p.f)
-        for v in c.isos(q.right_res, p.right_res):
-            if lhs == c.compose(q.f, v):
+    for u in SET.isos(q.left_res, p.left_res):
+        lhs = SET.compose(u, p.f)
+        for v in SET.isos(q.right_res, p.right_res):
+            if lhs == SET.compose(q.f, v):
                 out.append(TwIso(u, v))
     return out
 
 
 def twisted_grading(
-    a_inst: ArrowInstance,
     objects: list[PairObj],
     grades: list[TwGrade] | None = None,
     member_pool: Callable[[Any, Any], list] | None = None,
 ) -> GradedArrow:
-    """Optic components as a graded arrow over residual-carrier morphisms,
-    keyed by the grade and both parts' inner keys when the inner arrow is."""
-    c = a_inst.base
-    unit_grade = TwGrade(c.id(c.unit))
+    """Optic components as a graded arrow over residual-carrier functions,
+    keyed by the grade and both parts' tables.
+
+    ``member_pool(A, B)`` lists the functions A -> B a component's parts
+    range over; all of them by default.
+    """
+    unit_grade = TwGrade(SET.id(UNIT))
+    pool = member_pool or all_funs
     if grades is None:
         bit = FinSet((0, 1))
         grades = [unit_grade] + [TwGrade(f) for f in all_funs(bit, bit)]
-    pool = member_pool or a_inst.hom_cached
 
     def hom(g: TwGrade, x: PairObj, y: PairObj):
         return [
             TwElement(x, y, g, left, right)
-            for left in pool(x.fwd, c.tensor(g.left_res, y.fwd))
-            for right in pool(c.tensor(g.right_res, y.bwd), x.bwd)
+            for left in pool(x.fwd, product(g.left_res, y.fwd))
+            for right in pool(product(g.right_res, y.bwd), x.bwd)
         ]
 
     def unit(m: BaseMap):
-        o = optic_pure(a_inst, m)
+        o = optic_pure(m)
         return TwElement(m.src, m.dst, unit_grade, o.left, o.right)
 
     def gcomp(e1: TwElement, e2: TwElement):
         if e1.dst != e2.src:
             raise CompositionError("graded optic composition: endpoint mismatch")
         g1, g2 = e1.grade, e2.grade
-        g = TwGrade(c.tensor_mor(g1.f, g2.f))
-        left = _comp_left(
-            a_inst, e1.left, e2.left, g1.left_res, g2.left_res, e2.dst.fwd
-        )
+        g = TwGrade(SET.tensor_mor(g1.f, g2.f))
+        left = _comp_left(e1.left, e2.left, g1.left_res, g2.left_res, e2.dst.fwd)
         right = _comp_right(
-            a_inst, e1.right, e2.right, g1.right_res, g2.right_res, e2.dst.bwd
+            e1.right, e2.right, g1.right_res, g2.right_res, e2.dst.bwd
         )
         return TwElement(e1.src, e2.dst, g, left, right)
 
     def st(e: TwElement, z: PairObj):
         g = e.grade
-        left = _st_left(a_inst, e.left, g.left_res, e.dst.fwd, z.fwd)
-        right = _st_right(a_inst, e.right, g.right_res, e.dst.bwd, z.bwd)
+        left = _st_left(e.left, g.left_res, e.dst.fwd, z.fwd)
+        right = _st_right(e.right, g.right_res, e.dst.bwd, z.bwd)
         return TwElement(
             PAIR.tensor(e.src, z), PAIR.tensor(e.dst, z), g, left, right
         )
@@ -295,23 +281,13 @@ def twisted_grading(
     def regrade(phi: TwIso, e: TwElement):
         # pull a component at grade p back along an iso square from grade q
         y, r = e.dst.fwd, e.dst.bwd
-        left = a_inst.comp(
-            e.left, a_inst.pure(c.tensor_mor(c.inv(phi.u), c.id(y)))
-        )
-        right = a_inst.comp(
-            a_inst.pure(c.tensor_mor(phi.v, c.id(r))), e.right
-        )
-        q = TwGrade(c.compose(c.compose(phi.u, e.grade.f), c.inv(phi.v)))
+        left = SET.compose(e.left, SET.tensor_mor(SET.inv(phi.u), SET.id(y)))
+        right = SET.compose(SET.tensor_mor(phi.v, SET.id(r)), e.right)
+        q = TwGrade(SET.compose(SET.compose(phi.u, e.grade.f), SET.inv(phi.v)))
         return TwElement(e.src, e.dst, q, left, right)
 
-    def equal(e1, e2):
-        if (e1.src, e1.dst, e1.grade) != (e2.src, e2.dst, e2.grade):
-            return False
-        return a_inst.equal(e1.left, e2.left) and a_inst.equal(e1.right, e2.right)
-
-    key = None
-    if a_inst.key is not None:
-        key = lambda e: (e.grade, a_inst.key(e.left), a_inst.key(e.right))  # noqa: E731
+    def key(e: TwElement):
+        return e.grade, SET.mor_key(e.left), SET.mor_key(e.right)
 
     def grade_structural(kind: str, args: tuple) -> TwIso:
         def both(mk):
@@ -331,21 +307,21 @@ def twisted_grading(
         raise ValueError(f"unknown structural grade iso {kind!r}")
 
     return GradedArrow(
-        name=f"twisted({a_inst.name})",
+        name="twisted(set)",
         base=PAIR,
         objects=list(objects),
         grades=list(grades),
         grade_unit=unit_grade,
-        grade_tensor=lambda g1, g2: TwGrade(c.tensor_mor(g1.f, g2.f)),
-        grade_isos=lambda q, p: _tw_isos(c, q, p),
+        grade_tensor=lambda g1, g2: TwGrade(SET.tensor_mor(g1.f, g2.f)),
+        grade_isos=_tw_isos,
         hom=hom,
         unit=unit,
         gcomp=gcomp,
         st=st,
         regrade=regrade,
-        equal=equal,
+        equal=operator.eq,
         key=key,
-        commutative=a_inst.commutative,
+        commutative=True,
         grade_structural=grade_structural,
     )
 
@@ -375,21 +351,14 @@ def lens_optic_context(
     """
     base = g_inst.base
     unit = base.unit
-    plain = ctx_of_arrow(g_inst)
 
     def key(c: OpticCtx):
-        # the state picks a point (theta, y); fixing theta in the
-        # continuation and projecting its coplay recovers the bare
-        # continuation
-        theta, y = c.state.fwd(STAR)
-        cont_fun = FinFun.of(
-            c.src.fwd,
-            c.src.bwd,
-            lambda x: c.cont.coplay((theta, x), STAR)[1],
-        )
-        return plain.bimodule.key(
-            CtxPair(c.src, c.dst, point_lens(c.dst, y), cont_lens(c.src, cont_fun))
-        )
+        # the state's point (theta, y), and the X half of the continuation's
+        # coplay row at theta: the bare point and continuation it collapses to
+        theta, y = c.state.fwd.table[0]
+        n_x = len(c.src.fwd)
+        row = c.residual.fwd.index(theta) * n_x
+        return y, tuple(s for _, s in c.cont.bwd.table[row:row + n_x])
 
     def hom(x, y):
         return [
@@ -413,24 +382,49 @@ def lens_optic_context(
 
     def cst(c, x_obj, y_obj, z_obj):
         # Ctx(X (x) Z, Y (x) Z) -> Ctx(X, Y): absorb Z into the residual.
-        theta = c.residual
+        # The state's point (t, (y, z)) becomes ((t, z), y); the continuation
+        # at ((t, z), x) is the old one at (t, (x, z)), with each coplay
+        # (t', (s, u)) regrouped as ((t', u), s).
+        theta, j, k = c.residual, c.state, c.cont
         enlarged = base.tensor(theta, z_obj)
-        # Theta (x) (Y (x) Z) -> Theta (x) (Z (x) Y) -> (Theta (x) Z) (x) Y
-        state_iso = base.compose(
-            base.tensor_mor(base.id(theta), base.sym(y_obj, z_obj)),
-            base.inv(base.assoc(theta, z_obj, y_obj)),
+        tyz = base.tensor(theta, base.tensor(y_obj, z_obj))
+        if j.dst != tyz:
+            raise CompositionError(
+                f"cannot compose lens {j.src}->{j.dst} with "
+                f"{tyz}->{base.tensor(enlarged, y_obj)}"
+            )
+        src = base.tensor(enlarged, x_obj)
+        txz = base.tensor(theta, base.tensor(x_obj, z_obj))
+        if k.src != txz:
+            raise CompositionError(
+                f"cannot compose lens {src}->{txz} with {k.src}->{k.dst}"
+            )
+        t, (y, z) = j.fwd.table[0]
+        state = _point_lens(base.tensor(enlarged, y_obj), ((t, z), y))
+        # (t_i, (x_l, z_m)) is row (i*|X| + l)*|Z| + m of the continuation,
+        # each of |R| coplay cells
+        n_x, n_z, n_r = len(x_obj.fwd), len(z_obj.fwd), len(k.dst.bwd)
+        rows = [
+            (i * n_x + l) * n_z + m
+            for i in range(len(theta.fwd))
+            for m in range(n_z)
+            for l in range(n_x)
+        ]
+        b = k.bwd.table
+        fwd = FinFun._trusted(
+            src.fwd, k.dst.fwd, tuple(map(k.fwd.table.__getitem__, rows))
         )
-        # (Theta (x) Z) (x) X -> Theta (x) (Z (x) X) -> Theta (x) (X (x) Z)
-        cont_iso = base.compose(
-            base.assoc(theta, z_obj, x_obj),
-            base.tensor_mor(base.id(theta), base.sym(z_obj, x_obj)),
+        bwd = FinFun._trusted(
+            product(src.fwd, k.dst.bwd),
+            src.bwd,
+            tuple(
+                ((tb, u), s)
+                for row in rows
+                for tb, (s, u) in b[row * n_r:(row + 1) * n_r]
+            ),
         )
         return OpticCtx(
-            x_obj,
-            y_obj,
-            enlarged,
-            g_inst.comp(c.state, g_inst.pure(state_iso)),
-            g_inst.comp(g_inst.pure(cont_iso), c.cont),
+            x_obj, y_obj, enlarged, state, Lens._trusted(src, k.dst, fwd, bwd)
         )
 
     def equal(c1, c2):

@@ -15,6 +15,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from openarrows.base import PAIR, PAIR_I, PairObj, bit_set
 from openarrows.bimodule import CtxPair, ctx_of_arrow, with_eq
 from openarrows.cli import main
@@ -53,7 +55,6 @@ from openarrows.lens import (
     point_lens,
 )
 from openarrows.optic import (
-    carrier_set_arrow,
     embed_lens,
     optic_canonicalize,
     optic_comp,
@@ -93,9 +94,10 @@ def _rows(reports):
     return sorted([r.law, r.instance, r.status, r.checked] for r in reports)
 
 
-def test_arrow_suite_case_counts_match_the_recorded_table():
-    # run_suite caches per process, so after the gate above this costs no run
-    assert _rows(run_suite("arrow", size=2)) == _recorded("arrow@2")
+@pytest.mark.parametrize("size", [1, 2])
+def test_arrow_suite_case_counts_match_the_recorded_table(size):
+    # run_suite caches per process, so after the gate above size 2 costs no run
+    assert _rows(run_suite("arrow", size=size)) == _recorded(f"arrow@{size}")
 
 
 def test_optic_arrow_suite_is_green():
@@ -103,9 +105,10 @@ def test_optic_arrow_suite_is_green():
     assert {r.instance for r in reports} == {"optic(set)"}
 
 
-def test_optic_case_counts_match_the_recorded_table():
-    # cached by the test above
-    assert _rows(run_suite("optic", size=2)) == _recorded("optic@2")
+@pytest.mark.parametrize("size", [1, 2])
+def test_optic_case_counts_match_the_recorded_table(size):
+    # size 2 is cached by the test above
+    assert _rows(run_suite("optic", size=size)) == _recorded(f"optic@{size}")
 
 
 # -- 2: bimodules and contexts, exhaustively, under a minute ------------------
@@ -122,10 +125,11 @@ def test_bimodule_and_context_suites_are_green_within_budget():
     assert {"ctx(lens)", "opticctx(lens)"} <= {r.instance for r in ctx}
 
 
-def test_bimodule_and_context_case_counts_match_the_recorded_table():
-    # cached by the gate above, like the arrow table
-    assert _rows(run_suite("bimodule", size=2)) == _recorded("bimodule@2")
-    assert _rows(run_suite("context", size=2)) == _recorded("context@2")
+@pytest.mark.parametrize("size", [1, 2])
+def test_bimodule_and_context_case_counts_match_the_recorded_table(size):
+    # size 2 is cached by the gate above, like the arrow table
+    assert _rows(run_suite("bimodule", size=size)) == _recorded(f"bimodule@{size}")
+    assert _rows(run_suite("context", size=size)) == _recorded(f"context@{size}")
 
 
 # -- 3: graded structures with index sets of size <= 2 ------------------------
@@ -139,9 +143,10 @@ def test_graded_suite_is_green():
             "probequib(lens)"} <= {r.instance for r in reports}
 
 
-def test_graded_case_counts_match_the_recorded_table():
-    # cached by the test above
-    assert _rows(run_suite("graded", size=2)) == _recorded("graded@2")
+@pytest.mark.parametrize("size", [1, 2])
+def test_graded_case_counts_match_the_recorded_table(size):
+    # size 2 is cached by the test above
+    assert _rows(run_suite("graded", size=size)) == _recorded(f"graded@{size}")
 
 
 # -- 4: the displayed formulas, symbol for symbol on bit carriers -------------
@@ -268,7 +273,6 @@ def test_uniform_mix_survives_and_every_pure_probe_fails():
 def test_canonicalization_is_a_retraction_and_commutes():
     start = time.monotonic()
     objs = [I, PairObj(B, FinSet((STAR,))), PairObj(FinSet((STAR,)), B), X]
-    inner = carrier_set_arrow(objs)
     for src in objs:
         for dst in objs:
             for lens in all_lenses(src, dst):
@@ -276,7 +280,7 @@ def test_canonicalization_is_a_retraction_and_commutes():
     for l1 in all_lenses(X, X):
         for l2 in all_lenses(X, I):
             got = optic_canonicalize(
-                optic_comp(inner, embed_lens(l1), embed_lens(l2))
+                optic_comp(embed_lens(l1), embed_lens(l2))
             )
             assert got == lens_comp(l1, l2)
     elapsed = time.monotonic() - start

@@ -28,7 +28,6 @@ from openarrows.grading import (
 from openarrows.laws import LAWS, run_mutants, run_suite
 from openarrows.lens import all_lenses, lens_arrow
 from openarrows.optic import (
-    carrier_set_arrow,
     lens_optic_context,
     optic_arrow,
     twisted_grading,
@@ -481,7 +480,7 @@ def test_hide_over_a_keyless_graded_arrow_stays_keyless():
 
 def _hidden_twisted():
     objs = pair_atoms((1, 1), (2, 1))
-    return twisted_grading(carrier_set_arrow(objs), objs)
+    return twisted_grading(objs)
 
 
 @pytest.mark.parametrize(
@@ -873,13 +872,6 @@ def test_twisted_keys_decide_equality():
     # a key without the grade would merge unequal members
     g, _ = _suite_graded(1)[0]["twisted(set)"]
     _assert_keys_decide_equality(g, _with_composites(g, _graded_pool(g), g.gcomp))
-
-
-def test_twisted_grading_over_a_keyless_inner_arrow_stays_keyless():
-    objs = pair_atoms((1, 1), (2, 1))
-    inner = carrier_set_arrow(objs)
-    assert twisted_grading(inner, objs).key is not None
-    assert twisted_grading(_keyless_arrow(inner), objs).key is None
 
 
 _CHECKERS = (

@@ -30,7 +30,10 @@ class CompositionError(ValueError):
 
 @dataclass(frozen=True)
 class FinSet:
-    """An explicitly enumerated finite set with a stable element order."""
+    """An explicitly enumerated finite set with a stable element order.
+
+    Its hash is the dataclass hash, ``hash((elements,))``, computed once.
+    """
 
     elements: tuple
 
@@ -41,6 +44,10 @@ class FinSet:
             raise DomainError(f"duplicate elements in carrier: {elems!r}")
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_hash", hash((elems,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __contains__(self, x) -> bool:
         return x in self._index

@@ -274,6 +274,8 @@ def _action_trials(objs, grades, ha, hb, num_a, num_b, comp, lact, ract, assoc, 
     has the one grade ``None``.  ``assoc(p, q, r)`` maps the number of a
     bimodule member at grade (p q) r to that of its regrade to p (q r).
     A slab is the last member loop: ``e`` of ``lact-comp``, else ``a2``.
+    ``lact-comp`` first decides the whole (a2, e) block of each ``a1`` by
+    one ``==``, and replays its slabs only when the block differs.
     """
     composites = _Composites(comp, ha, num_a)
     lact, ract = _Op(lact, num_a, num_b, num_b), _Op(ract, num_b, num_a, num_b)
@@ -286,11 +288,15 @@ def _action_trials(objs, grades, ha, hb, num_a, num_b, comp, lact, ract, assoc, 
                 if not (hxy and hyz and hzw):
                     continue
                 rows = composites[((p, x, y), (q, y, z))]
-                n_zw = num_b.ids(hzw)
+                n_zw, n_yz = num_b.ids(hzw), num_a.ids(hyz)
                 lhs_of, acted = _sides(lact, n_zw, fix), _sides(lact, n_zw, _same)
+                block = list(itertools.chain(*map(acted, n_yz)))
                 for a1, n1, row in zip(hxy, num_a.ids(hxy), rows):
                     act1 = lact[n1].__getitem__
-                    for a2, n2, n12 in zip(hyz, num_a.ids(hyz), row):
+                    if [*itertools.chain(*map(lhs_of, row))] == [*map(act1, block)]:
+                        yield len(block)
+                        continue
+                    for a2, n2, n12 in zip(hyz, n_yz, row):
                         lhs = lhs_of(n12)
                         rhs = list(map(act1, acted(n2)))
                         yield from num_b.slab((a1, a2), hzw, lhs, rhs, equal)
@@ -390,23 +396,43 @@ def _assoc_trials(objs, grades, hom, num, comp, fix_num, equal):
                         yield from num.slab((m1, m2), hcd, lhs_of(n12), rhs, equal)
 
 
-def _commute_trials(objs, grades, hom, st, ls, comp, fix_member, equal):
-    """The interchange trials of a (graded) arrow, each side strengthened
-    once per spectator (``_Rows``); ``fix_member(p, q)`` regrades a member
-    from grade p q to q p."""
-    st, ls = _Rows(hom, st), _Rows(hom, ls)
+def _commute_trials(objs, grades, st: _Rows, ls: _Rows, op1, op2, fix_member, equal):
+    """The interchange trials of a (graded) arrow or a bimodule: for m1 in
+    ``st.hom`` and m2 in ``ls.hom``, ``op1(st(m1, x2), ls(m2, y))`` regraded
+    by ``fix_member(p, q)`` from grade p q to q p, against
+    ``op2(ls(m2, x), st(m1, y2))``; each member is strengthened once per
+    spectator by its rows."""
     for p, q in itertools.product(grades, repeat=2):
         fix_pq = fix_member(p, q)
         for x, y, x2, y2 in itertools.product(objs, repeat=4):
-            h1, h2 = hom(p, x, y), hom(q, x2, y2)
+            h1, h2 = st.hom(p, x, y), ls.hom(q, x2, y2)
             if not (h1 and h2):
                 continue
             ls_y, ls_x = ls[(q, x2, y2, y)], ls[(q, x2, y2, x)]
             for m1, m1_x2, m1_y2 in zip(h1, st[(p, x, y, x2)], st[(p, x, y, y2)]):
                 for m2, m2_y, m2_x in zip(h2, ls_y, ls_x):
-                    lhs = fix_pq(comp(m1_x2, m2_y))
-                    rhs = comp(m2_x, m1_y2)
+                    lhs = fix_pq(op1(m1_x2, m2_y))
+                    rhs = op2(m2_x, m1_y2)
                     yield ((m1, m2), lhs, rhs, equal(lhs, rhs))
+
+
+def _strength_trials(objs, st1: _Rows, st2: _Rows, op, st, equal):
+    """``st(op(m1, m2), z)`` against ``op(st1(m1, z), st2(m2, z))``, m1 in
+    ``st1.hom`` and m2 in ``st2.hom`` at the one grade: strength distributes
+    over a composite or an action, each operand strengthened once per
+    spectator by its rows; ``op`` and ``st`` still run per case."""
+    for x, y, z in itertools.product(objs, repeat=3):
+        h1, h2 = st1.hom(None, x, y), st2.hom(None, y, z)
+        if not (h1 and h2):
+            continue
+        pads = [(zo, st1[(None, x, y, zo)], st2[(None, y, z, zo)]) for zo in objs]
+        for i, m1 in enumerate(h1):
+            for j, m2 in enumerate(h2):
+                m12 = op(m1, m2)
+                for zo, pad1, pad2 in pads:
+                    lhs = st(m12, zo)
+                    rhs = op(pad1[i], pad2[j])
+                    yield ((m1, m2, zo), lhs, rhs, equal(lhs, rhs))
 
 
 # -- arrow laws ---------------------------------------------------------------
@@ -451,12 +477,11 @@ def check_strength(
 ) -> list[LawReport]:
     """The four coherence equations of the strength.
 
-    ``comp`` strengthens each member once per spectator (``_Rows`` at the
-    one grade), for the life of one call; the composite and its
-    strengthening still run per case.
+    ``comp`` is ``_strength_trials`` over the arrow's own composition.
     """
     name = instance or a.name
     base, objs = a.base, a.objects
+    st = _Rows(_one_grade(a), a.st)
 
     def unit_trials():
         for x, y in itertools.product(objs, repeat=2):
@@ -487,22 +512,13 @@ def check_strength(
                     rhs = a.pure(base.tensor_mor(f, base.id(z)))
                     yield ((f, z), lhs, rhs, a.equal(lhs, rhs))
 
-    def comp_trials():
-        st = _Rows(_one_grade(a), a.st)
-        for x, y, z in itertools.product(objs, repeat=3):
-            for i, m1 in enumerate(a.hom_cached(x, y)):
-                for j, m2 in enumerate(a.hom_cached(y, z)):
-                    m12 = a.comp(m1, m2)
-                    for zo in objs:
-                        lhs = a.st(m12, zo)
-                        rhs = a.comp(st[(None, x, y, zo)][i], st[(None, y, z, zo)][j])
-                        yield ((m1, m2, zo), lhs, rhs, a.equal(lhs, rhs))
-
     return [
         _report("strength.unit", name, unit_trials(), equality),
         _report("strength.assoc", name, assoc_trials(), equality),
         _report("strength.pure", name, pure_trials(), equality),
-        _report("strength.comp", name, comp_trials(), equality),
+        _report("strength.comp", name, _strength_trials(
+            objs, st, st, a.comp, a.st, a.equal
+        ), equality),
     ]
 
 
@@ -516,9 +532,11 @@ def check_commutativity(
     """
     if not a.commutative:
         return []
+    hom = _one_grade(a)
     trials = _commute_trials(
-        a.objects, [None], _one_grade(a), a.st,
-        lambda m, z: left_strength(a, m, z), a.comp, lambda p, q: lambda m: m, a.equal,
+        a.objects, [None], _Rows(hom, a.st),
+        _Rows(hom, functools.partial(left_strength, a)), a.comp, a.comp,
+        lambda p, q: lambda m: m, a.equal,
     )
     return [_report("arrow.commute", instance or a.name, trials, equality)]
 
@@ -543,7 +561,8 @@ def check_bimodule(
     composite and action once per pair of numbers, and decide a case by
     comparing the numbers of its two sides, calling ``equal`` only when
     they differ; so ``key`` equality must imply ``equal``.  Reported inputs
-    are the enumerated members themselves.
+    are the enumerated members themselves.  ``lact-st``, ``ract-st`` and
+    ``commute`` share rows that strengthen each member once per spectator.
     """
     name = instance or b.name
     a = b.arrow
@@ -576,39 +595,19 @@ def check_bimodule(
     ]
 
     if b.st is not None:
-        def lact_st():
-            for x, y, z in itertools.product(objs, repeat=3):
-                for a1 in a.hom_cached(x, y):
-                    for e in b.hom_cached(y, z):
-                        acted = b.lact(a1, e)
-                        for zo in objs:
-                            lhs = b.st(acted, zo)
-                            rhs = b.lact(a.st(a1, zo), b.st(e, zo))
-                            yield ((a1, e, zo), lhs, rhs, b.equal(lhs, rhs))
-
-        def ract_st():
-            for x, y, z in itertools.product(objs, repeat=3):
-                for e in b.hom_cached(x, y):
-                    for a1 in a.hom_cached(y, z):
-                        acted = b.ract(e, a1)
-                        for zo in objs:
-                            lhs = b.st(acted, zo)
-                            rhs = b.ract(b.st(e, zo), a.st(a1, zo))
-                            yield ((e, a1, zo), lhs, rhs, b.equal(lhs, rhs))
-
-        out.append(_report("bimodule.lact-st", name, lact_st(), equality))
-        out.append(_report("bimodule.ract-st", name, ract_st(), equality))
-
+        st_a, st_b = _Rows(_one_grade(a), a.st), _Rows(_one_grade(b), b.st)
+        out.append(_report("bimodule.lact-st", name, _strength_trials(
+            objs, st_a, st_b, b.lact, b.st, b.equal
+        ), equality))
+        out.append(_report("bimodule.ract-st", name, _strength_trials(
+            objs, st_b, st_a, b.ract, b.st, b.equal
+        ), equality))
         if b.commutative:
-            def commute():
-                for x, y, x2, y2 in itertools.product(objs, repeat=4):
-                    for a1 in a.hom_cached(x, y):
-                        for e in b.hom_cached(x2, y2):
-                            lhs = b.lact(a.st(a1, x2), _bim_left_strength(b, e, y))
-                            rhs = b.ract(_bim_left_strength(b, e, x), a.st(a1, y2))
-                            yield ((a1, e), lhs, rhs, b.equal(lhs, rhs))
-
-            out.append(_report("bimodule.commute", name, commute(), equality))
+            out.append(_report("bimodule.commute", name, _commute_trials(
+                objs, [None], st_a,
+                _Rows(_one_grade(b), functools.partial(_bim_left_strength, b)),
+                b.lact, b.ract, lambda p, q: lambda m: m, b.equal,
+            ), equality))
 
     return out
 
@@ -774,10 +773,6 @@ def check_context(
 
 # -- graded laws --------------------------------------------------------------
 
-def _default_iso_id(p):
-    return FinFun.identity(p)
-
-
 def _default_iso_comp(phi, chi):
     # chi : r -> q after phi : q -> p, diagrammatically r -> p
     return fun_compose(chi, phi)
@@ -787,7 +782,7 @@ def check_graded(
     g: GradedArrow,
     instance: str | None = None,
     equality: str = "structural",
-    iso_id: Callable = _default_iso_id,
+    iso_id: Callable = FinFun.identity,
     iso_comp: Callable = _default_iso_comp,
 ) -> list[LawReport]:
     """Unit, associativity, regrade functoriality and naturality laws.
@@ -853,8 +848,9 @@ def check_graded(
     if g.commutative:
         sym = lambda p, q: functools.partial(g.regrade, gs("sym", (p, q)))  # noqa: E731
         out.append(_report("graded.commute", name, _commute_trials(
-            objs, grades, hom, g.st, lambda e, z: graded_left_strength(g, e, z),
-            g.gcomp, sym, g.equal,
+            objs, grades, _Rows(hom, g.st),
+            _Rows(hom, functools.partial(graded_left_strength, g)),
+            g.gcomp, g.gcomp, sym, g.equal,
         ), equality))
 
     return out

@@ -95,6 +95,20 @@ def test_identity_memos_share_within_a_call_and_rebuild_after_clearing():
     assert t2.fwd.elements == t.fwd.elements and t2.bwd.elements == t.bwd.elements
 
 
+def test_finset_hash_is_the_dataclass_hash_computed_once():
+    for s in (B, T, UNIT, FinSet(()), FinSet((1, "x", (0, 1)))):
+        assert hash(s) == hash((s.elements,))
+    ints, bools = FinSet((1, 0)), FinSet((True, False))
+    assert ints == bools and hash(ints) == hash(bools)
+    # carriers rebuilt after the memos are emptied find what the old ones keyed
+    a = FinSet((1, "x"))
+    table = {product(a, T): "a x T", product(T, a): "T x a"}
+    clear_identity_memos()
+    p, q = product(a, T), product(T, a)
+    assert p is not next(iter(table))
+    assert table[p] == "a x T" and table[q] == "T x a"
+
+
 # ---------- trusted tables equal the validating construction ----------
 #
 # Composites, tensors, structural isos, inverses and enumerations build their

@@ -12,7 +12,7 @@ from openarrows import laws, mutants
 from openarrows.arrow import arrow_tensor, arrow_tensor_flipped, hom_arrow
 from openarrows.base import PAIR, PAIR_I, SET, PairObj, bit_set, pair_atoms
 from openarrows.bimodule import EqFun, ctx_of_arrow, eq_from_context, with_eq
-from openarrows.finset import BOOL_AND, STAR, UNIT, DomainError, FinSet
+from openarrows.finset import BOOL_AND, STAR, UNIT, WITNESSES, DomainError, FinSet
 from openarrows.games import GAME_CTX, BestRespElement, best_resp_bimodule
 from openarrows.grading import (
     GradedPairMor,
@@ -202,15 +202,92 @@ def _suite_bimodules(size):
     return {
         "ctx(lens)": ctx_of_arrow(lens_arrow(atoms3)).bimodule,
         "eq(lens,bool)": eq_from_context(ctx2, BOOL_AND),
+        "eq(lens,witness)": eq_from_context(ctx2, WITNESSES, value_pool=[(), (("w",),)]),
         "opticctx(lens)": octx.bimodule,
     }
 
 
 @pytest.mark.parametrize("size", [1, 2])
-@pytest.mark.parametrize("instance", ["ctx(lens)", "eq(lens,bool)", "opticctx(lens)"])
+@pytest.mark.parametrize("instance", sorted(_suite_bimodules(1)))
 def test_interned_bimodule_laws_match_per_case_chasing_on_suites(instance, size):
     b = _suite_bimodules(size)[instance]
     assert _checked_bimodule(b, instance) == _reference_bimodule(b, instance)
+
+
+# -- strengthened bimodule laws agree with per-case chasing --------------------
+#
+# ``lact-st``, ``ract-st`` and ``commute`` strengthen each member once per
+# spectator, in rows the three laws share.  The reference trials below
+# strengthen, act and compose afresh for every case.
+
+_STRENGTHENED_BIMODULE_LAWS = ("bimodule.lact-st", "bimodule.ract-st", "bimodule.commute")
+
+
+def _reference_strengthened_bimodule(b, name):
+    a = b.arrow
+    objs = a.objects
+
+    def lact_st():
+        for x, y, z in itertools.product(objs, repeat=3):
+            for a1 in a.hom_cached(x, y):
+                for e in b.hom_cached(y, z):
+                    acted = b.lact(a1, e)
+                    for zo in objs:
+                        lhs = b.st(acted, zo)
+                        rhs = b.lact(a.st(a1, zo), b.st(e, zo))
+                        yield ((a1, e, zo), lhs, rhs, b.equal(lhs, rhs))
+
+    def ract_st():
+        for x, y, z in itertools.product(objs, repeat=3):
+            for e in b.hom_cached(x, y):
+                for a1 in a.hom_cached(y, z):
+                    acted = b.ract(e, a1)
+                    for zo in objs:
+                        lhs = b.st(acted, zo)
+                        rhs = b.ract(b.st(e, zo), a.st(a1, zo))
+                        yield ((e, a1, zo), lhs, rhs, b.equal(lhs, rhs))
+
+    def commute():
+        left = laws._bim_left_strength
+        for x, y, x2, y2 in itertools.product(objs, repeat=4):
+            for a1 in a.hom_cached(x, y):
+                for e in b.hom_cached(x2, y2):
+                    lhs = b.lact(a.st(a1, x2), left(b, e, y))
+                    rhs = b.ract(left(b, e, x), a.st(a1, y2))
+                    yield ((a1, e), lhs, rhs, b.equal(lhs, rhs))
+
+    if b.st is None:
+        return []
+    trials = [lact_st(), ract_st()] + ([commute()] if b.commutative else [])
+    return [
+        laws._report(law, name, t, "structural")
+        for law, t in zip(_STRENGTHENED_BIMODULE_LAWS, trials)
+    ]
+
+
+def _checked_strengthened_bimodule(b, name):
+    return [
+        r for r in laws.check_bimodule(b, name) if r.law in _STRENGTHENED_BIMODULE_LAWS
+    ]
+
+
+@pytest.mark.parametrize("target", _BIMODULE_MUTANTS + _CONTEXT_MUTANTS)
+def test_strengthened_bimodule_laws_match_per_case_chasing_on_mutants(target):
+    runner = "_run_context" if target.startswith("costrength.") else "_run_bimodule"
+    b = _captured(target, runner)
+    got = _checked_strengthened_bimodule(b, target)
+    assert got == _reference_strengthened_bimodule(b, target)
+    if target in _STRENGTHENED_BIMODULE_LAWS:
+        assert [r.law for r in got if r.status == "fail"] == [target]
+
+
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("instance", sorted(_suite_bimodules(1)))
+def test_strengthened_bimodule_laws_match_per_case_chasing_on_suites(instance, size):
+    b = _suite_bimodules(size)[instance]
+    got = _checked_strengthened_bimodule(b, instance)
+    assert got == _reference_strengthened_bimodule(b, instance)
+    assert {r.status for r in got} <= {"pass"}
 
 
 def test_keyless_members_are_numbered_by_identity_not_equality():
@@ -287,6 +364,32 @@ def test_bimodule_failures_inside_a_slab_report_as_per_case_chasing():
         # neither first nor last in its slab: e = 2 is the second of three
         # tags, a2 = swap the third of the four members of hom(B2, B2)
         assert lact.checked % 3 == 2 and ract.checked % 4 == 3
+
+
+def _swap_drops_tag_2(a, t):
+    # only the swap of B2 drops tag 2 (to 1), so a composite through the swap
+    # that is not the swap itself keeps what the swap dropped
+    return 1 if t == 2 and a.table == (1, 0) else t
+
+
+def test_lact_comp_failure_inside_a_block_reports_as_per_case_chasing():
+    # ``lact-comp`` decides the (a2, e) block of each a1 at once; over
+    # [UNIT, B2] the blocks hold 3, 6 or 12 cases
+    b = mutants._tag_bimodule(
+        [UNIT, mutants._B2], (0, 2, 1), _swap_drops_tag_2, mutants._honest_psi
+    )
+    for bim in (b, _keyless(b)):
+        got = _checked_bimodule(bim, "mid-block")
+        assert got == _reference_bimodule(bim, "mid-block")
+        lact, ract, mixed = got
+        assert (lact.status, ract.status, mixed.status) == ("fail", "pass", "pass")
+        # 30 cases come before (x, y, z, w) = (UNIT, B2, B2, UNIT); in its first
+        # block a2 = swap is the third of four members and e = 2 the second of
+        # three tags: 3 + 3 + 2 cases into the block
+        assert lact.checked == 38 and lact.checked % 3 == 2
+        swap, e = SET.morphisms(mutants._B2, mutants._B2)[2], (mutants._B2, UNIT, 2)
+        assert swap.table == (1, 0)
+        assert lact.counterexample[0][1:] == (repr(swap), repr(mutants.TagElem(*e)))
 
 
 def test_assoc_failure_inside_a_slab_reports_as_per_case_chasing():

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .arrow import ArrowInstance, CachedHom
-from .finset import CompositionError, DomainError, FinFun, Monoid, product
-from .lens import Lens, _point_lens
+from .finset import CompositionError, DomainError, FinFun, Monoid, all_funs
 
 
 @dataclass
@@ -87,76 +86,68 @@ class ContextStruct:
 
 @dataclass(frozen=True)
 class CtxPair:
-    """A context: a global point of the target and a continuation off the source.
+    """A context of the lens arrow: a point of the target and a payoff table.
 
-    An element of Ctx(X, Y): ``state`` lives in A(I, Y), ``cont`` in A(X, I).
+    An element of Ctx(X, Y) = A(I, Y) x A(X, I), up to iso: a lens out of
+    the unit is a point of ``Y.fwd``, and a lens into it is a continuation
+    table ``X.fwd -> X.bwd``.  ``state`` is that point and ``cont`` that
+    table.  Rows, best responses and probabilistic judgements of games are
+    all read at contexts of this one type.
     """
 
     src: Any
     dst: Any
-    state: Any
-    cont: Any
+    state: Any  # an element of dst.fwd
+    cont: FinFun  # src.fwd -> src.bwd
 
 
 def ctx_of_arrow(a_inst: ArrowInstance) -> ContextStruct:
-    """Contexts of a lens arrow as (point, continuation) pairs."""
+    """Contexts of a lens arrow as (point, continuation table) pairs."""
     base = a_inst.base
     unit = base.unit
 
     def hom(x, y):
-        return [
-            CtxPair(x, y, j, k)
-            for j in a_inst.hom_cached(unit, y)
-            for k in a_inst.hom_cached(x, unit)
-        ]
+        # points in y.fwd order, each with every table: the order of the
+        # lens lists A(I, Y) x A(X, I)
+        conts = all_funs(x.fwd, x.bwd)
+        return [CtxPair(x, y, p, k) for p in y.fwd.elements for k in conts]
 
     def lact(s, c):
-        # A(X,Y) x Ctx(Y,Z) -> Ctx(X,Z): prepend s to the continuation.
-        if a_inst.dst(s) != c.src:
+        # A(X,Y) x Ctx(Y,Z) -> Ctx(X,Z): x pays s's coplay of what c pays
+        # at s's play of x.  s.bwd is row-major, so (x_i, r) sits at
+        # i*|R| + (position of r).
+        if s.dst != c.src:
             raise CompositionError("context left action: endpoint mismatch")
-        return CtxPair(a_inst.src(s), c.dst, c.state, a_inst.comp(s, c.cont))
+        ys, rs, n_r = s.dst.fwd._index, s.dst.bwd._index, len(s.dst.bwd)
+        k, b = c.cont.table, s.bwd.table
+        table = tuple(
+            b[i * n_r + rs[k[ys[y]]]] for i, y in enumerate(s.fwd.table)
+        )
+        cont = FinFun._trusted(s.src.fwd, s.src.bwd, table)
+        return CtxPair(s.src, c.dst, c.state, cont)
 
     def ract(c, a):
-        # Ctx(X,Y) x A(Y,Z) -> Ctx(X,Z): extend the state by a.
-        if a_inst.src(a) != c.dst:
+        # Ctx(X,Y) x A(Y,Z) -> Ctx(X,Z): move the point by a's play.
+        if a.src != c.dst:
             raise CompositionError("context right action: endpoint mismatch")
-        return CtxPair(c.src, a_inst.dst(a), a_inst.comp(c.state, a), c.cont)
+        return CtxPair(c.src, a.dst, a.fwd(c.state), c.cont)
 
     def cst(c, x_obj, y_obj, z_obj):
-        # Ctx(X (x) Z, Y (x) Z) -> Ctx(X, Y): the state's point (y, z) splits;
-        # the continuation is read at the spectator point z, keeping the X
-        # half of its coplay.
-        j, k = c.state, c.cont
-        if j.src != unit:
-            raise DomainError("projection at points needs a morphism out of the unit")
-        if j.dst != base.tensor(y_obj, z_obj):
+        # Ctx(X (x) Z, Y (x) Z) -> Ctx(X, Y): the point (y, z) splits; the
+        # continuation is read at the spectator point z, keeping the X half
+        # of each payoff.
+        if c.dst != base.tensor(y_obj, z_obj):
             raise DomainError("target does not decompose as the stated tensor")
         xz = base.tensor(x_obj, z_obj)
-        if k.src != xz:
+        if c.src != xz:
             raise CompositionError(
-                f"cannot compose lens {x_obj}->{xz} with {k.src}->{k.dst}"
+                f"cannot compose lens {x_obj}->{xz} with {c.src}->{unit}"
             )
-        y, z = j.fwd.table[0]
-        # X (x) Z is row-major: (x_i, z) sits at i*|Z| + m, and k's coplay
-        # row at (x_i, z) is the |R| cells from (i*|Z| + m)*|R|
-        m, n_z, n_r = z_obj.fwd.index(z), len(z_obj.fwd), len(k.dst.bwd)
-        b = k.bwd.table
-        fwd = FinFun._trusted(x_obj.fwd, k.dst.fwd, k.fwd.table[m::n_z])
-        bwd = FinFun._trusted(
-            product(x_obj.fwd, k.dst.bwd),
-            x_obj.bwd,
-            tuple(
-                s
-                for row in range(m * n_r, len(b), n_z * n_r)
-                for s, _ in b[row:row + n_r]
-            ),
-        )
-        cont = Lens._trusted(x_obj, k.dst, fwd, bwd)
-        return CtxPair(x_obj, y_obj, _point_lens(y_obj, y), cont)
-
-    key = None
-    if a_inst.key is not None:
-        key = lambda c: (a_inst.key(c.state), a_inst.key(c.cont))  # noqa: E731
+        y, z = c.state
+        # X (x) Z is row-major: (x_i, z) sits at i*|Z| + m
+        m, n_z = z_obj.fwd.index(z), len(z_obj.fwd)
+        table = tuple(s for s, _ in c.cont.table[m::n_z])
+        return CtxPair(x_obj, y_obj, y, FinFun._trusted(x_obj.fwd, x_obj.bwd, table))
 
     bim = Bimodule(
         name=f"ctx({a_inst.name})",
@@ -165,7 +156,7 @@ def ctx_of_arrow(a_inst: ArrowInstance) -> ContextStruct:
         lact=lact,
         ract=ract,
         equal=lambda c1, c2: c1 == c2,
-        key=key,
+        key=lambda c: (c.state, c.cont.table),
         commutative=True,
     )
     return ContextStruct(bimodule=bim, cst=cst)

@@ -411,19 +411,26 @@ def _parse_context(toks, body, declare):
     if len(toks) != 2:
         t = toks[2]
         raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    state, rows = None, []
+    state, rows = None, {}
     for row in body:
         if row[0].text == "state" and len(row) == 2:
+            if state is not None:
+                raise ParseError(f"context {name!r} declares a second state",
+                                 row[0].line, row[0].col)
             state = _value(row[1])
         elif row[0].text == "cont" and len(row) == 4 and row[2].text == "=":
-            rows.append((_value(row[1]), _value(row[3])))
+            y = _value(row[1])
+            if y in rows:
+                raise ParseError(f"context {name!r} pays {y!r} twice",
+                                 row[0].line, row[0].col)
+            rows[y] = _value(row[3])
         else:
             raise ParseError("context rows are 'state X' or 'cont Y = V'",
                              row[0].line, row[0].col)
     if state is None:
         raise ParseError(f"context {name!r} declares no state",
                          toks[0].line, toks[0].col)
-    return ContextDecl(name, trivial=False, state=state, cont_rows=tuple(rows))
+    return ContextDecl(name, trivial=False, state=state, cont_rows=tuple(rows.items()))
 
 
 def _parse_probe(toks, body, declare):
@@ -431,6 +438,9 @@ def _parse_probe(toks, body, declare):
     parts = []
     for row in body:
         who = _name_tok(row, 0, "decision name").text
+        if any(who == seen for seen, _ in parts):
+            raise ParseError(f"probe {name!r} assigns {who!r} twice",
+                             row[0].line, row[0].col)
         _expect_text(row, 1, "=")
         pairs = row[2:]
         if not pairs or len(pairs) % 2:

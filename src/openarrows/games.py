@@ -14,8 +14,11 @@ the judgement:
   contexts and one over strategies (``prob_bimodule``); a decision takes
   its expected payoffs over the context distribution it is judged at.
 
-Contexts are ``CtxPair``s: ``game_context`` builds one and
-``trivial_context`` gives a closed game's unique one.
+There is one context type for all three judgements (rows, best
+responses and probabilistic predicates): a ``CtxPair``, the point a game
+starts at and the table that pays off each of its outcomes.
+``game_context`` builds one and ``trivial_context`` gives a closed game's
+unique one; a probabilistic judgement reads a distribution over them.
 
 Best-response relations form a third graded bimodule, which the law
 suites check, and a brute-force normal-form oracle gives an independent
@@ -59,12 +62,7 @@ from .grading import (
     graded_product,
     graded_tensor,
 )
-from .lens import (
-    Lens,
-    cont_lens,
-    lens_arrow,
-    point_lens,
-)
+from .lens import Lens, lens_arrow
 
 _LENS = lens_arrow([])
 GAME_CTX: ContextStruct = ctx_of_arrow(_LENS)
@@ -78,7 +76,11 @@ CONTEXT_BOUND = 2**16
 
 def game_context(g, state, cont: FinFun) -> CtxPair:
     """The context that starts ``g`` at ``state`` and pays its output by ``cont``."""
-    return CtxPair(g.dst, g.src, point_lens(g.src, state), cont_lens(g.dst, cont))
+    if state not in g.src.fwd:
+        raise DomainError(f"{state!r} not in {g.src.fwd}")
+    if cont.dom != g.dst.fwd or cont.cod != g.dst.bwd:
+        raise DomainError("continuation table has wrong endpoints")
+    return CtxPair(g.dst, g.src, state, cont)
 
 
 def trivial_context(g) -> CtxPair:
@@ -257,8 +259,7 @@ class OpenGame:
 
     def judge(self, c: CtxPair, d: Dist) -> bool:
         """A probabilistic verdict on a strategy distribution at a context."""
-        pc = ProbCtx(c.dst, c.src, c.state.fwd(STAR), lambda y: c.cont.coplay(y, STAR))
-        return self.judgement.pred(dist_pure(pc), d)
+        return self.judgement.pred(dist_pure(c), d)
 
 
 def _game(arrow: GradedArrow, index: FinSet, lenses: tuple, element, judge) -> OpenGame:
@@ -301,8 +302,8 @@ def decision(
     bwd = FinFun.of(product(x_set, util), UNIT, lambda _: STAR)
 
     def row(c: CtxPair) -> tuple:
-        x = c.state.fwd(STAR)
-        pay = {y: Fraction(c.cont.coplay(y, STAR)) for y in y_set}
+        x = c.state
+        pay = {y: Fraction(c.cont(y)) for y in y_set}
         verdict = {}
         for y, mine in pay.items():
             devs = [z for z, v in pay.items() if v > mine]
@@ -455,37 +456,15 @@ def decisions_to_normal_form(
 class BestRespElement:
     """A context-indexed relation between strategy profiles.
 
-    ``rel(c)`` is the relation at context ``c``, a predicate on two
-    profiles.  ``row(c)`` is the same relation as the frozenset of related
-    profile pairs, built once per context object and kept on the element.
-    The best-response bimodule builds its results from rows
-    (``BestRespElement.of_rows``); their ``rel`` reads the row.
+    ``row(c)`` is the relation at context ``c``, as the frozenset of
+    related profile pairs.  The best-response bimodule's results keep
+    their rows in a ``_RowMemo``, so each is built once per context object.
     """
 
     src: PairObj
     dst: PairObj
     grade: FinSet  # the profile index J
-    rel: Callable[[CtxPair], Callable[[Any, Any], bool]] = field(repr=False)
-    # tabulated from rel when not given
-    row: Callable[[CtxPair], frozenset] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.row is None:
-            grade, rel = self.grade, self.rel  # not self: no reference cycle
-
-            def build(c):
-                holds = rel(c)
-                return frozenset(
-                    pq for pq in itertools.product(grade, repeat=2) if holds(*pq)
-                )
-
-            object.__setattr__(self, "row", _RowMemo(build))
-
-    @classmethod
-    def of_rows(cls, src, dst, grade, build) -> "BestRespElement":
-        """The element whose row at ``c`` is ``build(c)``."""
-        row = _RowMemo(build)
-        return cls(src, dst, grade, lambda c: _holds(row(c)), row)
+    row: Callable[[CtxPair], frozenset] = field(repr=False)
 
 
 class _RowMemo:
@@ -499,10 +478,6 @@ class _RowMemo:
         if hit is None:
             hit = self.rows[id(c)] = (c, self.build(c))
         return hit[1]
-
-
-def _holds(row: frozenset) -> Callable[[Any, Any], bool]:
-    return lambda p1, p2: (p1, p2) in row
 
 
 def best_resp_bimodule(
@@ -552,8 +527,8 @@ def best_resp_bimodule(
                 for j2 in a.grade
             )
 
-        return BestRespElement.of_rows(
-            a.src, b.dst, product(a.grade, b.grade), build
+        return BestRespElement(
+            a.src, b.dst, product(a.grade, b.grade), _RowMemo(build)
         )
 
     def gract(b: BestRespElement, a: ParamFamily):
@@ -568,14 +543,15 @@ def best_resp_bimodule(
                 for k2 in a.grade
             )
 
-        return BestRespElement.of_rows(
-            b.src, a.dst, product(b.grade, a.grade), build
+        return BestRespElement(
+            b.src, a.dst, product(b.grade, a.grade), _RowMemo(build)
         )
 
     def st(b: BestRespElement, z_obj: PairObj):
         xz, yz = PAIR.tensor(b.src, z_obj), PAIR.tensor(b.dst, z_obj)
-        return BestRespElement.of_rows(
-            xz, yz, b.grade, lambda c: b.row(ctx.cst(c, b.dst, b.src, z_obj))
+        return BestRespElement(
+            xz, yz, b.grade,
+            _RowMemo(lambda c: b.row(ctx.cst(c, b.dst, b.src, z_obj))),
         )
 
     def regrade(phi: FinFun, b: BestRespElement):
@@ -588,7 +564,7 @@ def best_resp_bimodule(
                 if (image[p1], image[p2]) in row
             )
 
-        return BestRespElement.of_rows(b.src, b.dst, phi.dom, build)
+        return BestRespElement(b.src, b.dst, phi.dom, _RowMemo(build))
 
     def equal(b1, b2):
         if (b1.src, b1.dst, b1.grade) != (b2.src, b2.dst, b2.grade):
@@ -597,7 +573,7 @@ def best_resp_bimodule(
 
     def e(grade, x, y):
         full = frozenset(itertools.product(grade, repeat=2))
-        return BestRespElement.of_rows(x, y, grade, lambda c: full)
+        return BestRespElement(x, y, grade, lambda c: full)
 
     return GradedBimodule(
         name="bestresp",
@@ -609,8 +585,8 @@ def best_resp_bimodule(
         equal=equal,
         st=st,
         e=e,
-        m=lambda b1, b2: BestRespElement.of_rows(
-            b1.src, b1.dst, b1.grade, lambda c: b1.row(c) & b2.row(c)
+        m=lambda b1, b2: BestRespElement(
+            b1.src, b1.dst, b1.grade, _RowMemo(lambda c: b1.row(c) & b2.row(c))
         ),
         commutative=True,
         key=lambda b: (
@@ -626,65 +602,25 @@ def decision_relation(d: OpenGame) -> BestRespElement:
     it is a weak-argmax equilibrium.
     """
 
-    def rel(c: CtxPair):
-        x = c.state.fwd(STAR)
-        k = lambda y: Fraction(c.cont.coplay(y, STAR))  # noqa: E731
+    def row(c: CtxPair) -> frozenset:
+        pay = {j: Fraction(c.cont(d.play(j).fwd(c.state))) for j in d.index}
+        return frozenset(
+            (j1, j2) for j1, j2 in itertools.product(d.index, repeat=2)
+            if pay[j2] >= pay[j1]
+        )
 
-        def holds(j1, j2):
-            return k(d.play(j2).fwd(x)) >= k(d.play(j1).fwd(x))
-
-        return holds
-
-    return BestRespElement(d.src, d.dst, d.index, rel)
+    return BestRespElement(d.src, d.dst, d.index, _RowMemo(row))
 
 
 def best_response_fixed_points(b: BestRespElement, c: CtxPair) -> list:
-    holds = b.rel(c)
-    return [j for j in b.grade if all(holds(i, j) for i in b.grade)]
+    row = b.row(c)
+    return [j for j in b.grade if all((i, j) in row for i in b.grade)]
 
 
 # -- probabilistic games ------------------------------------------------------
 
 def dist_marginal(d: Dist, which: int) -> Dist:
     return d.map(lambda p: p[which])
-
-
-@dataclass(frozen=True)
-class ProbCtx:
-    """A context as a start point and a payoff closure, read lazily."""
-
-    src: PairObj
-    dst: PairObj
-    state: Any  # element of src.fwd
-    # dst.fwd -> dst.bwd; out of the repr, which orders a Dist's support
-    # and must not depend on a closure's address
-    cont: Callable[[Any], Any] = field(repr=False)
-
-
-def prob_ctx_ract(c: ProbCtx, lens: Lens) -> ProbCtx:
-    if lens.src != c.src:
-        raise CompositionError("probabilistic context: state extension mismatch")
-    return ProbCtx(lens.dst, c.dst, lens.fwd(c.state), c.cont)
-
-
-def prob_ctx_lact(lens: Lens, c: ProbCtx) -> ProbCtx:
-    if lens.dst != c.dst:
-        raise CompositionError("probabilistic context: continuation mismatch")
-    return ProbCtx(
-        c.src, lens.src, c.state, lambda y: lens.coplay(y, c.cont(lens.fwd(y)))
-    )
-
-
-def prob_ctx_cst(c: ProbCtx, x_obj: PairObj, y_obj: PairObj, z_obj: PairObj):
-    # split the joint start point; the spectator half fixes the second
-    # continuation coordinate, whose payoff share is discarded
-    x, z = c.state
-
-    def cont(y):
-        v = c.cont((y, z))
-        return v[0]
-
-    return ProbCtx(x_obj, y_obj, x, cont)
 
 
 @dataclass(frozen=True)
@@ -714,10 +650,11 @@ def prob_bimodule(
     """Distribution-judged predicates acted on by lens families.
 
     The left action spreads each context over the prefix marginal (each
-    charged prefix strategy extends the state, with the product weight);
+    charged prefix strategy moves the point, with the product weight);
     the right action spreads it over the suffix marginal (each charged
-    suffix strategy is prepended to the continuation).  Expected payoffs
-    are taken only where a decision is judged.
+    suffix strategy rewrites the continuation table).  Both act through
+    ``GAME_CTX``, as the row and best-response bimodules do.  Expected
+    payoffs are taken only where a decision is judged.
 
     Equality compares the verdicts at every registered context (as a
     point distribution, or a given distribution) and every registered
@@ -725,6 +662,7 @@ def prob_bimodule(
     verdicts, so key equality is equality; without both pools there is
     neither equality nor a key.
     """
+    ctx = GAME_CTX
 
     def hom(grade, x, y):
         if element_pool is None:
@@ -742,7 +680,7 @@ def prob_bimodule(
             pushed = dist_bind(
                 cd,
                 lambda c: prefix.map(
-                    lambda j1: prob_ctx_ract(c, a.member(j1))
+                    lambda j1: ctx.bimodule.ract(c, a.member(j1))
                 ),
             )
             return b.pred(pushed, suffix)
@@ -758,7 +696,7 @@ def prob_bimodule(
             suffix = dist_marginal(d, 1)
             spread = dist_bind(
                 cd,
-                lambda c: suffix.map(lambda j2: prob_ctx_lact(a.member(j2), c)),
+                lambda c: suffix.map(lambda j2: ctx.bimodule.lact(a.member(j2), c)),
             )
             return b.pred(spread, dist_marginal(d, 0))
 
@@ -771,7 +709,7 @@ def prob_bimodule(
             yz,
             b.grade,
             lambda cd, d: b.pred(
-                cd.map(lambda c: prob_ctx_cst(c, b.src, b.dst, z_obj)), d
+                cd.map(lambda c: ctx.cst(c, b.dst, b.src, z_obj)), d
             ),
         )
 

@@ -150,6 +150,10 @@ def lens_arrow(objects: list[PairObj]) -> ArrowInstance:
 #
 # X = Lens(I, (X, S)) up to iso: a lens out of the unit picks a point of X
 # and has trivial coplay.  Dually Lens((Y, R), I) = Y -> R: a continuation.
+# There is one context type for games, ``bimodule.CtxPair``, and it stores
+# the point and the continuation table themselves.  These lenses are their
+# composable forms: optic contexts keep lens-shaped states, and tests check
+# the context actions against composites built from them.
 
 def point_lens(x_obj: PairObj, x) -> Lens:
     if x not in x_obj.fwd:
@@ -166,12 +170,6 @@ def _point_lens(x_obj: PairObj, x) -> Lens:
     return Lens._trusted(PAIR_I, x_obj, fwd, bwd)
 
 
-def lens_point(lens: Lens):
-    if lens.src != PAIR_I:
-        raise DomainError("not a point: source is not the unit pair object")
-    return lens.fwd(STAR)
-
-
 def cont_lens(y_obj: PairObj, k: FinFun) -> Lens:
     if k.dom != y_obj.fwd or k.cod != y_obj.bwd:
         raise DomainError("continuation table has wrong endpoints")
@@ -180,10 +178,3 @@ def cont_lens(y_obj: PairObj, k: FinFun) -> Lens:
         product(y_obj.fwd, PAIR_I.bwd), y_obj.bwd, lambda p: k(p[0])
     )
     return Lens(y_obj, PAIR_I, fwd, bwd)
-
-
-def lens_cont(lens: Lens) -> FinFun:
-    if lens.dst != PAIR_I:
-        raise DomainError("not a continuation: target is not the unit pair object")
-    return FinFun.of(lens.src.fwd, lens.src.bwd, lambda y: lens.coplay(y, STAR))
-

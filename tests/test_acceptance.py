@@ -49,6 +49,7 @@ from openarrows.laws import run_mutants, run_suite
 from openarrows.lens import (
     Lens,
     all_lenses,
+    cont_lens,
     lens_arrow,
     lens_comp,
     lens_strength,
@@ -161,6 +162,12 @@ def _value_at(h, c):
     return h.values[CTX.bimodule.hom_cached(h.dst, h.src).index(c)]
 
 
+def _ctx(j, k):
+    # the context a point lens j and a continuation lens k stand for
+    table = FinFun.of(k.src.fwd, k.src.bwd, lambda v: k.coplay(v, STAR))
+    return CtxPair(k.src, j.dst, j.fwd(STAR), table)
+
+
 def test_composition_formula_matches_the_pipeline_exactly():
     ms = WEQ.hom_cached(X, X)
     sample = ms[:: max(1, len(ms) // 7)]
@@ -172,9 +179,11 @@ def test_composition_formula_matches_the_pipeline_exactly():
             l2, h2 = m2.inner, m2.extra
             assert got.inner == lens_comp(l1, l2)
             expected = tuple(
-                _value_at(h2, CtxPair(X, X, lens_comp(c.state, l1), c.cont))
-                and _value_at(h1, CtxPair(X, X, c.state, lens_comp(l2, c.cont)))
-                for c in contexts
+                _value_at(h2, _ctx(lens_comp(j, l1), k))
+                and _value_at(h1, _ctx(j, lens_comp(l2, k)))
+                for j, k in (
+                    (point_lens(X, c.state), cont_lens(X, c.cont)) for c in contexts
+                )
             )
             assert got.extra.values == expected
 
@@ -189,14 +198,14 @@ def test_strength_formula_matches_the_pipeline_exactly():
         assert got.inner == lens_strength(lens, z)
         expected = []
         for b in CTX.bimodule.hom_cached(xz, xz):
-            x0, z0 = b.state.fwd(STAR)
+            x0, z0 = b.state
             padded = Lens(
                 X, xz,
                 FinFun.of(B, xz.fwd, lambda y, z0=z0: (y, z0)),
                 FinFun.of(product(B, xz.bwd), B, lambda p: p[1][0]),
             )
-            expected.append(_value_at(h, CtxPair(
-                X, X, point_lens(X, x0), lens_comp(padded, b.cont)
+            expected.append(_value_at(h, _ctx(
+                point_lens(X, x0), lens_comp(padded, cont_lens(xz, b.cont))
             )))
         assert got.extra.values == tuple(expected)
 

@@ -21,13 +21,24 @@ from openarrows.bimodule import (
     with_bimodule,
     with_eq,
 )
-from openarrows.finset import BOOL_AND, WITNESSES, DomainError, FinFun, FinSet
+from openarrows.finset import (
+    BOOL_AND,
+    STAR,
+    WITNESSES,
+    CompositionError,
+    DomainError,
+    FinFun,
+    FinSet,
+    product,
+)
 from openarrows.lens import (
+    Lens,
+    all_lenses,
     cont_lens,
-    identity_lens,
     lens_arrow,
     lens_comp,
-    lens_point,
+    lens_key,
+    lens_strength,
     point_lens,
 )
 
@@ -47,48 +58,86 @@ def test_contexts_enumerate_point_continuation_pairs():
     # 2 points x 4 continuation tables (B x unit -> B)
     assert len(ctxs) == 2 * 4
     c = ctxs[0]
-    assert c.state.src == I and c.cont.dst == I
+    assert c.state in X.fwd and (c.cont.dom, c.cont.cod) == (X.fwd, X.bwd)
 
 
 def test_left_action_prepends_the_continuation():
-    c = CtxPair(X, X, point_lens(X, 0), cont_lens(X, _cont({0: 1, 1: 0})))
+    c = CtxPair(X, X, 0, _cont({0: 1, 1: 0}))
     s = LENS.hom_cached(X, X)[7]
     out = CTX.bimodule.lact(s, c)
     assert out.state == c.state
-    assert out.cont == lens_comp(s, c.cont)
+    assert cont_lens(X, out.cont) == lens_comp(s, cont_lens(X, c.cont))
 
 
 def test_right_action_extends_the_state():
-    c = CtxPair(X, X, point_lens(X, 0), cont_lens(X, _cont({0: 1, 1: 0})))
+    c = CtxPair(X, X, 0, _cont({0: 1, 1: 0}))
     a = LENS.hom_cached(X, X)[7]
     out = CTX.bimodule.ract(c, a)
     assert out.cont == c.cont
-    assert out.state == lens_comp(c.state, a)
+    assert point_lens(X, out.state) == lens_comp(point_lens(X, c.state), a)
 
 
 def test_costrength_splits_state_and_pads_continuation():
     xx = PAIR.tensor(X, X)
     k = FinFun.of(xx.fwd, xx.bwd, lambda p: p)
-    b = CtxPair(xx, xx, point_lens(xx, (1, 0)), cont_lens(xx, k))
+    b = CtxPair(xx, xx, (1, 0), k)
     c = CTX.cst(b, X, X, X)
-    assert lens_point(c.state) == 1
+    assert c.state == 1
     # the spectator point 0 is fed to the padded continuation, so the
     # identity table on pairs collapses to the identity on the first factor
-    assert c.cont == cont_lens(X, FinFun.of(B, B, lambda y: y))
+    assert c.cont == FinFun.of(B, B, lambda y: y)
+
+
+# -- the reference: contexts as the paper states them, pairs of lenses --------
+#
+# Ctx(X, Y) = Lens(I, Y) x Lens(X, I).  Each action below composes lenses and
+# reads the point and the continuation table back off the composite.
+
+def _lenses(c):
+    return point_lens(c.dst, c.state), cont_lens(c.src, c.cont)
+
+
+def _of_lenses(x, y, j, k):
+    cont = FinFun.of(x.fwd, x.bwd, lambda v: k.coplay(v, STAR))
+    return CtxPair(x, y, j.fwd(STAR), cont)
+
+
+def _composed_hom(x, y):
+    return [
+        _of_lenses(x, y, j, k)
+        for j in LENS.hom_cached(I, y)
+        for k in LENS.hom_cached(x, I)
+    ]
+
+
+def _composed_lact(s, c):
+    j, k = _lenses(c)
+    return _of_lenses(s.src, c.dst, j, lens_comp(s, k))
+
+
+def _composed_ract(c, a):
+    j, k = _lenses(c)
+    return _of_lenses(c.src, a.dst, lens_comp(j, a), k)
+
+
+def _composed_key(c):
+    return tuple(map(lens_key, _lenses(c)))
 
 
 def _composed_cst(c, x, y, z):
     # the costrength as a composite of lenses: split the state's point,
     # pad the spectator point onto X (X -> X (x) I -> X (x) Z) and run the
     # continuation after the padding
-    yv, zv = lens_point(c.state)
+    yv, zv = c.state
     padded = dimap(
         LENS,
         PAIR.inv(PAIR.runit(x)),
         left_strength(LENS, point_lens(z, zv), x),
         PAIR.id(PAIR.tensor(x, z)),
     )
-    return CtxPair(x, y, point_lens(y, yv), lens_comp(padded, c.cont))
+    return _of_lenses(
+        x, y, point_lens(y, yv), lens_comp(padded, cont_lens(c.src, c.cont))
+    )
 
 
 def _objs(tag):
@@ -100,10 +149,21 @@ def _objs(tag):
     return st.builds(PairObj, carrier("f"), carrier("b"))
 
 
-def _assert_cst_matches_composite(c, x, y, z):
-    got, want = CTX.cst(c, x, y, z), _composed_cst(c, x, y, z)
+def _assert_same(got, want):
     assert got == want
     assert CTX.bimodule.key(got) == CTX.bimodule.key(want)
+    assert _composed_key(got) == _composed_key(want)
+
+
+def _assert_cst_matches_composite(c, x, y, z):
+    _assert_same(CTX.cst(c, x, y, z), _composed_cst(c, x, y, z))
+
+
+def _assert_keys_match_composite(ctxs):
+    # one key per context, and equal keys exactly where the lens pairs are
+    keys = [CTX.bimodule.key(c) for c in ctxs]
+    by_key = dict(zip(keys, map(_composed_key, ctxs)))
+    assert len(by_key) == len(set(by_key.values())) == len(ctxs)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -112,8 +172,7 @@ def test_costrength_reads_the_continuation_at_the_spectator_point(x, y, z, data)
     xz, yz = PAIR.tensor(x, z), PAIR.tensor(y, z)
     point = data.draw(st.sampled_from(yz.fwd.elements))
     table = data.draw(st.tuples(*[st.sampled_from(xz.bwd.elements)] * len(xz.fwd)))
-    k = cont_lens(xz, FinFun(xz.fwd, xz.bwd, table))
-    c = CtxPair(xz, yz, point_lens(yz, point), k)
+    c = CtxPair(xz, yz, point, FinFun(xz.fwd, xz.bwd, table))
     _assert_cst_matches_composite(c, x, y, z)
 
 
@@ -124,31 +183,95 @@ def test_costrength_matches_the_composite_with_a_spectator_larger_than_x():
     # every context: 6 state points by 4**3 continuation tables
     ctxs = CTX.bimodule.hom_cached(PAIR.tensor(x, z), PAIR.tensor(y, z))
     assert len(ctxs) == 6 * 4 ** 3
+    assert ctxs == _composed_hom(PAIR.tensor(x, z), PAIR.tensor(y, z))
+    _assert_keys_match_composite(ctxs)
     for c in ctxs:
         _assert_cst_matches_composite(c, x, y, z)
+    # and the actions of strengthened lenses, which the costrength laws chase
+    for s in all_lenses(x, x):
+        padded = lens_strength(s, z)
+        for c in ctxs:
+            _assert_same(CTX.bimodule.lact(padded, c), _composed_lact(padded, c))
+    for a in all_lenses(y, y):
+        padded = lens_strength(a, z)
+        for c in ctxs:
+            _assert_same(CTX.bimodule.ract(c, padded), _composed_ract(c, padded))
 
 
-def test_costrength_needs_a_state_out_of_the_unit():
-    xx = PAIR.tensor(X, X)
-    k = FinFun.of(xx.fwd, xx.bwd, lambda p: p)
-    b = CtxPair(xx, xx, identity_lens(xx), cont_lens(xx, k))
-    with pytest.raises(DomainError, match="out of the unit"):
-        CTX.cst(b, X, X, X)
+# a one-point carrier, a two-point pair and a spectator-sized forward carrier
+W = PairObj(FinSet(("w0", "w1", "w2")), FinSet(("s0",)))
+SMALL = lens_arrow([I, X, W])
+SMALL_CTX = ctx_of_arrow(SMALL)
+
+
+def test_context_actions_match_the_composites_exhaustively():
+    objs = SMALL.objects
+    for x, y in itertools.product(objs, repeat=2):
+        ctxs = SMALL_CTX.bimodule.hom_cached(x, y)
+        assert ctxs == _composed_hom(x, y)
+        _assert_keys_match_composite(ctxs)
+    checked = 0
+    for x, y, z in itertools.product(objs, repeat=3):
+        for s in SMALL.hom_cached(x, y):
+            for c in SMALL_CTX.bimodule.hom_cached(y, z):
+                _assert_same(SMALL_CTX.bimodule.lact(s, c), _composed_lact(s, c))
+                checked += 1
+        for c in SMALL_CTX.bimodule.hom_cached(x, y):
+            for a in SMALL.hom_cached(y, z):
+                _assert_same(SMALL_CTX.bimodule.ract(c, a), _composed_ract(c, a))
+                checked += 1
+    assert checked == 2208 + 1932  # lact and ract cases
+
+
+def _draw_lens(data, x, y):
+    fwd = data.draw(st.tuples(*[st.sampled_from(y.fwd.elements)] * len(x.fwd)))
+    n = len(x.fwd) * len(y.bwd)
+    bwd = data.draw(st.tuples(*[st.sampled_from(x.bwd.elements)] * n))
+    return Lens(
+        x, y, FinFun(x.fwd, y.fwd, fwd), FinFun(product(x.fwd, y.bwd), x.bwd, bwd)
+    )
+
+
+def _draw_ctx(data, x, y):
+    point = data.draw(st.sampled_from(y.fwd.elements))
+    table = data.draw(st.tuples(*[st.sampled_from(x.bwd.elements)] * len(x.fwd)))
+    return CtxPair(x, y, point, FinFun(x.fwd, x.bwd, table))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_objs("x"), _objs("y"), _objs("z"), st.data())
+def test_context_actions_match_the_composites_on_sampled_contexts(x, y, z, data):
+    s, c = _draw_lens(data, x, y), _draw_ctx(data, y, z)
+    _assert_same(CTX.bimodule.lact(s, c), _composed_lact(s, c))
+    c, a = _draw_ctx(data, x, y), _draw_lens(data, y, z)
+    _assert_same(CTX.bimodule.ract(c, a), _composed_ract(c, a))
+    c1, c2 = _draw_ctx(data, x, y), _draw_ctx(data, x, y)
+    same = CTX.bimodule.key(c1) == CTX.bimodule.key(c2)
+    assert same == (_composed_key(c1) == _composed_key(c2)) == (c1 == c2)
+
+
+def test_context_actions_refuse_mismatched_endpoints():
+    c = CtxPair(X, X, 0, _cont({0: 1, 1: 0}))
+    a = LENS.identity(I)
+    with pytest.raises(CompositionError, match="left action"):
+        CTX.bimodule.lact(a, c)
+    with pytest.raises(CompositionError, match="right action"):
+        CTX.bimodule.ract(c, a)
 
 
 def test_costrength_needs_a_state_into_the_stated_tensor():
     xx = PAIR.tensor(X, X)
     k = FinFun.of(xx.fwd, xx.bwd, lambda p: p)
-    b = CtxPair(xx, xx, point_lens(xx, (1, 0)), cont_lens(xx, k))
+    b = CtxPair(xx, xx, (1, 0), k)
     with pytest.raises(DomainError, match="stated tensor"):
         CTX.cst(b, X, I, X)
 
 
 def test_eq_bimodule_tabulates_over_contexts():
     eq = eq_from_context(CTX, BOOL_AND)
-    h = eq_tabulate(CTX, X, X, lambda c: lens_point(c.state) == 0)
+    h = eq_tabulate(CTX, X, X, lambda c: c.state == 0)
     some = CTX.bimodule.hom_cached(X, X)[3]
-    assert eq_apply(CTX, h, some) == (lens_point(some.state) == 0)
+    assert eq_apply(CTX, h, some) == (some.state == 0)
     unit = eq.monoid.e(X, X)
     assert eq.monoid.m(unit, h) == h
 
@@ -240,5 +363,3 @@ def test_eq_actions_on_a_keyless_arrow_raise_domain_error():
         eq.lact(a, h)
     with pytest.raises(DomainError):
         eq.ract(h, a)
-    with pytest.raises(DomainError):
-        eq.st(h, X)

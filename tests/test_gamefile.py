@@ -159,3 +159,34 @@ def test_trivial_context_decl_matches_closed_solving():
     assert isinstance(gf.contexts["closed"], ContextDecl)
     assert resolve_context(gf, built, "closed").state == \
         resolve_context(gf, built, None).state
+
+
+PROB_PD = PD.replace("decision row", "probdecision row").replace(
+    "decision col", "probdecision col"
+)
+REPEATED_ROWS = {
+    "cont": (
+        PD + "context c\n  state *\n  cont C = 1\n  cont D = 0\n  cont C = 0\n",
+        "error: line 16, column 3: context 'c' pays 'C' twice\n",
+    ),
+    "state": (
+        PD + "context c\n  state *\n  cont C = 1\n  state *\n  cont D = 0\n",
+        "error: line 15, column 3: context 'c' declares a second state\n",
+    ),
+    "probe": (
+        PROB_PD + "probe p0\n  row = C 1\n  col = C 1\n  row = D 1\n",
+        "error: line 15, column 3: probe 'p0' assigns 'row' twice\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "fmt"])
+@pytest.mark.parametrize("row", sorted(REPEATED_ROWS))
+def test_repeated_rows_are_parse_errors(row, command, tmp_path, capsys):
+    # a second row for the same slot would otherwise silently win
+    text, err = REPEATED_ROWS[row]
+    f = tmp_path / "repeated.game"
+    f.write_text(text)
+    extra = ["--context", "c"] if command == "solve" and row != "probe" else []
+    assert main([command, str(f)] + extra) == 2
+    assert capsys.readouterr().err == err

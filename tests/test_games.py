@@ -30,7 +30,6 @@ from openarrows.finset import (
 from openarrows.games import (
     GAME_CTX,
     OpenGame,
-    ProbCtx,
     RowElement,
     best_response_fixed_points,
     decision,
@@ -49,7 +48,6 @@ from openarrows.games import (
     trivial_context,
 )
 from openarrows.grading import GradedPairMor, ParamFamily, SizeError
-from openarrows.lens import cont_lens, point_lens
 
 MOVES = FinSet(("C", "D"))
 COINS = FinSet(("H", "T"))
@@ -127,14 +125,14 @@ def test_map_monoid_collapses_witnesses():
     d = decision(UNIT, MOVES, UTIL4, m_monoid=WITNESSES)
     db = map_monoid(d, BOOL_AND, witnesses_empty)
     k = FinFun.of(MOVES, UTIL4, {"C": 0, "D": 3})
-    ctx = CtxPair(d.dst, d.src, point_lens(d.src, STAR), cont_lens(d.dst, k))
+    ctx = CtxPair(d.dst, d.src, STAR, k)
     assert db.row(ctx) == tuple(map(witnesses_empty, d.row(ctx)))
 
 
 def test_best_response_fixed_points_match_equilibria():
     d = decision(UNIT, MOVES, UTIL4)
     k = FinFun.of(MOVES, UTIL4, {"C": 0, "D": 3})
-    ctx = CtxPair(d.dst, d.src, point_lens(d.src, STAR), cont_lens(d.dst, k))
+    ctx = CtxPair(d.dst, d.src, STAR, k)
     fps = best_response_fixed_points(decision_relation(d), ctx)
     assert sorted(j(STAR) for j in fps) == ["D"]
 
@@ -200,16 +198,23 @@ def test_trivial_context_requires_a_closed_game():
         trivial_context(d)
 
 
-def test_prob_context_repr_holds_no_address():
+def test_context_repr_holds_no_address():
     # a Dist orders its support by repr: contexts that differ only in their
-    # continuation keep construction order, the same in every run
-    c1 = ProbCtx(PAIR_I, PAIR_I, STAR, lambda y: 0)
-    c2 = ProbCtx(PAIR_I, PAIR_I, STAR, lambda y: 1)
-    assert repr(c1) == repr(c2)
+    # continuation table sort the same in every run, whatever the order
+    # they were built in, and equal contexts merge
+    d = decision(UNIT, MOVES, UTIL4)
+    c1, c2 = (
+        CtxPair(d.dst, d.src, STAR, FinFun.of(MOVES, UTIL4, {"C": v, "D": 0}))
+        for v in (0, 1)
+    )
+    assert repr(c1) != repr(c2)
     assert " at 0x" not in repr(c1)
     half = Fraction(1, 2)
-    assert [c for c, _ in Dist([(c1, half), (c2, half)]).weights] == [c1, c2]
-    assert [c for c, _ in Dist([(c2, half), (c1, half)]).weights] == [c2, c1]
+    order = [c for c, _ in Dist([(c1, half), (c2, half)]).weights]
+    assert order == [c for c, _ in Dist([(c2, half), (c1, half)]).weights]
+    assert sorted(order, key=repr) == order == [c1, c2]
+    twin = CtxPair(d.dst, d.src, STAR, FinFun.of(MOVES, UTIL4, {"C": 0, "D": 0}))
+    assert Dist([(c1, half), (twin, half)]).weights == ((c1, Fraction(1)),)
 
 
 # ---------- one composition path ----------

@@ -111,3 +111,29 @@ def test_every_reexported_function_and_constant_is_read():
     assert len(paths) > 20
     init = (PACKAGE / "__init__.py").read_text()
     assert unread_exports(init, [p.read_text() for p in paths]) == []
+
+
+def unread_definitions(modules: dict[str, str], sources: list[str]) -> list[str]:
+    """Module-level functions and classes of ``modules`` (name -> source)
+    that no source reads by name outside their own body."""
+    read = set().union(*map(read_names, sources))
+    return sorted(
+        f"{module}.{node.name}"
+        for module, source in modules.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in read
+    )
+
+
+def test_the_scan_finds_an_unread_definition():
+    m = "def a(n):\n    return a(n - 1)\ndef b():\n    return C()\nclass C:\n    pass\n"
+    t = "from m import b\nb()\n"
+    assert unread_definitions({"m": m}, [m, t]) == ["m.a"]
+
+
+def test_every_function_and_class_is_read_somewhere():
+    modules = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    tests = [p.read_text() for p in pathlib.Path(__file__).parent.glob("*.py")]
+    assert len(modules) > 10
+    assert unread_definitions(modules, list(modules.values()) + tests) == []

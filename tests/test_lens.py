@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from openarrows.base import PAIR, PAIR_I, BaseMap, PairObj, bit_set
 from openarrows.finset import (
+    STAR,
     CompositionError,
     DomainError,
     FinFun,
@@ -22,8 +23,6 @@ from openarrows.lens import (
     cont_lens,
     identity_lens,
     lens_comp,
-    lens_cont,
-    lens_point,
     lens_pure,
     lens_strength,
     point_lens,
@@ -83,14 +82,15 @@ def test_strength_is_a_spectator():
 
 def test_points_and_continuations_round_trip():
     p = point_lens(X, 1)
-    assert p.src == PAIR_I and lens_point(p) == 1
+    assert p.src == PAIR_I and p.play(STAR) == 1
     k = FinFun.of(Y.fwd, Y.bwd, {"u": 0, "v": 1})
     c = cont_lens(Y, k)
-    assert c.dst == PAIR_I and lens_cont(c) == k
+    assert c.dst == PAIR_I
+    assert FinFun.of(Y.fwd, Y.bwd, lambda y: c.coplay(y, STAR)) == k
     xx = PAIR.tensor(X, X)
     j = point_lens(xx, (0, 1))
-    p0, p1 = (point_lens(X, x) for x in lens_point(j))
-    assert lens_point(p0) == 0 and lens_point(p1) == 1
+    p0, p1 = (point_lens(X, x) for x in j.play(STAR))
+    assert p0.play(STAR) == 0 and p1.play(STAR) == 1
 
 
 def test_all_lenses_counts():

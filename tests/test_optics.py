@@ -274,7 +274,7 @@ def _collapse(c: OpticCtx) -> CtxPair:
     k = FinFun.of(
         c.src.fwd, c.src.bwd, lambda x: c.cont.coplay((theta, x), STAR)[1]
     )
-    return CtxPair(c.src, c.dst, point_lens(c.dst, y), cont_lens(c.src, k))
+    return CtxPair(c.src, c.dst, y, k)
 
 
 def _assert_keys_collapse_alike(octx, ctxs):

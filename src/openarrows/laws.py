@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator
 
-from .arrow import ArrowInstance, dimap, hom_arrow, left_strength
+from .arrow import ArrowInstance, hom_arrow, left_strength
 from .base import PAIR, SET, PairObj, PAIR_I, bit_set, pair_atoms
 from .bimodule import (
     Bimodule,
@@ -165,8 +165,10 @@ def _report(law: str, instance: str, trials: Iterator, equality: str) -> LawRepo
 # meet, run each real operation once per pair of numbers, and decide a case
 # by comparing the numbers of its two sides, calling ``equal`` only when
 # they differ.  This needs "key-equal implies equal" of every keyed family.
-# A slab, the innermost loop under one outer prefix, is decided by one ``==``
+# A slab, the innermost loops under one outer prefix, is decided by one ``==``
 # of its two lists of numbers, and replayed case by case only if they differ.
+# The strength and interchange chases number the sides of each block of
+# objects in a table of the block's own (``_once``), freed with the block.
 
 class _Interned:
     """Numbers the members of one family, one representative per class.
@@ -203,12 +205,12 @@ class _Interned:
         reps = self.reps
         return inputs, reps[lhs], reps[rhs], lhs == rhs or equal(reps[lhs], reps[rhs])
 
-    def slab(self, prefix: tuple, members: list, lhs: list, rhs: list, equal: Callable):
-        """A slab's size if its numbers agree, else its cases in order."""
+    def slab(self, inputs: Iterable, lhs: list, rhs: list, equal: Callable):
+        """A slab's size if its numbers agree, else its cases in order, each
+        with its inputs from ``inputs``."""
         if lhs == rhs:
             return (len(lhs),)
-        case = self.case
-        return (case((*prefix, m), l, r, equal) for m, l, r in zip(members, lhs, rhs))
+        return map(self.case, inputs, lhs, rhs, itertools.repeat(equal))
 
 
 class _Row(dict):
@@ -271,38 +273,34 @@ def _action_trials(objs, grades, ha, hb, num_a, num_b, comp, lact, ract, assoc, 
     members at grade ``p``, the same list on every call; a plain bimodule
     has the one grade ``None``.  ``assoc(p, q, r)`` maps the number of a
     bimodule member at grade (p q) r to that of its regrade to p (q r).
-    A slab is the last member loop: ``e`` of ``lact-comp``, else ``a2``.
-    ``lact-comp`` first decides the whole (a2, e) block of each ``a1`` by
-    one ``==``, and replays its slabs only when the block differs.
+    A slab is the last member loop, but in ``lact-comp`` the (a2, e) block
+    of each ``a1``.  An arrow's associativity is ``lact-comp`` of the arrow
+    acting on itself.
     """
     composites = _Composites(comp, ha, num_a)
     lact, ract = _Op(lact, num_a, num_b, num_b), _Op(ract, num_b, num_a, num_b)
+    chain, product = itertools.chain, itertools.product
 
     def lact_comp():
-        for p, q, r in itertools.product(grades, repeat=3):
+        for p, q, r in product(grades, repeat=3):
             fix = assoc(p, q, r)
-            for x, y, z, w in itertools.product(objs, repeat=4):
+            for x, y, z, w in product(objs, repeat=4):
                 hxy, hyz, hzw = ha(p, x, y), ha(q, y, z), hb(r, z, w)
                 if not (hxy and hyz and hzw):
                     continue
                 rows = composites[((p, x, y), (q, y, z))]
-                n_zw, n_yz = num_b.ids(hzw), num_a.ids(hyz)
+                n_zw = num_b.ids(hzw)
                 lhs_of, acted = _sides(lact, n_zw, fix), _sides(lact, n_zw, _same)
-                block = list(itertools.chain(*map(acted, n_yz)))
+                block = [*chain(*map(acted, num_a.ids(hyz)))]
                 for a1, n1, row in zip(hxy, num_a.ids(hxy), rows):
-                    act1 = lact[n1].__getitem__
-                    if [*itertools.chain(*map(lhs_of, row))] == [*map(act1, block)]:
-                        yield len(block)
-                        continue
-                    for a2, n2, n12 in zip(hyz, n_yz, row):
-                        lhs = lhs_of(n12)
-                        rhs = list(map(act1, acted(n2)))
-                        yield from num_b.slab((a1, a2), hzw, lhs, rhs, equal)
+                    lhs = [*chain(*map(lhs_of, row))]
+                    rhs = [*map(lact[n1].__getitem__, block)]
+                    yield from num_b.slab(product((a1,), hyz, hzw), lhs, rhs, equal)
 
     def ract_comp():
-        for p, q, r in itertools.product(grades, repeat=3):
+        for p, q, r in product(grades, repeat=3):
             fix = assoc(p, q, r)
-            for x, y, z, w in itertools.product(objs, repeat=4):
+            for x, y, z, w in product(objs, repeat=4):
                 hxy, hyz, hzw = hb(p, x, y), ha(q, y, z), ha(r, z, w)
                 if not (hxy and hyz and hzw):
                     continue
@@ -311,14 +309,13 @@ def _action_trials(objs, grades, ha, hb, num_a, num_b, comp, lact, ract, assoc, 
                 for e, ne in zip(hxy, num_b.ids(hxy)):
                     act_e = ract[ne].__getitem__
                     for a1, n1, row in zip(hyz, num_a.ids(hyz), rows):
-                        ne1 = act_e(n1)
-                        lhs = list(map(act_e, row))
-                        yield from num_b.slab((e, a1), hzw, lhs, rhs_of(ne1), equal)
+                        inputs, lhs = product((e,), (a1,), hzw), [*map(act_e, row)]
+                        yield from num_b.slab(inputs, lhs, rhs_of(act_e(n1)), equal)
 
     def mixed():
-        for p, q, r in itertools.product(grades, repeat=3):
+        for p, q, r in product(grades, repeat=3):
             fix = assoc(p, q, r)
-            for x, y, z, w in itertools.product(objs, repeat=4):
+            for x, y, z, w in product(objs, repeat=4):
                 hxy, hyz, hzw = ha(p, x, y), hb(q, y, z), ha(r, z, w)
                 if not (hxy and hyz and hzw):
                     continue
@@ -327,22 +324,23 @@ def _action_trials(objs, grades, ha, hb, num_a, num_b, comp, lact, ract, assoc, 
                 for a1, n1 in zip(hxy, num_a.ids(hxy)):
                     act1 = lact[n1].__getitem__
                     for e, ne in zip(hyz, num_b.ids(hyz)):
-                        n1e = act1(ne)
-                        lhs = list(map(act1, acted(ne)))
-                        yield from num_b.slab((a1, e), hzw, lhs, rhs_of(n1e), equal)
+                        inputs = product((a1,), (e,), hzw)
+                        lhs = [*map(act1, acted(ne))]
+                        yield from num_b.slab(inputs, lhs, rhs_of(act1(ne)), equal)
 
     return lact_comp(), ract_comp(), mixed()
 
 
-class _Rows(dict):
-    """(p, x, y, z) -> ``[fn(m, z) for m in hom(p, x, y)]``, built on first use."""
+class _Strong(dict):
+    """z -> the row ``n -> number of fn(num.reps[n], z)``: a strength ``fn``
+    run once per (number, spectator) over the members ``hom(p, x, y)`` lists."""
 
-    def __init__(self, hom: Callable, fn: Callable):
-        self.hom, self.fn = hom, fn
+    def __init__(self, hom: Callable, num: _Interned, fn: Callable):
+        self.hom, self.num, self.fn = hom, num, fn
 
-    def __missing__(self, pxyz):
-        p, x, y, z = pxyz
-        row = self[pxyz] = [self.fn(m, z) for m in self.hom(p, x, y)]
+    def __missing__(self, z):
+        fn = self.fn
+        row = self[z] = _Row(lambda z, m: fn(m, z), z, self.num, self.num)
         return row
 
 
@@ -367,70 +365,62 @@ def _assoc_regrade(g: GradedArrow, regrade: Callable, num: _Interned) -> Callabl
     return fix
 
 
-def _assoc_trials(objs, grades, hom, num, comp, fix_num, equal):
-    """The ``assoc`` trials of a (graded) arrow, by interned numbers.
-
-    ``hom`` is as in ``_action_trials``; ``fix_num(p, q, r)`` maps the
-    number of a member at grade (p q) r to that of its regrade to p (q r).
-    Cases run grades first, then objects y, z, w, then x, then members
-    m1, m2, m3; a slab is the m3 loop.
-    """
-    op, composites = _Op(comp, num, num, num), _Composites(comp, hom, num)
-    for p, q, r in itertools.product(grades, repeat=3):
-        fix_pqr = fix_num(p, q, r)
-        for y, z, w in itertools.product(objs, repeat=3):
-            hbc, hcd = hom(q, y, z), hom(r, z, w)
-            if not (hbc and hcd):
-                continue
-            right = composites[((q, y, z), (r, z, w))]
-            lhs_of = _sides(op, num.ids(hcd), fix_pqr)
-            for x in objs:
-                hab = hom(p, x, y)
-                left = composites[((p, x, y), (q, y, z))]
-                for m1, n1, row in zip(hab, num.ids(hab), left):
-                    comp1 = op[n1].__getitem__
-                    for m2, n12, right_row in zip(hbc, row, right):
-                        rhs = list(map(comp1, right_row))
-                        yield from num.slab((m1, m2), hcd, lhs_of(n12), rhs, equal)
+def _once(blocks: Iterable, num: _Interned, chase: Callable, equal: Callable):
+    """The slab of each block of objects (and grades): ``chase(fin, *block)``
+    gives its ``(inputs, lhs, rhs)``, the sides numbered in ``fin``, a table
+    of ``num``'s family for this block alone.  Equal blocks list the same
+    members, so a block met again only counts its cases."""
+    done: dict = {}
+    for block in blocks:
+        if block in done:
+            yield done[block]
+            continue
+        fin = _Interned(num.key, num.src, num.dst)
+        inputs, lhs, rhs = chase(fin, *block)
+        done[block] = len(lhs)
+        yield from fin.slab(inputs, lhs, rhs, equal)
 
 
-def _commute_trials(objs, grades, st: _Rows, ls: _Rows, op1, op2, fix_member, equal):
+def _commute_trials(objs, grades, st: _Strong, ls: _Strong, op1, op2, fix, equal):
     """The interchange trials of a (graded) arrow or a bimodule: for m1 in
     ``st.hom`` and m2 in ``ls.hom``, ``op1(st(m1, x2), ls(m2, y))`` regraded
-    by ``fix_member(p, q)`` from grade p q to q p, against
-    ``op2(ls(m2, x), st(m1, y2))``; each member is strengthened once per
-    spectator by its rows."""
-    for p, q in itertools.product(grades, repeat=2):
-        fix_pq = fix_member(p, q)
-        for x, y, x2, y2 in itertools.product(objs, repeat=4):
-            h1, h2 = st.hom(p, x, y), ls.hom(q, x2, y2)
-            if not (h1 and h2):
-                continue
-            ls_y, ls_x = ls[(q, x2, y2, y)], ls[(q, x2, y2, x)]
-            for m1, m1_x2, m1_y2 in zip(h1, st[(p, x, y, x2)], st[(p, x, y, y2)]):
-                for m2, m2_y, m2_x in zip(h2, ls_y, ls_x):
-                    lhs = fix_pq(op1(m1_x2, m2_y))
-                    rhs = op2(m2_x, m1_y2)
-                    yield ((m1, m2), lhs, rhs, equal(lhs, rhs))
+    by ``fix(p, q)`` from grade p q to q p, against
+    ``op2(ls(m2, x), st(m1, y2))``, both in ``ls``'s family.  Members are
+    strengthened once per (number, spectator), and the (m1, m2) block of
+    each object quadruple is decided by one ``==``."""
+
+    def chase(fin, p, q, x, y, x2, y2):
+        h1, h2, fix_pq = st.hom(p, x, y), ls.hom(q, x2, y2), fix(p, q)
+        n1, n2 = st.num.ids(h1), ls.num.ids(h2)
+        s_reps, l_reps = st.num.reps, ls.num.reps
+        l_y, l_x = [l_reps[ls[y][n]] for n in n2], [l_reps[ls[x][n]] for n in n2]
+        lhs = [fin(fix_pq(op1(s_reps[st[x2][i]], m))) for i in n1 for m in l_y]
+        rhs = [fin(op2(m, s_reps[st[y2][i]])) for i in n1 for m in l_x]
+        return itertools.product(h1, h2), lhs, rhs
+
+    blocks = itertools.product(grades, grades, objs, objs, objs, objs)
+    return _once(blocks, ls.num, chase, equal)
 
 
-def _strength_trials(objs, st1: _Rows, st2: _Rows, op, st, equal):
+def _strength_trials(objs, f1: _Strong, f2: _Strong, out: _Strong, op, equal):
     """``st(op(m1, m2), z)`` against ``op(st1(m1, z), st2(m2, z))``, m1 in
-    ``st1.hom`` and m2 in ``st2.hom`` at the one grade: strength distributes
-    over a composite or an action, each operand strengthened once per
-    spectator by its rows; ``op`` and ``st`` still run per case."""
-    for x, y, z in itertools.product(objs, repeat=3):
-        h1, h2 = st1.hom(None, x, y), st2.hom(None, y, z)
-        if not (h1 and h2):
-            continue
-        pads = [(zo, st1[(None, x, y, zo)], st2[(None, y, z, zo)]) for zo in objs]
-        for i, m1 in enumerate(h1):
-            for j, m2 in enumerate(h2):
-                m12 = op(m1, m2)
-                for zo, pad1, pad2 in pads:
-                    lhs = st(m12, zo)
-                    rhs = op(pad1[i], pad2[j])
-                    yield ((m1, m2, zo), lhs, rhs, equal(lhs, rhs))
+    ``f1.hom`` and m2 in ``f2.hom`` at the one grade: strength distributes
+    over a composite or an action landing in ``out``'s family.  Operands
+    are strengthened once per (number, spectator), each block's composites
+    once per number, and the (m1, m2, z) block of each object triple is
+    decided by one ``==``."""
+    r1, r2 = f1.num.reps, f2.num.reps
+
+    def chase(fin, x, y, z):
+        h1, h2 = f1.hom(None, x, y), f2.hom(None, y, z)
+        n1, n2, o_st = f1.num.ids(h1), f2.num.ids(h2), _Strong(None, fin, out.fn)
+        pads = [(o_st[zo], f1[zo], f2[zo]) for zo in objs]
+        ops = [fin(op(m1, m2)) for m1 in h1 for m2 in h2]
+        lhs = [s[k] for k in ops for s, _, _ in pads]
+        rhs = [fin(op(r1[p[i]], r2[q[j]])) for i in n1 for j in n2 for _, p, q in pads]
+        return itertools.product(h1, h2, objs), lhs, rhs
+
+    return _once(itertools.product(objs, repeat=3), out.num, chase, equal)
 
 
 # -- arrow laws ---------------------------------------------------------------
@@ -451,6 +441,14 @@ def check_arrow_laws(
                 rhs = a.comp(m, a.identity(y))
                 yield ((m,), rhs, m, a.equal(rhs, m))
 
+    def assoc_trials():
+        # lact-comp of the arrow acting on itself
+        hom, num = _one_grade(a), _Interned(a.key, a.src, a.dst)
+        return _action_trials(
+            objs, [None], hom, hom, num, num, a.comp, a.comp, a.comp, _no_regrade,
+            a.equal,
+        )[0]
+
     def pure_trials():
         base = a.base
         for x, y, z in itertools.product(objs, repeat=3):
@@ -462,10 +460,7 @@ def check_arrow_laws(
 
     return [
         _report("arrow.unit", name, unit_trials(), equality),
-        _report("arrow.assoc", name, _assoc_trials(
-            objs, [None], _one_grade(a), _Interned(a.key, a.src, a.dst), a.comp,
-            _no_regrade, a.equal,
-        ), equality),
+        _report("arrow.assoc", name, assoc_trials(), equality),
         _report("arrow.pure-functor", name, pure_trials(), equality),
     ]
 
@@ -475,32 +470,30 @@ def check_strength(
 ) -> list[LawReport]:
     """The four coherence equations of the strength.
 
-    ``comp`` is ``_strength_trials`` over the arrow's own composition.
+    ``unit``, ``assoc`` and ``comp`` decide each block of objects by one
+    ``==`` of the numbers of its sides, a block met again by its count
+    (``_once``); members are strengthened once per (number, spectator) and
+    each ``dimap``'s lifts built once per block, so ``key`` equality must
+    imply ``equal``, before and after ``st``.  ``comp`` is
+    ``_strength_trials`` over the arrow's own composition.
     """
     name = instance or a.name
     base, objs = a.base, a.objects
-    st = _Rows(_one_grade(a), a.st)
+    num = _Interned(a.key, a.src, a.dst)
+    st = _Strong(_one_grade(a), num, a.st)
 
-    def unit_trials():
-        for x, y in itertools.product(objs, repeat=2):
-            for m in a.hom_cached(x, y):
-                lhs = a.st(m, base.unit)
-                rhs = dimap(a, base.runit(x), m, base.inv(base.runit(y)))
-                yield ((m,), lhs, rhs, a.equal(lhs, rhs))
+    def unit(fin, x, y):
+        hom = a.hom_cached(x, y)
+        pre, post = a.pure(base.runit(x)), a.pure(base.inv(base.runit(y)))
+        lhs = [fin(a.st(m, base.unit)) for m in hom]
+        return zip(hom), lhs, [fin(a.comp(a.comp(pre, m), post)) for m in hom]
 
-    def assoc_trials():
-        for x, y in itertools.product(objs, repeat=2):
-            hom = a.hom_cached(x, y)
-            for z, zp in itertools.product(objs, repeat=2):
-                for m in hom:
-                    lhs = a.st(a.st(m, z), zp)
-                    rhs = dimap(
-                        a,
-                        base.assoc(x, z, zp),
-                        a.st(m, base.tensor(z, zp)),
-                        base.inv(base.assoc(y, z, zp)),
-                    )
-                    yield ((m, z, zp), lhs, rhs, a.equal(lhs, rhs))
+    def assoc(fin, x, y, z, zp):
+        hom, st_z, zzp = a.hom_cached(x, y), st[z], base.tensor(z, zp)
+        pre, post = a.pure(base.assoc(x, z, zp)), a.pure(base.inv(base.assoc(y, z, zp)))
+        lhs = [fin(a.st(num.reps[st_z[n]], zp)) for n in num.ids(hom)]
+        rhs = [fin(a.comp(a.comp(pre, a.st(m, zzp)), post)) for m in hom]
+        return itertools.product(hom, [z], [zp]), lhs, rhs
 
     def pure_trials():
         for x, y in itertools.product(objs, repeat=2):
@@ -511,11 +504,13 @@ def check_strength(
                     yield ((f, z), lhs, rhs, a.equal(lhs, rhs))
 
     return [
-        _report("strength.unit", name, unit_trials(), equality),
-        _report("strength.assoc", name, assoc_trials(), equality),
+        _report("strength.unit", name, _once(
+            itertools.product(objs, repeat=2), num, unit, a.equal), equality),
+        _report("strength.assoc", name, _once(
+            itertools.product(objs, repeat=4), num, assoc, a.equal), equality),
         _report("strength.pure", name, pure_trials(), equality),
         _report("strength.comp", name, _strength_trials(
-            objs, st, st, a.comp, a.st, a.equal
+            objs, st, st, st, a.comp, a.equal
         ), equality),
     ]
 
@@ -526,14 +521,16 @@ def check_commutativity(
     """Interchange of the two tensor interleavings; only for flagged arrows.
 
     The sides are ``arrow_tensor`` and ``arrow_tensor_flipped``, chased by
-    ``_commute_trials`` at the one grade, as ``graded.commute`` is.
+    ``_commute_trials`` at the one grade, as ``graded.commute`` is: one
+    ``==`` per block of objects, each member strengthened once per (number,
+    spectator).
     """
     if not a.commutative:
         return []
-    hom = _one_grade(a)
+    hom, num = _one_grade(a), _Interned(a.key, a.src, a.dst)
     trials = _commute_trials(
-        a.objects, [None], _Rows(hom, a.st),
-        _Rows(hom, functools.partial(left_strength, a)), a.comp, a.comp,
+        a.objects, [None], _Strong(hom, num, a.st),
+        _Strong(hom, num, functools.partial(left_strength, a)), a.comp, a.comp,
         lambda p, q: lambda m: m, a.equal,
     )
     return [_report("arrow.commute", instance or a.name, trials, equality)]
@@ -560,7 +557,7 @@ def check_bimodule(
     comparing the numbers of its two sides, calling ``equal`` only when
     they differ; so ``key`` equality must imply ``equal``.  Reported inputs
     are the enumerated members themselves.  ``lact-st``, ``ract-st`` and
-    ``commute`` share rows that strengthen each member once per spectator.
+    ``commute`` decide a block of objects at a time, as ``strength.comp``.
     """
     name = instance or b.name
     a = b.arrow
@@ -593,18 +590,19 @@ def check_bimodule(
     ]
 
     if b.st is not None:
-        st_a, st_b = _Rows(_one_grade(a), a.st), _Rows(_one_grade(b), b.st)
+        st_a = _Strong(_one_grade(a), _Interned(a.key, a.src, a.dst), a.st)
+        st_b = _Strong(_one_grade(b), _Interned(b.key, b.src, b.dst), b.st)
         out.append(_report("bimodule.lact-st", name, _strength_trials(
-            objs, st_a, st_b, b.lact, b.st, b.equal
+            objs, st_a, st_b, st_b, b.lact, b.equal
         ), equality))
         out.append(_report("bimodule.ract-st", name, _strength_trials(
-            objs, st_b, st_a, b.ract, b.st, b.equal
+            objs, st_b, st_a, st_b, b.ract, b.equal
         ), equality))
         if b.commutative:
+            ls_b = functools.partial(_bim_left_strength, b)
             out.append(_report("bimodule.commute", name, _commute_trials(
-                objs, [None], st_a,
-                _Rows(_one_grade(b), functools.partial(_bim_left_strength, b)),
-                b.lact, b.ract, lambda p, q: lambda m: m, b.equal,
+                objs, [None], st_a, _Strong(_one_grade(b), st_b.num, ls_b), b.lact,
+                b.ract, lambda p, q: lambda m: m, b.equal,
             ), equality))
 
     return out
@@ -713,22 +711,21 @@ def check_context(
 
     def unit_trials():
         for x, y in itertools.product(objs, repeat=2):
+            pre, post = a.pure(base.inv(base.runit(x))), a.pure(base.runit(y))
             for e in b.hom_cached(tens(x, base.unit), tens(y, base.unit)):
                 lhs = c.cst(e, x, y, base.unit)
-                rhs = b.dimap(base.inv(base.runit(x)), e, base.runit(y))
+                rhs = b.ract(b.lact(pre, e), post)
                 yield ((e,), lhs, rhs, b.equal(lhs, rhs))
 
     def assoc_trials():
         for x, y, z, w in itertools.product(objs, repeat=4):
-            big_src = tens(tens(x, z), w)
-            big_dst = tens(tens(y, z), w)
+            xz, yz, zw = tens(x, z), tens(y, z), tens(z, w)
+            pre = a.pure(base.inv(base.assoc(x, z, w)))
+            post = a.pure(base.assoc(y, z, w))
             # walked once, so not kept: the three-factor homs dwarf the rest
-            for e in b.hom(big_src, big_dst):
-                lhs = c.cst(c.cst(e, tens(x, z), tens(y, z), w), x, y, z)
-                reshaped = b.dimap(
-                    base.inv(base.assoc(x, z, w)), e, base.assoc(y, z, w)
-                )
-                rhs = c.cst(reshaped, x, y, tens(z, w))
+            for e in b.hom(tens(xz, w), tens(yz, w)):
+                lhs = c.cst(c.cst(e, xz, yz, w), x, y, z)
+                rhs = c.cst(b.ract(b.lact(pre, e), post), x, y, zw)
                 yield ((e, z, w), lhs, rhs, b.equal(lhs, rhs))
 
     def lact_trials():
@@ -787,10 +784,10 @@ def check_graded(
     """Unit, associativity, regrade functoriality and naturality laws.
 
     ``assoc`` and ``commute`` share their chases, and so their case order,
-    with ``arrow.assoc`` and ``arrow.commute``; ``assoc`` regrades each
-    interned composite once, so ``key`` equality must imply ``equal``, and
-    a keyless ``g`` costs memory in proportion to its ``assoc`` cases.
-    The other laws run per case.
+    with ``arrow.assoc`` and ``arrow.commute``: both go by interned numbers,
+    so ``key`` equality must imply ``equal``, also after ``st``, and a
+    keyless ``g`` costs memory in proportion to its ``assoc`` cases.
+    ``unit``, ``regrade`` and ``st-natural`` still run per case.
     """
     name = instance or g.name
     base, objs, grades = g.base, g.objects, g.grades
@@ -834,8 +831,10 @@ def check_graded(
 
     def assoc_trials():
         num = _Interned(g.key, g.src, g.dst)
-        fix_num = _assoc_regrade(g, g.regrade, num)
-        return _assoc_trials(objs, grades, hom, num, g.gcomp, fix_num, g.equal)
+        return _action_trials(
+            objs, grades, hom, hom, num, num, g.gcomp, g.gcomp, g.gcomp,
+            _assoc_regrade(g, g.regrade, num), g.equal,
+        )[0]
 
     out = [
         _report("graded.unit", name, unit_trials(), equality),
@@ -846,10 +845,10 @@ def check_graded(
 
     if g.commutative:
         sym = lambda p, q: functools.partial(g.regrade, gs("sym", (p, q)))  # noqa: E731
+        st = _Strong(hom, _Interned(g.key, g.src, g.dst), g.st)
+        ls = _Strong(hom, st.num, functools.partial(graded_left_strength, g))
         out.append(_report("graded.commute", name, _commute_trials(
-            objs, grades, _Rows(hom, g.st),
-            _Rows(hom, functools.partial(graded_left_strength, g)),
-            g.gcomp, g.gcomp, sym, g.equal,
+            objs, grades, st, ls, g.gcomp, g.gcomp, sym, g.equal,
         ), equality))
 
     return out

@@ -9,7 +9,7 @@ import itertools
 import pytest
 
 from openarrows import laws, mutants
-from openarrows.arrow import arrow_tensor, arrow_tensor_flipped, hom_arrow
+from openarrows.arrow import arrow_tensor, arrow_tensor_flipped, dimap, hom_arrow
 from openarrows.base import PAIR, PAIR_I, SET, PairObj, bit_set, pair_atoms
 from openarrows.bimodule import EqFun, ctx_of_arrow, eq_from_context, with_eq
 from openarrows.finset import BOOL_AND, UNIT, WITNESSES, DomainError, FinSet
@@ -160,14 +160,13 @@ def _reference_assoc(a, name):
     objs = a.objects
 
     def trials():
-        for y, z, w in itertools.product(objs, repeat=3):
-            for x in objs:
-                for m1 in a.hom_cached(x, y):
-                    for m2 in a.hom_cached(y, z):
-                        for m3 in a.hom_cached(z, w):
-                            lhs = a.comp(a.comp(m1, m2), m3)
-                            rhs = a.comp(m1, a.comp(m2, m3))
-                            yield ((m1, m2, m3), lhs, rhs, a.equal(lhs, rhs))
+        for x, y, z, w in itertools.product(objs, repeat=4):
+            for m1 in a.hom_cached(x, y):
+                for m2 in a.hom_cached(y, z):
+                    for m3 in a.hom_cached(z, w):
+                        lhs = a.comp(a.comp(m1, m2), m3)
+                        rhs = a.comp(m1, a.comp(m2, m3))
+                        yield ((m1, m2, m3), lhs, rhs, a.equal(lhs, rhs))
 
     return laws._report("arrow.assoc", name, trials(), "structural")
 
@@ -235,9 +234,9 @@ def test_interned_bimodule_laws_match_per_case_chasing_on_suites(instance, size)
 
 # -- strengthened bimodule laws agree with per-case chasing --------------------
 #
-# ``lact-st``, ``ract-st`` and ``commute`` strengthen each member once per
-# spectator, in rows the three laws share.  The reference trials below
-# strengthen, act and compose afresh for every case.
+# ``lact-st``, ``ract-st`` and ``commute`` strengthen each numbered member
+# once per spectator and decide a block of objects at a time.  The reference
+# trials below strengthen, act and compose afresh for every case.
 
 _STRENGTHENED_BIMODULE_LAWS = ("bimodule.lact-st", "bimodule.ract-st", "bimodule.commute")
 
@@ -359,11 +358,11 @@ def test_interned_assoc_matches_per_case_chasing(instance):
 
 # -- a failure inside a slab ---------------------------------------------------
 #
-# ``lact-comp``, ``ract-comp``, ``mixed`` and ``assoc`` decide a slab, the
-# innermost member loop under one outer prefix, by one comparison of its two
-# lists of numbers, and replay it case by case only when they differ.  A
-# first failure that sits inside a slab must still be reported with the
-# per-case ``checked`` and counterexample.
+# Every numbered chase decides a slab, the innermost member loops under one
+# outer prefix, by one comparison of its two lists of numbers, and replays it
+# case by case only when they differ.  A first failure that sits inside a
+# slab must still be reported with the per-case ``checked`` and
+# counterexample.
 
 def _survives_identities(a, t):
     # tag 2 is kept only by identities: swap ; swap acts on it apart from
@@ -422,6 +421,56 @@ def test_assoc_failure_inside_a_slab_reports_as_per_case_chasing():
         assert got.status == "fail" and got.checked % 12 == 3
 
 
+def _squash_padded_swaps(a):
+    # st by B2 drops the tag of B2's swap to 0, so strength.comp fails where a
+    # swap is one operand of a composite that is not itself a swap
+    def st(m, z):
+        padded = a.st(m, z)
+        return dataclasses.replace(padded, tag=0) if (
+            m.fun.table == (1, 0) and len(z) == 2
+        ) else padded
+
+    return dataclasses.replace(a, st=st, _hom_cache={})
+
+
+def test_strength_comp_failure_inside_a_block_reports_as_per_case_chasing():
+    # ``strength.comp`` decides the (m1, m2, z) block of each (x, y, z) at once
+    a = _squash_padded_swaps(mutants._tag_arrow(
+        "mid-block", [UNIT, mutants._B2], (0, 1, 2), lambda t1, t2: (t1 + t2) % 3, 0,
+        commutative=False,
+    ))
+    for arr in (a, _keyless_arrow(a)):
+        got = _strength_laws(arr, "mid-block")
+        assert got == _reference_strength_laws(arr, "mid-block")
+        (comp,) = [r for r in got if r.law == "strength.comp"]
+        # 90 cases pass in the blocks of (UNIT, UNIT, UNIT), (UNIT, UNIT, B2)
+        # and (UNIT, B2, UNIT); in the 144-case block of (UNIT, B2, B2) the
+        # first m1 meets m2 = (swap, tag 1), the eighth of twelve, at z = B2
+        assert comp.status == "fail" and comp.checked == 90 + 7 * 2 + 2
+        assert comp.counterexample[0][1:] == (
+            repr(mutants.TagMor(mutants._B2, mutants._B2, SET.morphisms(
+                mutants._B2, mutants._B2)[2], 1)), repr(mutants._B2),
+        )
+
+
+def test_strength_assoc_failure_inside_a_slab_reports_as_per_case_chasing():
+    # over [UNIT, B2] the tag is swapped by each padding of size 2 or 4: twice
+    # on the left side and once on the right when (z, z') = (B2, B2)
+    a = mutants._tag_arrow(
+        "mid-slab", [UNIT, mutants._B2], ((0, 0), (0, 1), (1, 0), (1, 1)),
+        lambda t1, t2: (t1[0] ^ t2[0], t1[1] ^ t2[1]), (0, 0),
+        st_tag=lambda t, z: (t[1], t[0]) if len(z) in (2, 4) else t,
+    )
+    for arr in (a, _keyless_arrow(a)):
+        got = _strength_laws(arr, "mid-slab")
+        assert got == _reference_strength_laws(arr, "mid-slab")
+        (assoc,) = [r for r in got if r.law == "strength.assoc"]
+        # x = y = UNIT: three slabs of four pass, then the tag (0, 1), second
+        # of the four members, fails at (z, z') = (B2, B2)
+        assert assoc.status == "fail" and assoc.checked == 3 * 4 + 2
+        assert assoc.counterexample[0][1:] == (repr(mutants._B2), repr(mutants._B2))
+
+
 def test_checkers_leave_no_cyclic_garbage():
     # tables of numbers and their rows are freed by reference counting
     b = _suite_bimodules(1)["ctx(lens)"]
@@ -431,18 +480,64 @@ def test_checkers_leave_no_cyclic_garbage():
     try:
         laws.check_bimodule(b)
         laws.check_arrow_laws(a)
+        laws.check_strength(a)
+        laws.check_commutativity(a)
         laws.run_mutants(["costrength.mixed"])
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
-# -- strengthened rows and colimit keys agree with per-case chasing -----------
+# -- numbered strength laws and colimit keys agree with per-case chasing ------
 #
-# ``arrow.commute`` and ``strength.comp`` strengthen each member once per
-# spectator, and ``fam`` and ``para`` now carry keys, so their associativity
-# takes the interned path.  The reference trials below strengthen and
+# ``strength.unit``, ``strength.assoc``, ``strength.comp`` and
+# ``arrow.commute`` number each block's sides and strengthen each numbered
+# member once per spectator, and ``fam`` and ``para`` carry keys, so all of
+# these take the interned path.  The reference trials below strengthen and
 # compose afresh for every case.
+
+def _reference_strength_unit(a, name):
+    base = a.base
+
+    def trials():
+        for x, y in itertools.product(a.objects, repeat=2):
+            for m in a.hom_cached(x, y):
+                lhs = a.st(m, base.unit)
+                rhs = dimap(a, base.runit(x), m, base.inv(base.runit(y)))
+                yield ((m,), lhs, rhs, a.equal(lhs, rhs))
+
+    return laws._report("strength.unit", name, trials(), "structural")
+
+
+def _reference_strength_assoc(a, name):
+    base = a.base
+
+    def trials():
+        for x, y, z, zp in itertools.product(a.objects, repeat=4):
+            for m in a.hom_cached(x, y):
+                lhs = a.st(a.st(m, z), zp)
+                rhs = dimap(
+                    a, base.assoc(x, z, zp), a.st(m, base.tensor(z, zp)),
+                    base.inv(base.assoc(y, z, zp)),
+                )
+                yield ((m, z, zp), lhs, rhs, a.equal(lhs, rhs))
+
+    return laws._report("strength.assoc", name, trials(), "structural")
+
+
+def _reference_strength_pure(a, name):
+    base = a.base
+
+    def trials():
+        for x, y in itertools.product(a.objects, repeat=2):
+            for f in base.morphisms(x, y):
+                for z in a.objects:
+                    lhs = a.st(a.pure(f), z)
+                    rhs = a.pure(base.tensor_mor(f, base.id(z)))
+                    yield ((f, z), lhs, rhs, a.equal(lhs, rhs))
+
+    return laws._report("strength.pure", name, trials(), "structural")
+
 
 def _reference_strength_comp(a, name):
     def trials():
@@ -472,17 +567,25 @@ def _reference_commute(a, name):
     return [laws._report("arrow.commute", name, trials(), "structural")]
 
 
+def _strength_laws(a, name):
+    return laws.check_strength(a, name) + laws.check_commutativity(a, name)
+
+
+def _reference_strength_laws(a, name):
+    strength = (
+        _reference_strength_unit, _reference_strength_assoc, _reference_strength_pure,
+        _reference_strength_comp,
+    )
+    return [law(a, name) for law in strength] + _reference_commute(a, name)
+
+
 def _shared_arrow_laws(a, name):
-    by_law = {
-        r.law: r for r in laws.check_arrow_laws(a, name) + laws.check_strength(a, name)
-    }
-    checked = [by_law["arrow.assoc"], by_law["strength.comp"]]
-    return checked + laws.check_commutativity(a, name)
+    (assoc,) = [r for r in laws.check_arrow_laws(a, name) if r.law == "arrow.assoc"]
+    return [assoc] + _strength_laws(a, name)
 
 
 def _reference_arrow_laws(a, name):
-    checked = [_reference_assoc(a, name), _reference_strength_comp(a, name)]
-    return checked + _reference_commute(a, name)
+    return [_reference_assoc(a, name)] + _reference_strength_laws(a, name)
 
 
 _ARROW_MUTANTS = sorted(
@@ -552,6 +655,16 @@ def test_shared_arrow_laws_match_per_case_chasing_on_suites(instance):
     assert a.key is not None
     got = _shared_arrow_laws(a, instance)
     assert got == _reference_arrow_laws(a, instance)
+    assert {r.status for r in got} == {"pass"}
+
+
+@pytest.mark.parametrize("instance", ["fam(witheq(lens,bool))", "para(lens)"])
+def test_strength_laws_match_per_case_chasing_on_colimits_at_size_2(instance):
+    # the numbered chases strengthen class representatives, so they rely on
+    # the key being a congruence for st, as arrow.assoc relies on it for comp
+    a = _suite_arrows(2)[instance]
+    got = _strength_laws(a, instance)
+    assert got == _reference_strength_laws(a, instance)
     assert {r.status for r in got} == {"pass"}
 
 
@@ -876,8 +989,8 @@ def test_graded_product_is_keyed_by_its_parts_when_both_are():
 
 # -- graded arrows through the arrow chases ------------------------------------
 #
-# ``graded.assoc`` and ``graded.commute`` share ``arrow.assoc``'s interned
-# chase and ``arrow.commute``'s strengthened rows.  The reference trials
+# ``graded.assoc`` and ``graded.commute`` share ``arrow.assoc``'s and
+# ``arrow.commute``'s interned chases.  The reference trials
 # below are the per-case graded laws: every composite, strengthening and
 # regrade runs afresh for every case, which is decided with ``equal``.
 

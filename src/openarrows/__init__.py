@@ -24,7 +24,6 @@ from .finset import (  # noqa: F401
     dist_bind,
     dist_pure,
     fun_compose,
-    structural_iso,
 )
 from .base import PAIR, PAIR_I, SET, BaseMap, PairObj  # noqa: F401
 from .lens import Lens, lens_arrow, lens_comp, lens_pure, lens_strength  # noqa: F401

@@ -31,7 +31,8 @@ class CachedHom:
 class ArrowInstance(CachedHom):
     """A strong hom-family with identity lift, composition and strength.
 
-    ``hom(X, Y)`` enumerates the registered morphisms between two objects;
+    ``hom(X, Y)`` enumerates the registered morphisms between two objects,
+    and each member carries its own endpoints as ``.src`` and ``.dst``;
     for big carriers it may enumerate a registered generating pool rather
     than the full set (law reports state which).  ``equal`` is two-valued;
     optics, which live on the cartesian base, decide it by their canonical
@@ -46,8 +47,6 @@ class ArrowInstance(CachedHom):
     comp: Callable[[Any, Any], Any]
     st: Callable[[Any, Any], Any]
     equal: Callable[[Any, Any], bool]
-    src: Callable[[Any], Any] = operator.attrgetter("src")
-    dst: Callable[[Any], Any] = operator.attrgetter("dst")
     key: Callable[[Any], Any] | None = None
     commutative: bool = False
     _hom_cache: dict = field(default_factory=dict, repr=False)
@@ -64,12 +63,11 @@ def dimap(a_inst: ArrowInstance, f, a, g):
 def left_strength(a_inst: ArrowInstance, a, z):
     """Pad a tensor factor on the left, via the symmetry of the base."""
     base = a_inst.base
-    x, y = a_inst.src(a), a_inst.dst(a)
     return dimap(
         a_inst,
-        base.sym(z, x),
+        base.sym(z, a.src),
         a_inst.st(a, z),
-        base.sym(y, z),
+        base.sym(a.dst, z),
     )
 
 
@@ -83,19 +81,15 @@ def arrow_tensor(a_inst: ArrowInstance, a, b):
         raise CommutativityError(
             f"arrow {a_inst.name!r} is not commutative; parallel tensor refused"
         )
-    xb, yb = a_inst.src(b), a_inst.dst(b)
-    ya = a_inst.dst(a)
-    first = a_inst.st(a, xb)  # X (x) X' -> Y (x) X'
-    second = left_strength(a_inst, b, ya)  # Y (x) X' -> Y (x) Y'
+    first = a_inst.st(a, b.src)  # X (x) X' -> Y (x) X'
+    second = left_strength(a_inst, b, a.dst)  # Y (x) X' -> Y (x) Y'
     return a_inst.comp(first, second)
 
 
 def arrow_tensor_flipped(a_inst: ArrowInstance, a, b):
     """The other composite of the commutativity square (for law checks)."""
-    xa = a_inst.src(a)
-    yb = a_inst.dst(b)
-    first = left_strength(a_inst, b, xa)  # X (x) X' -> X (x) Y'
-    second = a_inst.st(a, yb)  # X (x) Y' -> Y (x) Y'
+    first = left_strength(a_inst, b, a.src)  # X (x) X' -> X (x) Y'
+    second = a_inst.st(a, b.dst)  # X (x) Y' -> Y (x) Y'
     return a_inst.comp(first, second)
 
 
@@ -110,8 +104,6 @@ def hom_arrow(base, objects: list, name: str | None = None) -> ArrowInstance:
         comp=base.compose,
         st=lambda m, z: base.tensor_mor(m, base.id(z)),
         equal=operator.eq,
-        src=base.src,
-        dst=base.dst,
         key=base.mor_key,
         commutative=True,
     )

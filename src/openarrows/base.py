@@ -81,12 +81,6 @@ class SetBase:
     def id(self, a: FinSet) -> FinFun:
         return FinFun.identity(a)
 
-    def src(self, f: FinFun) -> FinSet:
-        return f.dom
-
-    def dst(self, f: FinFun) -> FinSet:
-        return f.cod
-
     def compose(self, f: FinFun, g: FinFun) -> FinFun:
         return fun_compose(f, g)
 
@@ -115,7 +109,7 @@ class SetBase:
         return all_bijections(a, b)
 
     def mor_key(self, f: FinFun):
-        return (f.dom.elements, f.cod.elements, f.table)
+        return f.table
 
 
 class PairBase:
@@ -138,12 +132,6 @@ class PairBase:
 
     def id(self, a: PairObj) -> BaseMap:
         return BaseMap(a, a, FinFun.identity(a.fwd), FinFun.identity(a.bwd))
-
-    def src(self, f: BaseMap) -> PairObj:
-        return f.src
-
-    def dst(self, f: BaseMap) -> PairObj:
-        return f.dst
 
     def compose(self, f: BaseMap, g: BaseMap) -> BaseMap:
         if f.dst != g.src:
@@ -204,7 +192,7 @@ class PairBase:
         ]
 
     def mor_key(self, f: BaseMap):
-        return (SET.mor_key(f.fwd), SET.mor_key(f.bwd))
+        return f.fwd.table, f.bwd.table
 
 
 SET = SetBase()

@@ -11,7 +11,6 @@ equilibrium predicate.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -30,7 +29,10 @@ class MonoidOnProfunctor:
 
 @dataclass
 class Bimodule(CachedHom):
-    """A hom-family with compatible left and right actions of an arrow."""
+    """A hom-family with compatible left and right actions of an arrow.
+
+    Each member carries its own endpoints as ``.src`` and ``.dst``.
+    """
 
     name: str
     arrow: ArrowInstance
@@ -38,8 +40,6 @@ class Bimodule(CachedHom):
     lact: Callable[[Any, Any], Any]  # A(X,Y) x B(Y,Z) -> B(X,Z)
     ract: Callable[[Any, Any], Any]  # B(X,Y) x A(Y,Z) -> B(X,Z)
     equal: Callable[[Any, Any], bool]
-    src: Callable[[Any], Any] = operator.attrgetter("src")
-    dst: Callable[[Any], Any] = operator.attrgetter("dst")
     key: Callable[[Any], Any] | None = None
     st: Callable[[Any, Any], Any] | None = None
     monoid: MonoidOnProfunctor | None = None
@@ -203,9 +203,9 @@ def eq_from_context(
     ``h``'s endpoints, never on ``h``'s values.  Each action therefore
     computes a position table once, by running the real context action on
     every context, and gathers ``h.values`` through it.  Tables are
-    memoised on the arrow's key of ``a`` (on the spectator for ``st``) and
-    ``h``'s endpoints, and live as long as the returned bimodule; acting
-    needs an arrow with a key.
+    memoised on ``a``'s endpoints and the arrow's key of ``a`` (on the
+    spectator for ``st``) and ``h``'s endpoints, and live as long as the
+    returned bimodule; acting needs an arrow with a key.
     """
     if not m_monoid.commutative:
         raise DomainError(
@@ -243,19 +243,19 @@ def eq_from_context(
     def action_memo(action, a, h):
         if a_inst.key is None:
             raise DomainError(f"arrow {a_inst.name!r} has no canonical key")
-        return (action, a_inst.key(a), h.src, h.dst)
+        return (action, a.src, a.dst, a_inst.key(a), h.src, h.dst)
 
     def lact(a, h):
         # A(X,Y) x Eq(Y,Z) -> Eq(X,Z): judge extended-by-a contexts.
         return reindex(
-            h, a_inst.src(a), h.dst, action_memo("lact", a, h),
+            h, a.src, h.dst, action_memo("lact", a, h),
             lambda b: cb.ract(b, a),
         )
 
     def ract(h, a):
         # Eq(X,Y) x A(Y,Z) -> Eq(X,Z): judge contexts with a prepended.
         return reindex(
-            h, h.src, a_inst.dst(a), action_memo("ract", a, h),
+            h, h.src, a.dst, action_memo("ract", a, h),
             lambda b: cb.lact(a, b),
         )
 
@@ -325,7 +325,7 @@ def with_bimodule(a_inst: ArrowInstance, bim: Bimodule) -> ArrowInstance:
 
     def pure(m):
         a = a_inst.pure(m)
-        return WithBMor(a, mon.e(a_inst.src(a), a_inst.dst(a)))
+        return WithBMor(a, mon.e(a.src, a.dst))
 
     def comp(m1, m2):
         return WithBMor(

@@ -259,26 +259,6 @@ def lunit_iso(a: FinSet) -> FinFun:
     return FinFun._trusted(product(UNIT, a), a, a.elements)
 
 
-def structural_iso(kind: str, *sets: FinSet) -> FinFun:
-    """Dispatch on {assoc, unitor, lunitor, symmetry} by name."""
-    builders = {
-        "assoc": assoc_iso,
-        "symmetry": sym_iso,
-        "unitor": runit_iso,
-        "lunitor": lunit_iso,
-    }
-    if kind not in builders:
-        raise DomainError(f"unknown structural iso kind {kind!r}")
-    try:
-        return builders[kind](*sets)
-    except TypeError:
-        raise DomainError(
-            f"malformed shape for {kind!r}: expected "
-            f"{'3' if kind == 'assoc' else '2' if kind == 'symmetry' else '1'}"
-            f" carriers, got {len(sets)}"
-        ) from None
-
-
 # -- monoids ----------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -275,27 +275,25 @@ def decision(
     y_set: FinSet,
     util: FinSet,
     m_monoid: Monoid = BOOL_AND,
-    fail_value: Callable[[list], Any] | None = None,
 ) -> OpenGame:
     """The atomic choice of a move per observation, judged by weak argmax.
 
     The utility carrier holds comparable payoff values (rationals).  A
     strategy is in equilibrium at (x, k) when no move beats its own:
-    k(j(x)) >= k(y) for every y.  With a non-Boolean monoid the
-    judgement emits the unit on success and ``fail_value(deviations)``
-    otherwise (deviations = the strictly better moves).
+    k(j(x)) >= k(y) for every y.  The judgement emits the monoid's unit on
+    success and otherwise ``False`` under bool-and, or the strictly better
+    moves, sorted, under the witness multisets.
     """
     if len(y_set) == 0:
         raise DomainError("decision needs a non-empty move set")
-    if fail_value is None:
-        if m_monoid.name == BOOL_AND.name:
-            fail_value = lambda devs: False  # noqa: E731
-        elif m_monoid.name == WITNESSES.name:
-            fail_value = lambda devs: tuple(sorted(devs, key=repr))  # noqa: E731
-        else:
-            raise DomainError(
-                f"no failure value convention for monoid {m_monoid.name!r}"
-            )
+    if m_monoid.name == BOOL_AND.name:
+        fail_value = lambda devs: False  # noqa: E731
+    elif m_monoid.name == WITNESSES.name:
+        fail_value = lambda devs: tuple(sorted(devs, key=repr))  # noqa: E731
+    else:
+        raise DomainError(
+            f"no failure value convention for monoid {m_monoid.name!r}"
+        )
     src = PairObj(x_set, UNIT)
     dst = PairObj(y_set, util)
     index = FinSet(tuple(all_funs(x_set, y_set)))

@@ -10,7 +10,6 @@ variants all live here.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -40,7 +39,11 @@ class SizeError(ValueError):
 
 @dataclass
 class GradedArrow:
-    """A grade-indexed hom-family whose composition multiplies grades."""
+    """A grade-indexed hom-family whose composition multiplies grades.
+
+    Each member carries its own grade and endpoints as ``.grade``,
+    ``.src`` and ``.dst``.
+    """
 
     name: str
     base: Any
@@ -55,10 +58,6 @@ class GradedArrow:
     st: Callable[[Any, Any], Any]
     regrade: Callable[[Any, Any], Any]  # (grade iso q -> p, elem at p) -> at q
     equal: Callable[[Any, Any], bool]
-    # an element's grade and endpoints; by default its fields of those names
-    grade_of: Callable[[Any], Any] = operator.attrgetter("grade")
-    src: Callable[[Any], Any] = operator.attrgetter("src")
-    dst: Callable[[Any], Any] = operator.attrgetter("dst")
     key: Callable[[Any], Any] | None = None
     commutative: bool = False
     # canonical structural grade isos, in the direction regrade consumes
@@ -129,7 +128,7 @@ def grade_by_param(
 
     def unit(base_mor):
         a = a_inst.pure(base_mor)
-        return ParamFamily(a_inst.src(a), a_inst.dst(a), GRADE_UNIT, (a,))
+        return ParamFamily(a.src, a.dst, GRADE_UNIT, (a,))
 
     def gcomp(e1, e2):
         if e1.dst != e2.src:
@@ -212,14 +211,14 @@ def _hide(graded: GradedArrow, bound: int, key, name: str) -> ArrowInstance:
 
     def comp(e1, e2):
         out = graded.gcomp(e1, e2)
-        n = len(graded.grade_of(out))
+        n = len(out.grade)
         if n > bound:
             raise SizeError(f"composite index of size {n} exceeds the bound {bound}")
         return out
 
     def equal(e1, e2):
-        p, q = graded.grade_of(e1), graded.grade_of(e2)
-        if (graded.src(e1), graded.dst(e1)) != (graded.src(e2), graded.dst(e2)):
+        p, q = e1.grade, e2.grade
+        if (e1.src, e1.dst) != (e2.src, e2.dst):
             return False
         if len(p) > bound or len(q) > bound:
             raise SizeError("index sets exceed the fam-equality bound")
@@ -241,8 +240,6 @@ def _hide(graded: GradedArrow, bound: int, key, name: str) -> ArrowInstance:
         comp=comp,
         st=graded.st,
         equal=equal,
-        src=graded.src,
-        dst=graded.dst,
         key=key,
         commutative=graded.commutative,
     )
@@ -307,11 +304,10 @@ def para(
         ]
 
     def pure(m):
-        x = base.src(m)
         lifted = a_inst.comp(
-            a_inst.pure(base.lunit(x)), a_inst.pure(m)
+            a_inst.pure(base.lunit(m.src)), a_inst.pure(m)
         )
-        return ParaMor(x, base.dst(m), base.unit, lifted)
+        return ParaMor(m.src, m.dst, base.unit, lifted)
 
     def comp(p1, p2):
         if p1.dst != p2.src:
@@ -414,7 +410,7 @@ def graded_dimap(graded: GradedArrow, f, e, g):
     """pure(f) ; e ; pure(g), with the grade renormalized back to e's."""
     out = graded.gcomp(graded.gcomp(graded.unit(f), e), graded.unit(g))
     # grade is (1 (x) p) (x) 1: peel the units off
-    p = graded.grade_of(e)
+    p = e.grade
     lp = graded.grade_tensor(graded.grade_unit, p)
     out = graded.regrade(graded.grade_structural("runit", (lp,)), out)
     return graded.regrade(graded.grade_structural("lunit", (p,)), out)
@@ -422,10 +418,9 @@ def graded_dimap(graded: GradedArrow, f, e, g):
 
 def graded_left_strength(graded: GradedArrow, e, z):
     base = graded.base
-    x, y = graded.src(e), graded.dst(e)
     # the spectator sits on the covariant side only; conjugate by symmetry
-    zx = base.sym(z, x)
-    yz = base.sym(y, z)
+    zx = base.sym(z, e.src)
+    yz = base.sym(e.dst, z)
     return graded_dimap(graded, zx, graded.st(e, z), yz)
 
 
@@ -435,8 +430,8 @@ def graded_tensor(graded: GradedArrow, a, b):
         raise ValueError(
             f"graded arrow {graded.name!r} is not commutative; tensor refused"
         )
-    first = graded.st(a, graded.src(b))
-    second = graded_left_strength(graded, b, graded.dst(a))
+    first = graded.st(a, b.src)
+    second = graded_left_strength(graded, b, a.dst)
     return graded.gcomp(first, second)
 
 
@@ -444,7 +439,11 @@ def graded_tensor(graded: GradedArrow, a, b):
 
 @dataclass
 class GradedBimodule:
-    """A grade-indexed hom-family with graded actions of a graded arrow."""
+    """A grade-indexed hom-family with graded actions of a graded arrow.
+
+    Each member carries its own grade and endpoints as ``.grade``,
+    ``.src`` and ``.dst``.
+    """
 
     name: str
     arrow: GradedArrow
@@ -453,10 +452,6 @@ class GradedBimodule:
     gract: Callable[[Any, Any], Any]  # B_p(X,Y) x A_q(Y,Z) -> B_pq(X,Z)
     regrade: Callable[[Any, Any], Any]
     equal: Callable[[Any, Any], bool]
-    # an element's grade and endpoints; by default its fields of those names
-    grade_of: Callable[[Any], Any] = operator.attrgetter("grade")
-    src: Callable[[Any], Any] = operator.attrgetter("src")
-    dst: Callable[[Any], Any] = operator.attrgetter("dst")
     # members with the same endpoints and key are equal
     key: Callable[[Any], Any] | None = None
     st: Callable[[Any, Any], Any] | None = None
@@ -472,6 +467,18 @@ class GradedPairMor:
 
     arrow_part: Any
     bim_part: Any
+
+    @property
+    def src(self):
+        return self.arrow_part.src
+
+    @property
+    def dst(self):
+        return self.arrow_part.dst
+
+    @property
+    def grade(self):
+        return self.arrow_part.grade
 
 
 def graded_product(graded: GradedArrow, gbim: GradedBimodule) -> GradedArrow:
@@ -496,9 +503,7 @@ def graded_product(graded: GradedArrow, gbim: GradedBimodule) -> GradedArrow:
 
     def unit(base_mor):
         a = graded.unit(base_mor)
-        return GradedPairMor(
-            a, gbim.e(graded.grade_unit, graded.src(a), graded.dst(a))
-        )
+        return GradedPairMor(a, gbim.e(graded.grade_unit, a.src, a.dst))
 
     def gcomp(m1, m2):
         return GradedPairMor(
@@ -541,9 +546,6 @@ def graded_product(graded: GradedArrow, gbim: GradedBimodule) -> GradedArrow:
         st=st,
         regrade=regrade,
         equal=equal,
-        grade_of=lambda m: graded.grade_of(m.arrow_part),
-        src=lambda m: graded.src(m.arrow_part),
-        dst=lambda m: graded.dst(m.arrow_part),
         key=key,
         commutative=graded.commutative and gbim.commutative,
         grade_structural=graded.grade_structural,

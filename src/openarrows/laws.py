@@ -173,20 +173,20 @@ def _report(law: str, instance: str, trials: Iterator, equality: str) -> LawRepo
 class _Interned:
     """Numbers the members of one family, one representative per class.
 
-    Members with the same endpoints and the same ``key`` share a number.
-    Endpoints belong to the class because a key need not carry them (an
-    ``EqFun``'s key is its values alone).  A family with no key is numbered
-    by identity; ``reps`` holds each member, so no id is reused.
+    Members with the same endpoints and the same ``key`` share a number; a
+    key carries no endpoints, so the class adds ``m.src`` and ``m.dst``.  A
+    family with no key is numbered by identity; ``reps`` holds each member,
+    so no id is reused.
     """
 
-    def __init__(self, key: Callable | None, src: Callable, dst: Callable):
-        self.key, self.src, self.dst = key, src, dst
+    def __init__(self, key: Callable | None):
+        self.key = key
         self.reps: list = []
         self._numbers: dict = {}
         self._lists: dict = {}
 
     def __call__(self, m) -> int:
-        k = id(m) if self.key is None else (self.src(m), self.dst(m), self.key(m))
+        k = id(m) if self.key is None else (m.src, m.dst, self.key(m))
         n = self._numbers.get(k)
         if n is None:
             n = self._numbers[k] = len(self.reps)
@@ -357,7 +357,7 @@ def _no_regrade(*grades) -> Callable:
 
 def _assoc_regrade(g: GradedArrow, regrade: Callable, num: _Interned) -> Callable:
     """The ``fix_num`` of a graded arrow or bimodule; each iso numbered by identity."""
-    op = _Op(regrade, _Interned(None, None, None), num, num)
+    op = _Op(regrade, _Interned(None), num, num)
 
     def fix(p, q, r):
         return op[op.left(g.grade_structural("assoc", (p, q, r)))].__getitem__
@@ -375,7 +375,7 @@ def _once(blocks: Iterable, num: _Interned, chase: Callable, equal: Callable):
         if block in done:
             yield done[block]
             continue
-        fin = _Interned(num.key, num.src, num.dst)
+        fin = _Interned(num.key)
         inputs, lhs, rhs = chase(fin, *block)
         done[block] = len(lhs)
         yield from fin.slab(inputs, lhs, rhs, equal)
@@ -443,7 +443,7 @@ def check_arrow_laws(
 
     def assoc_trials():
         # lact-comp of the arrow acting on itself
-        hom, num = _one_grade(a), _Interned(a.key, a.src, a.dst)
+        hom, num = _one_grade(a), _Interned(a.key)
         return _action_trials(
             objs, [None], hom, hom, num, num, a.comp, a.comp, a.comp, _no_regrade,
             a.equal,
@@ -479,7 +479,7 @@ def check_strength(
     """
     name = instance or a.name
     base, objs = a.base, a.objects
-    num = _Interned(a.key, a.src, a.dst)
+    num = _Interned(a.key)
     st = _Strong(_one_grade(a), num, a.st)
 
     def unit(fin, x, y):
@@ -527,7 +527,7 @@ def check_commutativity(
     """
     if not a.commutative:
         return []
-    hom, num = _one_grade(a), _Interned(a.key, a.src, a.dst)
+    hom, num = _one_grade(a), _Interned(a.key)
     trials = _commute_trials(
         a.objects, [None], _Strong(hom, num, a.st),
         _Strong(hom, num, functools.partial(left_strength, a)), a.comp, a.comp,
@@ -540,8 +540,7 @@ def check_commutativity(
 
 def _bim_left_strength(b: Bimodule, e, z):
     base = b.arrow.base
-    x, y = b.src(e), b.dst(e)
-    return b.dimap(base.sym(z, x), b.st(e, z), base.sym(y, z))
+    return b.dimap(base.sym(z, e.src), b.st(e, z), base.sym(e.dst, z))
 
 
 def check_bimodule(
@@ -576,9 +575,8 @@ def check_bimodule(
                 yield ((e,), lhs, e, b.equal(lhs, e))
 
     lact_comp, ract_comp, mixed = _action_trials(
-        objs, [None], _one_grade(a), _one_grade(b), _Interned(a.key, a.src, a.dst),
-        _Interned(b.key, b.src, b.dst), a.comp, b.lact, b.ract, _no_regrade,
-        b.equal,
+        objs, [None], _one_grade(a), _one_grade(b), _Interned(a.key),
+        _Interned(b.key), a.comp, b.lact, b.ract, _no_regrade, b.equal,
     )
 
     out = [
@@ -590,8 +588,8 @@ def check_bimodule(
     ]
 
     if b.st is not None:
-        st_a = _Strong(_one_grade(a), _Interned(a.key, a.src, a.dst), a.st)
-        st_b = _Strong(_one_grade(b), _Interned(b.key, b.src, b.dst), b.st)
+        st_a = _Strong(_one_grade(a), _Interned(a.key), a.st)
+        st_b = _Strong(_one_grade(b), _Interned(b.key), b.st)
         out.append(_report("bimodule.lact-st", name, _strength_trials(
             objs, st_a, st_b, st_b, b.lact, b.equal
         ), equality))
@@ -830,7 +828,7 @@ def check_graded(
                             yield ((phi, e, z), lhs, rhs, g.equal(lhs, rhs))
 
     def assoc_trials():
-        num = _Interned(g.key, g.src, g.dst)
+        num = _Interned(g.key)
         return _action_trials(
             objs, grades, hom, hom, num, num, g.gcomp, g.gcomp, g.gcomp,
             _assoc_regrade(g, g.regrade, num), g.equal,
@@ -845,7 +843,7 @@ def check_graded(
 
     if g.commutative:
         sym = lambda p, q: functools.partial(g.regrade, gs("sym", (p, q)))  # noqa: E731
-        st = _Strong(hom, _Interned(g.key, g.src, g.dst), g.st)
+        st = _Strong(hom, _Interned(g.key), g.st)
         ls = _Strong(hom, st.num, functools.partial(graded_left_strength, g))
         out.append(_report("graded.commute", name, _commute_trials(
             objs, grades, st, ls, g.gcomp, g.gcomp, sym, g.equal,
@@ -872,7 +870,7 @@ def check_graded_bimodule(
     base = g.base
     gs = g.grade_structural
     hb = functools.cache(gb.hom)
-    num_b = _Interned(gb.key, gb.src, gb.dst)
+    num_b = _Interned(gb.key)
 
     def lact_unit():
         for q in grades:
@@ -891,7 +889,7 @@ def check_graded_bimodule(
                     yield ((e,), lhs, e, gb.equal(lhs, e))
 
     lact_comp, ract_comp, mixed = _action_trials(
-        objects, grades, functools.cache(g.hom), hb, _Interned(g.key, g.src, g.dst),
+        objects, grades, functools.cache(g.hom), hb, _Interned(g.key),
         num_b, g.gcomp, gb.glact, gb.gract, _assoc_regrade(g, gb.regrade, num_b),
         gb.equal,
     )

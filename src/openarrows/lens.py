@@ -58,14 +58,7 @@ class Lens:
 
 
 def lens_key(lens: Lens):
-    return (
-        lens.src.fwd.elements,
-        lens.src.bwd.elements,
-        lens.dst.fwd.elements,
-        lens.dst.bwd.elements,
-        lens.fwd.table,
-        lens.bwd.table,
-    )
+    return lens.fwd.table, lens.bwd.table
 
 
 def lens_pure(m: BaseMap) -> Lens:

@@ -287,7 +287,7 @@ def twisted_grading(
         return TwElement(e.src, e.dst, q, left, right)
 
     def key(e: TwElement):
-        return e.grade, SET.mor_key(e.left), SET.mor_key(e.right)
+        return e.grade, e.left.table, e.right.table
 
     def grade_structural(kind: str, args: tuple) -> TwIso:
         def both(mk):
@@ -369,16 +369,16 @@ def lens_optic_context(
         ]
 
     def lact(a, c):
-        if g_inst.dst(a) != c.src:
+        if a.dst != c.src:
             raise CompositionError("optic context left action: endpoint mismatch")
         cont = g_inst.comp(left_strength(g_inst, a, c.residual), c.cont)
-        return OpticCtx(g_inst.src(a), c.dst, c.residual, c.state, cont)
+        return OpticCtx(a.src, c.dst, c.residual, c.state, cont)
 
     def ract(c, a):
-        if g_inst.src(a) != c.dst:
+        if a.src != c.dst:
             raise CompositionError("optic context right action: endpoint mismatch")
         state = g_inst.comp(c.state, left_strength(g_inst, a, c.residual))
-        return OpticCtx(c.src, g_inst.dst(a), c.residual, state, cont=c.cont)
+        return OpticCtx(c.src, a.dst, c.residual, state, cont=c.cont)
 
     def cst(c, x_obj, y_obj, z_obj):
         # Ctx(X (x) Z, Y (x) Z) -> Ctx(X, Y): absorb Z into the residual.

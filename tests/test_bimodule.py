@@ -24,6 +24,7 @@ from openarrows.bimodule import (
 from openarrows.finset import (
     BOOL_AND,
     STAR,
+    UNIT,
     WITNESSES,
     CompositionError,
     DomainError,
@@ -352,6 +353,21 @@ def test_eq_actions_read_each_predicate_not_a_cached_result():
     assert eq.lact(a, h1) == h1 and eq.lact(a, h2) == h2
     assert eq.ract(h1, a) == h1 and eq.ract(h2, a) == h2
     assert eq.st(h1, I) != eq.st(h2, I)
+
+
+def test_eq_action_memo_tells_apart_members_with_equal_tables():
+    # a1 and a2 have the same tables but different targets, so the memo of
+    # the right action must hold their endpoints as well as their key
+    y, z1, z2 = PairObj(B, UNIT), PairObj(B, B), PairObj(bit_set(3), B)
+    eq = eq_from_context(CTX, BOOL_AND)
+    bwd = FinFun.of(product(B, B), UNIT, lambda _: STAR)
+    a1, a2 = (Lens(y, z, FinFun.of(B, z.fwd, lambda v: v), bwd) for z in (z1, z2))
+    assert (a1.fwd.table, a1.bwd.table) == (a2.fwd.table, a2.bwd.table)
+    h = eq.hom_cached(I, y)[0]
+    for a, n in ((a1, 4), (a2, 8)):
+        out = eq.ract(h, a)
+        assert (out.src, out.dst) == (I, a.dst)
+        assert len(out.values) == len(CTX.bimodule.hom_cached(a.dst, I)) == n
 
 
 def test_eq_actions_on_a_keyless_arrow_raise_domain_error():

@@ -31,7 +31,6 @@ from openarrows.finset import (
     lunit_iso,
     product,
     runit_iso,
-    structural_iso,
     sym_iso,
     tensor_fun,
     witnesses_empty,
@@ -151,7 +150,6 @@ def test_trusted_structural_isos_match_the_public_constructor(a, b, c):
     )
     assert runit_iso(a) == FinFun.of(product(a, UNIT), a, lambda p: p[0])
     assert lunit_iso(a) == FinFun.of(product(UNIT, a), a, lambda p: p[1])
-    assert structural_iso("symmetry", a, b) == sym_iso(a, b)
     assert FinFun.identity(a) == FinFun.of(a, a, lambda x: x)
 
 

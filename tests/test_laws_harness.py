@@ -327,7 +327,7 @@ def test_keyless_members_are_numbered_by_identity_not_equality():
 def test_equal_values_at_different_endpoints_stay_apart():
     x, y = pair_atoms((2, 1), (1, 2))
     eq = _suite_bimodules(2)["eq(lens,bool)"]
-    num = laws._Interned(eq.key, eq.src, eq.dst)
+    num = laws._Interned(eq.key)
     h, h_flipped = EqFun(x, y, (True,)), EqFun(y, x, (True,))
     assert eq.key(h) == eq.key(h_flipped)
     assert num(h) != num(h_flipped)
@@ -678,11 +678,11 @@ def test_colimit_keys_decide_equality_as_the_bijection_search_does(instance):
     objs = list(dict.fromkeys(a.objects))
     pool = [m for x, y in itertools.product(objs, repeat=2) for m in a.hom_cached(x, y)]
     members = pool + [
-        a.comp(m1, m2) for m1 in pool for m2 in pool if a.dst(m1) == a.src(m2)
+        a.comp(m1, m2) for m1 in pool for m2 in pool if m1.dst == m2.src
     ]
     by_ends = {}
     for m in members:
-        by_ends.setdefault((a.src(m), a.dst(m)), []).append(m)
+        by_ends.setdefault((m.src, m.dst), []).append(m)
     for ms in by_ends.values():
         keys = [a.key(m) for m in ms]
         for (m1, k1), (m2, k2) in itertools.product(zip(ms, keys), repeat=2):
@@ -736,14 +736,14 @@ def test_hide_over_a_graded_arrow_keyed_otherwise_searches_the_grade_isos(make):
     ]
     pairs = [
         (m1, m2) for m1, m2 in itertools.product(pool, repeat=2)
-        if (a.src(m1), a.dst(m1)) == (a.src(m2), a.dst(m2))
+        if (m1.src, m1.dst) == (m2.src, m2.dst)
     ]
     for m1, m2 in pairs:
         assert a.equal(m1, m2) == keyless.equal(m1, m2), (m1, m2)
     assert {a.equal(m1, m2) for m1, m2 in pairs} == {True, False}
     for e in pool:
         for q in g.grades:
-            for phi in g.grade_isos(q, g.grade_of(e)):
+            for phi in g.grade_isos(q, e.grade):
                 assert a.equal(e, g.regrade(phi, e)) is True, (e, phi)
 
 
@@ -891,7 +891,7 @@ def _assert_keys_decide_equality(family, members):
     # equal
     by_ends = {}
     for m in members:
-        by_ends.setdefault((family.src(m), family.dst(m)), []).append(m)
+        by_ends.setdefault((m.src, m.dst), []).append(m)
     for ms in by_ends.values():
         keyed = [(m, family.key(m)) for m in ms]
         for (m1, k1), (m2, k2) in itertools.product(keyed, repeat=2):
@@ -981,10 +981,53 @@ def test_graded_product_is_keyed_by_its_parts_when_both_are():
     # over the pool and its composites, some distinct members share a key
     composed = [
         prod.gcomp(m1, m2) for m1, m2 in itertools.product(pool, repeat=2)
-        if prod.dst(m1) == prod.src(m2)
+        if m1.dst == m2.src
     ]
     assert len({prod.key(m) for m in composed}) < len(composed)
     _assert_keys_decide_equality(prod, pool + composed)
+
+
+# -- the member protocol: a member carries its endpoints and grade -------------
+
+def _protocol_families():
+    # name -> (hom at a grade, objects, grades or None where ungraded), as
+    # the suites build them at size 2
+    arrows, bims = _suite_arrows(2), _suite_bimodules(2)
+    graded = {name: g for name, (g, _) in _suite_graded(2)[0].items()}
+    gbims = _suite_gbims(2)
+    prod, _gb = _bestresp_product(2)
+    out = {
+        name: (lambda p, x, y, a=a: a.hom_cached(x, y), a.objects, None)
+        for name, a in arrows.items() if name in ("lens", "optic(set)")
+    }
+    out.update(
+        (name, (lambda p, x, y, b=b: b.hom_cached(x, y), b.arrow.objects, None))
+        for name, b in bims.items()
+    )
+    out.update(
+        (name, (g.hom, g.objects, g.grades))
+        for name, g in [*graded.items(), ("param(lens)*bestresp", prod)]
+    )
+    out.update((name, (gb.hom, objs, grades)) for name, (gb, objs, grades) in gbims.items())
+    return out
+
+
+@pytest.mark.parametrize("instance", sorted(_protocol_families()))
+def test_every_member_carries_its_endpoints_and_grade(instance):
+    hom, objects, grades = _protocol_families()[instance]
+    objects = list(dict.fromkeys(objects))
+    members = 0
+    for p in grades or [None]:
+        for x, y in itertools.product(objects, repeat=2):
+            for m in hom(p, x, y):
+                assert (m.src, m.dst) == (x, y), (m, x, y)
+                if grades is not None:
+                    assert m.grade == p, (m, p)
+                if isinstance(m, GradedPairMor):
+                    part = m.arrow_part
+                    assert (m.src, m.dst, m.grade) == (part.src, part.dst, part.grade)
+                members += 1
+    assert members > 0
 
 
 # -- graded arrows through the arrow chases ------------------------------------
@@ -1072,10 +1115,10 @@ def test_shared_graded_laws_match_per_case_chasing_on_param_lens_at_size_2():
 # "key-equal implies equal"; a family without a key is numbered by identity,
 # whose tables grow with the case count.
 
-def _with_composites(family, pool, comp):
+def _with_composites(pool, comp):
     return pool + [
         comp(m1, m2) for m1 in pool for m2 in pool
-        if family.dst(m1) == family.src(m2)
+        if m1.dst == m2.src
     ]
 
 
@@ -1086,7 +1129,7 @@ def test_tag_arrow_keys_decide_equality(target):
         m for x, y in itertools.product(a.objects, repeat=2)
         for m in a.hom_cached(x, y)
     ]
-    _assert_keys_decide_equality(a, _with_composites(a, pool, a.comp))
+    _assert_keys_decide_equality(a, _with_composites(pool, a.comp))
 
 
 def _graded_pool(g):
@@ -1099,14 +1142,14 @@ def _graded_pool(g):
 @pytest.mark.parametrize("target", _GRADED_MUTANTS)
 def test_tag_graded_keys_decide_equality(target):
     g = _captured(target, "check_graded")
-    _assert_keys_decide_equality(g, _with_composites(g, _graded_pool(g), g.gcomp))
+    _assert_keys_decide_equality(g, _with_composites(_graded_pool(g), g.gcomp))
 
 
 def test_twisted_keys_decide_equality():
     # twisted(set)'s grades include two maps between the same residuals, so
     # a key without the grade would merge unequal members
     g, _ = _suite_graded(1)[0]["twisted(set)"]
-    _assert_keys_decide_equality(g, _with_composites(g, _graded_pool(g), g.gcomp))
+    _assert_keys_decide_equality(g, _with_composites(_graded_pool(g), g.gcomp))
 
 
 _CHECKERS = (

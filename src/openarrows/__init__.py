@@ -36,9 +36,7 @@ from .arrow import (  # noqa: F401
 )
 from .bimodule import (  # noqa: F401
     Bimodule,
-    ContextStruct,
     CtxPair,
-    MonoidOnProfunctor,
     ctx_of_arrow,
     eq_from_context,
     with_bimodule,

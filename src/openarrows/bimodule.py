@@ -1,11 +1,12 @@
 """Bimodules over arrows, contexts, and the equilibrium product arrow.
 
-A bimodule attaches left and right arrow actions to a hom-family; a
-context is additionally equipped with a costrength that strips a tensor
-factor.  Functions from contexts into a commutative monoid form the
-equilibrium bimodule, and bundling an arrow with such a bimodule yields
-the arrow whose morphisms are play/coplay data together with an
-equilibrium predicate.
+A bimodule attaches left and right arrow actions to a hom-family.  One
+record, ``Bimodule``, holds every bimodule the program builds: a context
+is a bimodule that also has a costrength ``cst`` stripping a tensor
+factor, and the equilibrium bimodule of functions from contexts into a
+commutative monoid also carries that monoid pointwise as ``e`` and ``m``.
+Bundling an arrow with such a bimodule yields the arrow whose morphisms
+are play/coplay data together with an equilibrium predicate.
 """
 
 from __future__ import annotations
@@ -16,15 +17,6 @@ from typing import Any, Callable
 
 from .arrow import ArrowInstance, CachedHom
 from .finset import CompositionError, DomainError, FinFun, Monoid, all_funs
-
-
-@dataclass
-class MonoidOnProfunctor:
-    """Pointwise monoid structure on a hom-family."""
-
-    e: Callable[[Any, Any], Any]  # (X, Y) -> unit element of B(X, Y)
-    m: Callable[[Any, Any], Any]  # (b, b') -> b''
-    commutative: bool = True
 
 
 @dataclass
@@ -42,44 +34,19 @@ class Bimodule(CachedHom):
     equal: Callable[[Any, Any], bool]
     key: Callable[[Any], Any] | None = None
     st: Callable[[Any, Any], Any] | None = None
-    monoid: MonoidOnProfunctor | None = None
+    # cst(b, X, Y, Z): B(X (x) Z, Y (x) Z) -> B(X, Y); factors passed
+    # explicitly because tensors are not syntactically split.
+    cst: Callable[[Any, Any, Any, Any], Any] | None = None
+    # pointwise monoid
+    e: Callable[[Any, Any], Any] | None = None  # (X, Y) -> unit of B(X, Y)
+    m: Callable[[Any, Any], Any] | None = None  # (b, b') -> b''
     commutative: bool = False
     _hom_cache: dict = field(default_factory=dict, repr=False)
-    _index_cache: dict = field(default_factory=dict, repr=False)
-
-    def index(self, x, y) -> dict:
-        """Canonical-key -> position map for the enumeration of B(X, Y)."""
-        k = (x, y)
-        if k not in self._index_cache:
-            if self.key is None:
-                raise DomainError(f"bimodule {self.name!r} has no canonical key")
-            self._index_cache[k] = {
-                self.key(b): i for i, b in enumerate(self.hom_cached(x, y))
-            }
-        return self._index_cache[k]
 
     def dimap(self, f, b, g):
         """Reindex along base maps using the actions and the arrow's pure."""
         a = self.arrow
         return self.ract(self.lact(a.pure(f), b), a.pure(g))
-
-
-@dataclass
-class ContextStruct:
-    """A commutative bimodule with a costrength: the home of game contexts."""
-
-    bimodule: Bimodule
-    # cst(b, X, Y, Z): B(X (x) Z, Y (x) Z) -> B(X, Y); factors passed
-    # explicitly because tensors are not syntactically split.
-    cst: Callable[[Any, Any, Any, Any], Any]
-
-    def cst_left(self, b, x_obj, y_obj, z_obj):
-        """Strip a factor on the left by conjugating with the symmetry."""
-        base = self.bimodule.arrow.base
-        moved = self.bimodule.dimap(
-            base.sym(x_obj, z_obj), b, base.sym(z_obj, y_obj)
-        )
-        return self.cst(moved, x_obj, y_obj, z_obj)
 
 
 # -- the canonical context of the lens arrow --------------------------------
@@ -100,8 +67,12 @@ class CtxPair:
     state: Any  # an element of dst.fwd
     cont: FinFun  # src.fwd -> src.bwd
 
+    def _order_key(self) -> str:
+        # a Dist's contexts share their endpoints: order them by the rest
+        return f"CtxPair({self.state!r}, {self.cont.table!r})"
 
-def ctx_of_arrow(a_inst: ArrowInstance) -> ContextStruct:
+
+def ctx_of_arrow(a_inst: ArrowInstance) -> Bimodule:
     """Contexts of a lens arrow as (point, continuation table) pairs."""
     base = a_inst.base
     unit = base.unit
@@ -149,7 +120,7 @@ def ctx_of_arrow(a_inst: ArrowInstance) -> ContextStruct:
         table = tuple(s for s, _ in c.cont.table[m::n_z])
         return CtxPair(x_obj, y_obj, y, FinFun._trusted(x_obj.fwd, x_obj.bwd, table))
 
-    bim = Bimodule(
+    return Bimodule(
         name=f"ctx({a_inst.name})",
         arrow=a_inst,
         hom=hom,
@@ -157,9 +128,9 @@ def ctx_of_arrow(a_inst: ArrowInstance) -> ContextStruct:
         ract=ract,
         equal=lambda c1, c2: c1 == c2,
         key=lambda c: (c.state, c.cont.table),
+        cst=cst,
         commutative=True,
     )
-    return ContextStruct(bimodule=bim, cst=cst)
 
 
 # -- the equilibrium bimodule ------------------------------------------------
@@ -177,19 +148,12 @@ class EqFun:
     values: tuple
 
 
-def eq_tabulate(ctx: ContextStruct, x_obj, y_obj, fn: Callable) -> EqFun:
-    return EqFun(
-        x_obj, y_obj, tuple(fn(c) for c in ctx.bimodule.hom_cached(y_obj, x_obj))
-    )
-
-
-def eq_apply(ctx: ContextStruct, h: EqFun, c: CtxPair):
-    pos = ctx.bimodule.index(h.dst, h.src)[ctx.bimodule.key(c)]
-    return h.values[pos]
+def eq_tabulate(ctx: Bimodule, x_obj, y_obj, fn: Callable) -> EqFun:
+    return EqFun(x_obj, y_obj, tuple(fn(c) for c in ctx.hom_cached(y_obj, x_obj)))
 
 
 def eq_from_context(
-    ctx: ContextStruct, m_monoid: Monoid, value_pool: list | None = None
+    ctx: Bimodule, m_monoid: Monoid, value_pool: list | None = None
 ) -> Bimodule:
     """Functions from contexts into a commutative monoid, as a bimodule.
 
@@ -198,14 +162,14 @@ def eq_from_context(
     infinite monoids such as the witness multisets.
 
     Actions never re-tabulate a predicate.  Context ``b`` of ``lact(a, h)``
-    reads ``h`` at ``ract(b, a)`` (dually for ``ract`` and ``st``), and
-    where that context sits in ``h``'s enumeration depends on ``a`` and on
-    ``h``'s endpoints, never on ``h``'s values.  Each action therefore
-    computes a position table once, by running the real context action on
-    every context, and gathers ``h.values`` through it.  Tables are
-    memoised on ``a``'s endpoints and the arrow's key of ``a`` (on the
+    reads ``h`` at ``ract(b, a)`` (dually for ``ract``, and ``st`` reads it
+    at ``cst``), and where that context sits in ``h``'s enumeration depends
+    on ``a`` and on ``h``'s endpoints, never on ``h``'s values.  Each action
+    therefore computes a position table once, by running the real context
+    action on every context, and gathers ``h.values`` through it.  Tables
+    are memoised on ``a``'s endpoints and the arrow's key of ``a`` (on the
     spectator for ``st``) and ``h``'s endpoints, and live as long as the
-    returned bimodule; acting needs an arrow with a key.
+    returned bimodule; acting needs an arrow and a context with keys.
     """
     if not m_monoid.commutative:
         raise DomainError(
@@ -218,13 +182,13 @@ def eq_from_context(
                 f"monoid {m_monoid.name!r} is infinite; supply a value pool"
             )
         value_pool = list(m_monoid.carrier.elements)
-    cb = ctx.bimodule
-    a_inst = cb.arrow
+    a_inst = ctx.arrow
     base = a_inst.base
     tables: dict = {}
+    positions: dict = {}  # (x, y) -> {context key: position in Ctx(x, y)}
 
     def hom(x, y):
-        ctxs = cb.hom_cached(y, x)
+        ctxs = ctx.hom_cached(y, x)
         return [
             EqFun(x, y, values)
             for values in itertools.product(value_pool, repeat=len(ctxs))
@@ -234,9 +198,13 @@ def eq_from_context(
         # Eq(X,Z) element whose context b reads h at act(b).
         pos = tables.get(memo)
         if pos is None:
-            index = cb.index(h.dst, h.src)
+            index = positions.get((h.dst, h.src))
+            if index is None:
+                index = positions[h.dst, h.src] = {
+                    ctx.key(c): i for i, c in enumerate(ctx.hom_cached(h.dst, h.src))
+                }
             pos = tables[memo] = tuple(
-                index[cb.key(act(b))] for b in cb.hom_cached(z, x)
+                index[ctx.key(act(b))] for b in ctx.hom_cached(z, x)
             )
         return EqFun(x, z, tuple(map(h.values.__getitem__, pos)))
 
@@ -249,14 +217,14 @@ def eq_from_context(
         # A(X,Y) x Eq(Y,Z) -> Eq(X,Z): judge extended-by-a contexts.
         return reindex(
             h, a.src, h.dst, action_memo("lact", a, h),
-            lambda b: cb.ract(b, a),
+            lambda b: ctx.ract(b, a),
         )
 
     def ract(h, a):
         # Eq(X,Y) x A(Y,Z) -> Eq(X,Z): judge contexts with a prepended.
         return reindex(
             h, h.src, a.dst, action_memo("ract", a, h),
-            lambda b: cb.lact(a, b),
+            lambda b: ctx.lact(a, b),
         )
 
     def st(h, z_obj):
@@ -265,16 +233,6 @@ def eq_from_context(
             h, base.tensor(x, z_obj), base.tensor(y, z_obj), (x, y, z_obj),
             lambda b: ctx.cst(b, y, x, z_obj),
         )
-
-    monoid = MonoidOnProfunctor(
-        e=lambda x, y: eq_tabulate(ctx, x, y, lambda _: m_monoid.unit),
-        m=lambda h1, h2: EqFun(
-            h1.src,
-            h1.dst,
-            tuple(m_monoid.op(v1, v2) for v1, v2 in zip(h1.values, h2.values)),
-        ),
-        commutative=m_monoid.commutative,
-    )
 
     return Bimodule(
         name=f"eq({a_inst.name}, {m_monoid.name})",
@@ -285,7 +243,12 @@ def eq_from_context(
         equal=lambda h1, h2: h1 == h2,
         key=lambda h: (h.values,),
         st=st,
-        monoid=monoid,
+        e=lambda x, y: eq_tabulate(ctx, x, y, lambda _: m_monoid.unit),
+        m=lambda h1, h2: EqFun(
+            h1.src,
+            h1.dst,
+            tuple(m_monoid.op(v1, v2) for v1, v2 in zip(h1.values, h2.values)),
+        ),
         commutative=True,
     )
 
@@ -310,11 +273,10 @@ class WithBMor:
 
 def with_bimodule(a_inst: ArrowInstance, bim: Bimodule) -> ArrowInstance:
     """The product arrow of an arrow and a strong monoid bimodule over it."""
-    if bim.monoid is None:
+    if bim.m is None:
         raise DomainError(f"bimodule {bim.name!r} has no monoid structure")
     if bim.st is None:
         raise DomainError(f"bimodule {bim.name!r} has no strength")
-    mon = bim.monoid
 
     def hom(x, y):
         return [
@@ -325,12 +287,12 @@ def with_bimodule(a_inst: ArrowInstance, bim: Bimodule) -> ArrowInstance:
 
     def pure(m):
         a = a_inst.pure(m)
-        return WithBMor(a, mon.e(a.src, a.dst))
+        return WithBMor(a, bim.e(a.src, a.dst))
 
     def comp(m1, m2):
         return WithBMor(
             a_inst.comp(m1.inner, m2.inner),
-            mon.m(bim.lact(m1.inner, m2.extra), bim.ract(m1.extra, m2.inner)),
+            bim.m(bim.lact(m1.inner, m2.extra), bim.ract(m1.extra, m2.inner)),
         )
 
     def st(m, z):
@@ -353,17 +315,12 @@ def with_bimodule(a_inst: ArrowInstance, bim: Bimodule) -> ArrowInstance:
         st=st,
         equal=equal,
         key=key,
-        commutative=a_inst.commutative and bim.commutative and mon.commutative,
+        commutative=a_inst.commutative and bim.commutative,
     )
 
 
-def with_eq(
-    a_inst: ArrowInstance,
-    ctx: ContextStruct,
-    m_monoid: Monoid,
-    value_pool: list | None = None,
-) -> ArrowInstance:
+def with_eq(a_inst: ArrowInstance, ctx: Bimodule, m_monoid: Monoid) -> ArrowInstance:
     """Attach monoid-valued equilibrium predicates to an arrow."""
-    arrow = with_bimodule(a_inst, eq_from_context(ctx, m_monoid, value_pool))
+    arrow = with_bimodule(a_inst, eq_from_context(ctx, m_monoid))
     arrow.name = f"witheq({a_inst.name}, {m_monoid.name})"
     return arrow

@@ -172,6 +172,9 @@ class FinFun:
     def __call__(self, x):
         return self.table[self.dom.index(x)]
 
+    def _order_key(self) -> str:
+        return f"FinFun({self.table!r})"
+
     # morphism-protocol aliases used by the arrow machinery
     @property
     def src(self) -> FinSet:
@@ -299,7 +302,8 @@ class Dist:
     """A finite distribution with exact rational weights summing to 1.
 
     Zero-weight points are dropped; the support is kept sorted by repr so
-    equal distributions compare equal.  The public constructor checks
+    equal distributions compare equal (``_order_key`` finds that order
+    without spelling out carriers).  The public constructor checks
     every weight and the total.  ``map``, ``dist_bind`` and ``dist_pure``
     build distributions that are valid by construction, so they go
     through ``_trusted``, which merges, drops zeros and sorts the same
@@ -344,6 +348,18 @@ class Dist:
         return "Dist(" + ", ".join(f"{x}: {w}" for x, w in self.weights) + ")"
 
 
+def _order_key(x) -> str:
+    # repr(x), but a function or context that has an ``_order_key`` leaves
+    # out its carriers.  The points of one support lie in one carrier, so
+    # at each tuple position they share those carriers, and the order is
+    # repr's.
+    if type(x) is tuple:
+        inner = ", ".join(map(_order_key, x))
+        return f"({inner},)" if len(x) == 1 else f"({inner})"
+    own = getattr(x, "_order_key", None)
+    return repr(x) if own is None else own()
+
+
 def _support(pairs: list) -> tuple:
     # merge equal points, drop zero weights, sort by repr
     if len(pairs) == 1:  # nothing to merge or sort
@@ -352,7 +368,8 @@ def _support(pairs: list) -> tuple:
     for x, w in pairs:
         merged[x] = merged[x] + w if x in merged else w
     return tuple(sorted(
-        ((x, w) for x, w in merged.items() if w != 0), key=lambda p: repr(p[0])
+        ((x, w) for x, w in merged.items() if w != 0),
+        key=lambda p: _order_key(p[0]),
     ))
 
 

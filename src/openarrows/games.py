@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .base import PAIR, PAIR_I, BaseMap, PairObj
-from .bimodule import ContextStruct, CtxPair, ctx_of_arrow
+from .bimodule import Bimodule, CtxPair, ctx_of_arrow
 from .finset import (
     BOOL_AND,
     STAR,
@@ -65,7 +65,7 @@ from .grading import (
 from .lens import Lens, lens_arrow
 
 _LENS = lens_arrow([])
-GAME_CTX: ContextStruct = ctx_of_arrow(_LENS)
+GAME_CTX: Bimodule = ctx_of_arrow(_LENS)
 _GRADED = grade_by_param(_LENS)
 _ONE = FinSet((STAR,))  # the strategy index of a game without a choice
 #: equality of game judgements refuses endpoints with more contexts than this
@@ -111,7 +111,7 @@ def _game_contexts(x: PairObj, y: PairObj) -> list:
         raise SizeError(
             f"a game {x}->{y} has {n} contexts, over the bound of {CONTEXT_BOUND}"
         )
-    return GAME_CTX.bimodule.hom_cached(y, x)
+    return GAME_CTX.hom_cached(y, x)
 
 
 # -- row judgements -------------------------------------------------------------
@@ -152,14 +152,14 @@ def row_bimodule(m_monoid: Monoid) -> GradedBimodule:
     def glact(a: ParamFamily, b: RowElement):
         def row(c):
             return tuple(
-                v for aj in a.members for v in b.row(ctx.bimodule.ract(c, aj))
+                v for aj in a.members for v in b.row(ctx.ract(c, aj))
             )
 
         return RowElement(a.src, b.dst, product(a.grade, b.grade), row)
 
     def gract(b: RowElement, a: ParamFamily):
         def row(c):
-            cols = [b.row(ctx.bimodule.lact(ak, c)) for ak in a.members]
+            cols = [b.row(ctx.lact(ak, c)) for ak in a.members]
             return tuple(v for vs in zip(*cols) for v in vs)
 
         return RowElement(b.src, a.dst, product(b.grade, a.grade), row)
@@ -521,7 +521,7 @@ def best_resp_bimodule(
             return frozenset(
                 ((j1, k1), (j2, k2))
                 for j1, aj in zip(a.grade, a.members)
-                for k1, k2 in b.row(ctx.bimodule.ract(c, aj))
+                for k1, k2 in b.row(ctx.ract(c, aj))
                 for j2 in a.grade
             )
 
@@ -537,7 +537,7 @@ def best_resp_bimodule(
             return frozenset(
                 ((j1, k1), (j2, k2))
                 for k1, ak in zip(a.grade, a.members)
-                for j1, j2 in b.row(ctx.bimodule.lact(ak, c))
+                for j1, j2 in b.row(ctx.lact(ak, c))
                 for k2 in a.grade
             )
 
@@ -591,28 +591,6 @@ def best_resp_bimodule(
             b.grade.elements, tuple(b.row(c) for c in ctxs(b.src, b.dst))
         ),
     )
-
-
-def decision_relation(d: OpenGame) -> BestRespElement:
-    """The canonical relation of a decision: the second profile is a better move.
-
-    A profile is a fixed point (related above every other) exactly when
-    it is a weak-argmax equilibrium.
-    """
-
-    def row(c: CtxPair) -> frozenset:
-        pay = {j: Fraction(c.cont(d.play(j).fwd(c.state))) for j in d.index}
-        return frozenset(
-            (j1, j2) for j1, j2 in itertools.product(d.index, repeat=2)
-            if pay[j2] >= pay[j1]
-        )
-
-    return BestRespElement(d.src, d.dst, d.index, _RowMemo(row))
-
-
-def best_response_fixed_points(b: BestRespElement, c: CtxPair) -> list:
-    row = b.row(c)
-    return [j for j in b.grade if all((i, j) in row for i in b.grade)]
 
 
 # -- probabilistic games ------------------------------------------------------
@@ -678,7 +656,7 @@ def prob_bimodule(
             pushed = dist_bind(
                 cd,
                 lambda c: prefix.map(
-                    lambda j1: ctx.bimodule.ract(c, a.member(j1))
+                    lambda j1: ctx.ract(c, a.member(j1))
                 ),
             )
             return b.pred(pushed, suffix)
@@ -694,7 +672,7 @@ def prob_bimodule(
             suffix = dist_marginal(d, 1)
             spread = dist_bind(
                 cd,
-                lambda c: suffix.map(lambda j2: ctx.bimodule.lact(a.member(j2), c)),
+                lambda c: suffix.map(lambda j2: ctx.lact(a.member(j2), c)),
             )
             return b.pred(spread, dist_marginal(d, 0))
 

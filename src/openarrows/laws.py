@@ -26,7 +26,6 @@ from .arrow import ArrowInstance, hom_arrow, left_strength
 from .base import PAIR, SET, PairObj, PAIR_I, bit_set, pair_atoms
 from .bimodule import (
     Bimodule,
-    ContextStruct,
     CtxPair,
     ctx_of_arrow,
     eq_from_context,
@@ -613,42 +612,41 @@ def check_eqmonoid(
 ) -> list[LawReport]:
     """Monoid laws of the designated merge, and action preservation."""
     name = instance or b.name
-    mon = b.monoid
-    if mon is None:
+    if b.m is None:
         return []
     a = b.arrow
     objs = a.objects
 
     def m_unit():
         for x, y in itertools.product(objs, repeat=2):
-            e0 = mon.e(x, y)
+            e0 = b.e(x, y)
             for e in b.hom_cached(x, y):
-                lhs = mon.m(e0, e)
+                lhs = b.m(e0, e)
                 yield ((e,), lhs, e, b.equal(lhs, e))
-                rhs = mon.m(e, e0)
+                rhs = b.m(e, e0)
                 yield ((e,), rhs, e, b.equal(rhs, e))
 
     def m_assoc():
         for x, y in itertools.product(objs, repeat=2):
             hom = b.hom_cached(x, y)
             for e1, e2, e3 in itertools.product(hom, repeat=3):
-                lhs = mon.m(mon.m(e1, e2), e3)
-                rhs = mon.m(e1, mon.m(e2, e3))
+                lhs = b.m(b.m(e1, e2), e3)
+                rhs = b.m(e1, b.m(e2, e3))
                 yield ((e1, e2, e3), lhs, rhs, b.equal(lhs, rhs))
 
     def m_commute():
         for x, y in itertools.product(objs, repeat=2):
             hom = b.hom_cached(x, y)
             for e1, e2 in itertools.product(hom, repeat=2):
-                lhs = mon.m(e1, e2)
-                rhs = mon.m(e2, e1)
+                lhs = b.m(e1, e2)
+                rhs = b.m(e2, e1)
                 yield ((e1, e2), lhs, rhs, b.equal(lhs, rhs))
 
     def lact_e():
         for x, y, z in itertools.product(objs, repeat=3):
             for a1 in a.hom_cached(x, y):
-                lhs = b.lact(a1, mon.e(y, z))
-                rhs = mon.e(x, z)
+                lhs = b.lact(a1, b.e(y, z))
+                rhs = b.e(x, z)
                 yield ((a1,), lhs, rhs, b.equal(lhs, rhs))
 
     def lact_m():
@@ -656,15 +654,15 @@ def check_eqmonoid(
             for a1 in a.hom_cached(x, y):
                 hom = b.hom_cached(y, z)
                 for e1, e2 in itertools.product(hom, repeat=2):
-                    lhs = b.lact(a1, mon.m(e1, e2))
-                    rhs = mon.m(b.lact(a1, e1), b.lact(a1, e2))
+                    lhs = b.lact(a1, b.m(e1, e2))
+                    rhs = b.m(b.lact(a1, e1), b.lact(a1, e2))
                     yield ((a1, e1, e2), lhs, rhs, b.equal(lhs, rhs))
 
     def ract_e():
         for x, y, z in itertools.product(objs, repeat=3):
             for a1 in a.hom_cached(y, z):
-                lhs = b.ract(mon.e(x, y), a1)
-                rhs = mon.e(x, z)
+                lhs = b.ract(b.e(x, y), a1)
+                rhs = b.e(x, z)
                 yield ((a1,), lhs, rhs, b.equal(lhs, rhs))
 
     def ract_m():
@@ -672,35 +670,30 @@ def check_eqmonoid(
             for a1 in a.hom_cached(y, z):
                 hom = b.hom_cached(x, y)
                 for e1, e2 in itertools.product(hom, repeat=2):
-                    lhs = b.ract(mon.m(e1, e2), a1)
-                    rhs = mon.m(b.ract(e1, a1), b.ract(e2, a1))
+                    lhs = b.ract(b.m(e1, e2), a1)
+                    rhs = b.m(b.ract(e1, a1), b.ract(e2, a1))
                     yield ((a1, e1, e2), lhs, rhs, b.equal(lhs, rhs))
 
-    out = [
+    return [
         _report("eqmonoid.m-unit", name, m_unit(), equality),
         _report("eqmonoid.m-assoc", name, m_assoc(), equality),
-    ]
-    if mon.commutative:
-        out.append(_report("eqmonoid.m-commute", name, m_commute(), equality))
-    out += [
+        _report("eqmonoid.m-commute", name, m_commute(), equality),
         _report("eqmonoid.lact-e", name, lact_e(), equality),
         _report("eqmonoid.lact-m", name, lact_m(), equality),
         _report("eqmonoid.ract-e", name, ract_e(), equality),
         _report("eqmonoid.ract-m", name, ract_m(), equality),
     ]
-    return out
 
 
 # -- context (costrength) laws ------------------------------------------------
 
 def check_context(
-    c: ContextStruct,
+    b: Bimodule,
     instance: str | None = None,
     equality: str = "structural",
     objects: list | None = None,
 ) -> list[LawReport]:
-    """Spectator-absorption coherence of a context structure."""
-    b = c.bimodule
+    """Spectator-absorption coherence of a context's costrength ``b.cst``."""
     a = b.arrow
     base = a.base
     name = instance or b.name
@@ -711,7 +704,7 @@ def check_context(
         for x, y in itertools.product(objs, repeat=2):
             pre, post = a.pure(base.inv(base.runit(x))), a.pure(base.runit(y))
             for e in b.hom_cached(tens(x, base.unit), tens(y, base.unit)):
-                lhs = c.cst(e, x, y, base.unit)
+                lhs = b.cst(e, x, y, base.unit)
                 rhs = b.ract(b.lact(pre, e), post)
                 yield ((e,), lhs, rhs, b.equal(lhs, rhs))
 
@@ -722,8 +715,8 @@ def check_context(
             post = a.pure(base.assoc(y, z, w))
             # walked once, so not kept: the three-factor homs dwarf the rest
             for e in b.hom(tens(xz, w), tens(yz, w)):
-                lhs = c.cst(c.cst(e, xz, yz, w), x, y, z)
-                rhs = c.cst(b.ract(b.lact(pre, e), post), x, y, zw)
+                lhs = b.cst(b.cst(e, xz, yz, w), x, y, z)
+                rhs = b.cst(b.ract(b.lact(pre, e), post), x, y, zw)
                 yield ((e, z, w), lhs, rhs, b.equal(lhs, rhs))
 
     def lact_trials():
@@ -731,8 +724,8 @@ def check_context(
             for a1 in a.hom_cached(x, y):
                 padded = a.st(a1, w)
                 for e in b.hom_cached(tens(y, w), tens(z, w)):
-                    lhs = c.cst(b.lact(padded, e), x, z, w)
-                    rhs = b.lact(a1, c.cst(e, y, z, w))
+                    lhs = b.cst(b.lact(padded, e), x, z, w)
+                    rhs = b.lact(a1, b.cst(e, y, z, w))
                     yield ((a1, e, w), lhs, rhs, b.equal(lhs, rhs))
 
     def ract_trials():
@@ -740,8 +733,8 @@ def check_context(
             for a1 in a.hom_cached(y, z):
                 padded = a.st(a1, w)
                 for e in b.hom_cached(tens(x, w), tens(y, w)):
-                    lhs = c.cst(b.ract(e, padded), x, z, w)
-                    rhs = b.ract(c.cst(e, x, y, w), a1)
+                    lhs = b.cst(b.ract(e, padded), x, z, w)
+                    rhs = b.ract(b.cst(e, x, y, w), a1)
                     yield ((e, a1, w), lhs, rhs, b.equal(lhs, rhs))
 
     out = [
@@ -752,12 +745,17 @@ def check_context(
     ]
 
     if b.commutative:
+        def cst_left(e, x_obj, y_obj, z_obj):
+            # strip a factor on the left by conjugating with the symmetry
+            moved = b.dimap(base.sym(x_obj, z_obj), e, base.sym(z_obj, y_obj))
+            return b.cst(moved, x_obj, y_obj, z_obj)
+
         def mixed_trials():
             for x, y, x2, y2 in itertools.product(objs, repeat=4):
                 for a1 in a.hom_cached(x, y):
                     for e in b.hom_cached(tens(y, x2), tens(x, y2)):
-                        lhs = c.cst_left(b.lact(a.st(a1, x2), e), x2, y2, x)
-                        rhs = c.cst_left(b.ract(e, a.st(a1, y2)), x2, y2, y)
+                        lhs = cst_left(b.lact(a.st(a1, x2), e), x2, y2, x)
+                        rhs = cst_left(b.ract(e, a.st(a1, y2)), x2, y2, y)
                         yield ((a1, e), lhs, rhs, b.equal(lhs, rhs))
 
         out.append(_report("costrength.mixed", name, mixed_trials(), equality))
@@ -854,8 +852,6 @@ def check_graded(
 
 def check_graded_bimodule(
     gb: GradedBimodule,
-    objects: list,
-    grades: list,
     instance: str | None = None,
     equality: str = "structural",
 ) -> list[LawReport]:
@@ -867,7 +863,7 @@ def check_graded_bimodule(
     """
     name = instance or gb.name
     g = gb.arrow
-    base = g.base
+    base, objects, grades = g.base, g.objects, g.grades
     gs = g.grade_structural
     hb = functools.cache(gb.hom)
     num_b = _Interned(gb.key)
@@ -1012,7 +1008,7 @@ def bimodule_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
 
     lens3 = lens_arrow(atoms3)
     ctx3 = ctx_of_arrow(lens3)
-    reports += check_bimodule(ctx3.bimodule, "ctx(lens)")
+    reports += check_bimodule(ctx3, "ctx(lens)")
 
     lens2 = lens_arrow(atoms2)
     ctx2 = ctx_of_arrow(lens2)
@@ -1062,7 +1058,7 @@ def context_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
     lens2 = lens_arrow(atoms2)
     octx = lens_optic_context(lens2, residuals)
     eq = "sliding-canonical form"
-    reports += check_bimodule(octx.bimodule, "opticctx(lens)", eq)
+    reports += check_bimodule(octx, "opticctx(lens)", eq)
     # spectator absorption over forward-trivial objects: states collapse but
     # the continuation side, where residual bookkeeping lives, stays rich
     reports += check_context(octx, "opticctx(lens)", eq, objects=cst_objs)
@@ -1117,7 +1113,7 @@ def graded_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
     gobj = PairObj(bit_set(size), bit_set(size))
     gobjs = [PAIR_I, gobj]
     glens = grade_by_param(
-        lens_arrow([]), grades2, member_pool=_truncated(all_lenses, 2)
+        lens_arrow(gobjs), grades2, member_pool=_truncated(all_lenses, 2)
     )
 
     def br_elements(grade, x, y):
@@ -1137,13 +1133,13 @@ def graded_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
             BestRespElement(x, y, grade, lambda c: rows[c.state == x0]),
         ]
 
-    def br_contexts(x, y):
+    def two_contexts(x, y):
         k = all_funs(y.fwd, y.bwd)[0]
         return [CtxPair(y, x, p, k) for p in x.fwd.elements[:2]]
 
-    br = best_resp_bimodule(glens, br_elements, br_contexts)
+    br = best_resp_bimodule(glens, br_elements, two_contexts)
     reports += check_graded_bimodule(
-        br, gobjs, grades2, "bestresp(lens)",
+        br, "bestresp(lens)",
         "pointwise over registered contexts",
     )
 
@@ -1154,7 +1150,7 @@ def graded_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
         bwd = FinFun.of(product(x.fwd, y.bwd), x.bwd, lambda t: g0(t[0]))
         return [Lens(x, y, f, bwd) for f in all_funs(x.fwd, y.fwd)[:2]]
 
-    pglens = grade_by_param(lens_arrow([]), grades2, member_pool=ri_lenses)
+    pglens = grade_by_param(lens_arrow(gobjs), grades2, member_pool=ri_lenses)
 
     def pr_elements(grade, x, y):
         x0 = x.fwd.elements[0]
@@ -1176,10 +1172,6 @@ def graded_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
             ProbElement(x, y, grade, pay_pred),
         ]
 
-    def pr_contexts(x, y):
-        k = all_funs(y.fwd, y.bwd)[0]
-        return [CtxPair(y, x, p, k) for p in x.fwd.elements[:2]]
-
     def pr_dists(grade):
         n = len(grade)
         out = [dist_pure(grade.elements[0])]
@@ -1188,9 +1180,9 @@ def graded_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
             out.append(Dist([(j, Fraction(1, n)) for j in grade.elements]))
         return out
 
-    pr = prob_bimodule(pglens, pr_elements, pr_contexts, pr_dists)
+    pr = prob_bimodule(pglens, pr_elements, two_contexts, pr_dists)
     reports += check_graded_bimodule(
-        pr, gobjs, grades2, "probequib(lens)",
+        pr, "probequib(lens)",
         "pointwise over registered contexts and strategy distributions",
     )
 

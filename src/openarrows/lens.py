@@ -16,7 +16,6 @@ from .base import PAIR, PAIR_I, BaseMap, PairObj
 from .finset import (
     STAR,
     CompositionError,
-    DomainError,
     FinFun,
     all_funs,
     fun_compose,
@@ -139,20 +138,12 @@ def lens_arrow(objects: list[PairObj]) -> ArrowInstance:
     )
 
 
-# -- global points and continuations ----------------------------------------
+# -- global points ------------------------------------------------------------
 #
 # X = Lens(I, (X, S)) up to iso: a lens out of the unit picks a point of X
-# and has trivial coplay.  Dually Lens((Y, R), I) = Y -> R: a continuation.
-# There is one context type for games, ``bimodule.CtxPair``, and it stores
-# the point and the continuation table themselves.  These lenses are their
-# composable forms: optic contexts keep lens-shaped states, and tests check
-# the context actions against composites built from them.
-
-def point_lens(x_obj: PairObj, x) -> Lens:
-    if x not in x_obj.fwd:
-        raise DomainError(f"{x!r} not in {x_obj.fwd}")
-    return _point_lens(x_obj, x)
-
+# and has trivial coplay.  There is one context type for games,
+# ``bimodule.CtxPair``, and it stores the point itself; optic contexts keep
+# lens-shaped states, built here.
 
 def _point_lens(x_obj: PairObj, x) -> Lens:
     """The point at ``x``, already known to lie in ``x_obj.fwd``; checks nothing."""
@@ -161,13 +152,3 @@ def _point_lens(x_obj: PairObj, x) -> Lens:
         product(PAIR_I.fwd, x_obj.bwd), PAIR_I.bwd, (STAR,) * len(x_obj.bwd)
     )
     return Lens._trusted(PAIR_I, x_obj, fwd, bwd)
-
-
-def cont_lens(y_obj: PairObj, k: FinFun) -> Lens:
-    if k.dom != y_obj.fwd or k.cod != y_obj.bwd:
-        raise DomainError("continuation table has wrong endpoints")
-    fwd = FinFun.of(y_obj.fwd, PAIR_I.fwd, lambda _: STAR)
-    bwd = FinFun.of(
-        product(y_obj.fwd, PAIR_I.bwd), y_obj.bwd, lambda p: k(p[0])
-    )
-    return Lens(y_obj, PAIR_I, fwd, bwd)

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from .arrow import ArrowInstance, hom_arrow
 from .base import SET, bit_set
-from .bimodule import Bimodule, ContextStruct, MonoidOnProfunctor
+from .bimodule import Bimodule
 from .finset import (
     UNIT,
     FinFun,
@@ -205,7 +205,8 @@ def _tag_bimodule(
     psi: Callable,  # (acting fun, tag) -> tag, for the left action
     chi: Callable,  # (acting fun, tag) -> tag, for the right action
     sigma: Callable | None = None,  # (tag, spectator) -> tag, for strength
-    monoid: MonoidOnProfunctor | None = None,
+    e: Callable | None = None,  # pointwise monoid, as from _tag_monoid
+    m: Callable | None = None,
     commutative: bool = False,
     bijections_only: bool = False,
 ) -> Bimodule:
@@ -227,7 +228,8 @@ def _tag_bimodule(
         equal=lambda e1, e2: e1 == e2,
         key=operator.attrgetter("tag"),
         st=st,
-        monoid=monoid,
+        e=e,
+        m=m,
         commutative=commutative,
     )
 
@@ -300,18 +302,18 @@ def _mutant_bim_commute():
     ))
 
 
-def _tag_monoid(unit_tag, mop, commutative=True) -> MonoidOnProfunctor:
-    return MonoidOnProfunctor(
+def _tag_monoid(unit_tag, mop) -> dict:
+    return dict(
         e=lambda x, y: TagElem(x, y, unit_tag),
         m=lambda e1, e2: TagElem(e1.src, e1.dst, mop(e1.tag, e2.tag)),
-        commutative=commutative,
     )
 
 
 def _mutant_eq_m_unit():
+    # a constant merge is associative and commutative, but 0 is no unit of it
     return _run_bimodule(_tag_bimodule(
         [_B2], (0, 1), _honest_psi, _honest_psi, _sigma_id,
-        monoid=_tag_monoid(0, lambda t1, t2: t1, commutative=False),
+        **_tag_monoid(0, lambda t1, t2: 1),
         commutative=True,
     ))
 
@@ -319,7 +321,7 @@ def _mutant_eq_m_unit():
 def _mutant_eq_m_assoc():
     return _run_bimodule(_tag_bimodule(
         [_B2], (0, 1, 2), _honest_psi, _honest_psi, _sigma_id,
-        monoid=_tag_monoid(0, lambda t1, t2: _MAGMA[(t1, t2)]),
+        **_tag_monoid(0, lambda t1, t2: _MAGMA[(t1, t2)]),
         commutative=True,
     ))
 
@@ -327,7 +329,7 @@ def _mutant_eq_m_assoc():
 def _mutant_eq_m_commute():
     return _run_bimodule(_tag_bimodule(
         [_B2], ("u", "a", "b"), _honest_psi, _honest_psi, _sigma_id,
-        monoid=_tag_monoid(
+        **_tag_monoid(
             "u",
             lambda t1, t2: t2 if t1 == "u" else (t1 if t2 == "u" else t1),
         ),
@@ -338,7 +340,7 @@ def _mutant_eq_m_commute():
 def _mutant_eq_lact_e():
     return _run_bimodule(_tag_bimodule(
         [_B2], (0, 1), lambda a, t: t if not _nonbij(a) else 0, _honest_psi,
-        _sigma_id, monoid=_tag_monoid(1, min),
+        _sigma_id, **_tag_monoid(1, min),
     ))
 
 
@@ -347,14 +349,14 @@ def _mutant_eq_lact_m():
     return _run_bimodule(_tag_bimodule(
         [_B2], (0, 1, 2),
         lambda a, t: squash[t] if _nonbij(a) else t, _honest_psi,
-        _sigma_id, monoid=_tag_monoid(0, lambda t1, t2: (t1 + t2) % 3),
+        _sigma_id, **_tag_monoid(0, lambda t1, t2: (t1 + t2) % 3),
     ))
 
 
 def _mutant_eq_ract_e():
     return _run_bimodule(_tag_bimodule(
         [_B2], (0, 1), _honest_psi, lambda a, t: t if not _nonbij(a) else 0,
-        _sigma_id, monoid=_tag_monoid(1, min),
+        _sigma_id, **_tag_monoid(1, min),
     ))
 
 
@@ -363,19 +365,16 @@ def _mutant_eq_ract_m():
     return _run_bimodule(_tag_bimodule(
         [_B2], (0, 1, 2),
         _honest_psi, lambda a, t: squash[t] if _nonbij(a) else t,
-        _sigma_id, monoid=_tag_monoid(0, lambda t1, t2: (t1 + t2) % 3),
+        _sigma_id, **_tag_monoid(0, lambda t1, t2: (t1 + t2) % 3),
     ))
 
 
-def _tag_context(bim: Bimodule, mu: Callable) -> ContextStruct:
-    return ContextStruct(
-        bimodule=bim,
-        cst=lambda e, x, y, z: TagElem(x, y, mu(e.tag, z)),
-    )
+def _tag_context(bim: Bimodule, mu: Callable) -> Bimodule:
+    return replace(bim, cst=lambda e, x, y, z: TagElem(x, y, mu(e.tag, z)))
 
 
-def _run_context(c: ContextStruct) -> list[LawReport]:
-    return check_bimodule(c.bimodule, "mutant") + check_context(c, "mutant")
+def _run_context(c: Bimodule) -> list[LawReport]:
+    return check_bimodule(c, "mutant") + check_context(c, "mutant")
 
 
 def _mutant_cst_unit():
@@ -582,7 +581,7 @@ def _tag_gbim(arrow: GradedArrow, psi: Callable, chi: Callable) -> GradedBimodul
 
 
 def _run_gbim(gb: GradedBimodule) -> list[LawReport]:
-    return check_graded_bimodule(gb, [_B2], _GRADES2, "mutant")
+    return check_graded_bimodule(gb, "mutant")
 
 
 def _gbim_arrow(n_comp):

@@ -21,7 +21,7 @@ from typing import Any, Callable
 
 from .arrow import ArrowInstance, left_strength
 from .base import PAIR, BaseMap, PairObj, SET
-from .bimodule import Bimodule, ContextStruct
+from .bimodule import Bimodule
 from .finset import (
     STAR,
     UNIT,
@@ -343,7 +343,7 @@ class OpticCtx:
 
 def lens_optic_context(
     g_inst: ArrowInstance, residual_pool: list[PairObj]
-) -> ContextStruct:
+) -> Bimodule:
     """Contexts of the lens arrow in residual-bridged form.
 
     Two contexts are equal when they collapse to the same (point,
@@ -430,7 +430,7 @@ def lens_optic_context(
     def equal(c1, c2):
         return (c1.src, c1.dst) == (c2.src, c2.dst) and key(c1) == key(c2)
 
-    bim = Bimodule(
+    return Bimodule(
         name=f"opticctx({g_inst.name})",
         arrow=g_inst,
         hom=hom,
@@ -438,6 +438,6 @@ def lens_optic_context(
         ract=ract,
         equal=equal,
         key=key,
+        cst=cst,
         commutative=True,
     )
-    return ContextStruct(bimodule=bim, cst=cst)

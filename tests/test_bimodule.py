@@ -15,7 +15,6 @@ from openarrows.bimodule import (
     CtxPair,
     EqFun,
     ctx_of_arrow,
-    eq_apply,
     eq_from_context,
     eq_tabulate,
     with_bimodule,
@@ -35,13 +34,13 @@ from openarrows.finset import (
 from openarrows.lens import (
     Lens,
     all_lenses,
-    cont_lens,
     lens_arrow,
     lens_comp,
     lens_key,
     lens_strength,
-    point_lens,
 )
+
+from references import cont_lens, eq_apply, point_lens
 
 B = bit_set(2)
 X = PairObj(B, B)
@@ -55,7 +54,7 @@ def _cont(table) -> FinFun:
 
 
 def test_contexts_enumerate_point_continuation_pairs():
-    ctxs = CTX.bimodule.hom_cached(X, X)
+    ctxs = CTX.hom_cached(X, X)
     # 2 points x 4 continuation tables (B x unit -> B)
     assert len(ctxs) == 2 * 4
     c = ctxs[0]
@@ -65,7 +64,7 @@ def test_contexts_enumerate_point_continuation_pairs():
 def test_left_action_prepends_the_continuation():
     c = CtxPair(X, X, 0, _cont({0: 1, 1: 0}))
     s = LENS.hom_cached(X, X)[7]
-    out = CTX.bimodule.lact(s, c)
+    out = CTX.lact(s, c)
     assert out.state == c.state
     assert cont_lens(X, out.cont) == lens_comp(s, cont_lens(X, c.cont))
 
@@ -73,7 +72,7 @@ def test_left_action_prepends_the_continuation():
 def test_right_action_extends_the_state():
     c = CtxPair(X, X, 0, _cont({0: 1, 1: 0}))
     a = LENS.hom_cached(X, X)[7]
-    out = CTX.bimodule.ract(c, a)
+    out = CTX.ract(c, a)
     assert out.cont == c.cont
     assert point_lens(X, out.state) == lens_comp(point_lens(X, c.state), a)
 
@@ -152,7 +151,7 @@ def _objs(tag):
 
 def _assert_same(got, want):
     assert got == want
-    assert CTX.bimodule.key(got) == CTX.bimodule.key(want)
+    assert CTX.key(got) == CTX.key(want)
     assert _composed_key(got) == _composed_key(want)
 
 
@@ -162,7 +161,7 @@ def _assert_cst_matches_composite(c, x, y, z):
 
 def _assert_keys_match_composite(ctxs):
     # one key per context, and equal keys exactly where the lens pairs are
-    keys = [CTX.bimodule.key(c) for c in ctxs]
+    keys = [CTX.key(c) for c in ctxs]
     by_key = dict(zip(keys, map(_composed_key, ctxs)))
     assert len(by_key) == len(set(by_key.values())) == len(ctxs)
 
@@ -182,7 +181,7 @@ def test_costrength_matches_the_composite_with_a_spectator_larger_than_x():
     y = PairObj(FinSet(("y0", "y1")), FinSet(("r0",)))
     z = PairObj(FinSet(("z0", "z1", "z2")), FinSet(("t0", "t1")))
     # every context: 6 state points by 4**3 continuation tables
-    ctxs = CTX.bimodule.hom_cached(PAIR.tensor(x, z), PAIR.tensor(y, z))
+    ctxs = CTX.hom_cached(PAIR.tensor(x, z), PAIR.tensor(y, z))
     assert len(ctxs) == 6 * 4 ** 3
     assert ctxs == _composed_hom(PAIR.tensor(x, z), PAIR.tensor(y, z))
     _assert_keys_match_composite(ctxs)
@@ -192,11 +191,11 @@ def test_costrength_matches_the_composite_with_a_spectator_larger_than_x():
     for s in all_lenses(x, x):
         padded = lens_strength(s, z)
         for c in ctxs:
-            _assert_same(CTX.bimodule.lact(padded, c), _composed_lact(padded, c))
+            _assert_same(CTX.lact(padded, c), _composed_lact(padded, c))
     for a in all_lenses(y, y):
         padded = lens_strength(a, z)
         for c in ctxs:
-            _assert_same(CTX.bimodule.ract(c, padded), _composed_ract(c, padded))
+            _assert_same(CTX.ract(c, padded), _composed_ract(c, padded))
 
 
 # a one-point carrier, a two-point pair and a spectator-sized forward carrier
@@ -208,18 +207,18 @@ SMALL_CTX = ctx_of_arrow(SMALL)
 def test_context_actions_match_the_composites_exhaustively():
     objs = SMALL.objects
     for x, y in itertools.product(objs, repeat=2):
-        ctxs = SMALL_CTX.bimodule.hom_cached(x, y)
+        ctxs = SMALL_CTX.hom_cached(x, y)
         assert ctxs == _composed_hom(x, y)
         _assert_keys_match_composite(ctxs)
     checked = 0
     for x, y, z in itertools.product(objs, repeat=3):
         for s in SMALL.hom_cached(x, y):
-            for c in SMALL_CTX.bimodule.hom_cached(y, z):
-                _assert_same(SMALL_CTX.bimodule.lact(s, c), _composed_lact(s, c))
+            for c in SMALL_CTX.hom_cached(y, z):
+                _assert_same(SMALL_CTX.lact(s, c), _composed_lact(s, c))
                 checked += 1
-        for c in SMALL_CTX.bimodule.hom_cached(x, y):
+        for c in SMALL_CTX.hom_cached(x, y):
             for a in SMALL.hom_cached(y, z):
-                _assert_same(SMALL_CTX.bimodule.ract(c, a), _composed_ract(c, a))
+                _assert_same(SMALL_CTX.ract(c, a), _composed_ract(c, a))
                 checked += 1
     assert checked == 2208 + 1932  # lact and ract cases
 
@@ -243,11 +242,11 @@ def _draw_ctx(data, x, y):
 @given(_objs("x"), _objs("y"), _objs("z"), st.data())
 def test_context_actions_match_the_composites_on_sampled_contexts(x, y, z, data):
     s, c = _draw_lens(data, x, y), _draw_ctx(data, y, z)
-    _assert_same(CTX.bimodule.lact(s, c), _composed_lact(s, c))
+    _assert_same(CTX.lact(s, c), _composed_lact(s, c))
     c, a = _draw_ctx(data, x, y), _draw_lens(data, y, z)
-    _assert_same(CTX.bimodule.ract(c, a), _composed_ract(c, a))
+    _assert_same(CTX.ract(c, a), _composed_ract(c, a))
     c1, c2 = _draw_ctx(data, x, y), _draw_ctx(data, x, y)
-    same = CTX.bimodule.key(c1) == CTX.bimodule.key(c2)
+    same = CTX.key(c1) == CTX.key(c2)
     assert same == (_composed_key(c1) == _composed_key(c2)) == (c1 == c2)
 
 
@@ -255,9 +254,9 @@ def test_context_actions_refuse_mismatched_endpoints():
     c = CtxPair(X, X, 0, _cont({0: 1, 1: 0}))
     a = LENS.identity(I)
     with pytest.raises(CompositionError, match="left action"):
-        CTX.bimodule.lact(a, c)
+        CTX.lact(a, c)
     with pytest.raises(CompositionError, match="right action"):
-        CTX.bimodule.ract(c, a)
+        CTX.ract(c, a)
 
 
 def test_costrength_needs_a_state_into_the_stated_tensor():
@@ -271,10 +270,10 @@ def test_costrength_needs_a_state_into_the_stated_tensor():
 def test_eq_bimodule_tabulates_over_contexts():
     eq = eq_from_context(CTX, BOOL_AND)
     h = eq_tabulate(CTX, X, X, lambda c: c.state == 0)
-    some = CTX.bimodule.hom_cached(X, X)[3]
+    some = CTX.hom_cached(X, X)[3]
     assert eq_apply(CTX, h, some) == (some.state == 0)
-    unit = eq.monoid.e(X, X)
-    assert eq.monoid.m(unit, h) == h
+    unit = eq.e(X, X)
+    assert eq.m(unit, h) == h
 
 
 def test_eq_bimodule_rejects_noncommutative_monoids():
@@ -289,7 +288,8 @@ def test_witness_monoid_needs_a_value_pool():
     with pytest.raises(DomainError):
         eq_from_context(CTX, WITNESSES)
     eq = eq_from_context(CTX, WITNESSES, value_pool=[(), (("w",),)])
-    assert eq.monoid.commutative
+    hs = eq.hom_cached(I, I)
+    assert all(eq.m(h1, h2) == eq.m(h2, h1) for h1 in hs for h2 in hs)
 
 
 def test_with_eq_pairs_lenses_with_predicates():
@@ -302,7 +302,7 @@ def test_with_eq_pairs_lenses_with_predicates():
 
 def test_with_bimodule_needs_monoid_and_strength():
     with pytest.raises(DomainError):
-        with_bimodule(LENS, CTX.bimodule)
+        with_bimodule(LENS, CTX)
 
 
 def _assert_actions_match_tabulation(monoid, pool):
@@ -313,24 +313,24 @@ def _assert_actions_match_tabulation(monoid, pool):
     eq = eq_from_context(CTX, monoid, value_pool=pool)
 
     def direct(h, x, z, acted):
-        assert len(acted) == len(CTX.bimodule.hom_cached(z, x))
+        assert len(acted) == len(CTX.hom_cached(z, x))
         return EqFun(x, z, tuple(eq_apply(CTX, h, c) for c in acted))
 
     for x, y, z in itertools.product(LENS.objects, repeat=3):
         for a in LENS.hom_cached(x, y):
-            acted = [CTX.bimodule.ract(b, a) for b in CTX.bimodule.hom_cached(z, x)]
+            acted = [CTX.ract(b, a) for b in CTX.hom_cached(z, x)]
             for h in eq.hom_cached(y, z):
                 want = direct(h, x, z, acted)
                 assert eq.lact(a, h) == want
                 assert eq.lact(a, h) == want  # a memo hit
         for a in LENS.hom_cached(y, z):
-            acted = [CTX.bimodule.lact(a, b) for b in CTX.bimodule.hom_cached(z, x)]
+            acted = [CTX.lact(a, b) for b in CTX.hom_cached(z, x)]
             for h in eq.hom_cached(x, y):
                 want = direct(h, x, z, acted)
                 assert eq.ract(h, a) == want
                 assert eq.ract(h, a) == want
         xz, yz = PAIR.tensor(x, z), PAIR.tensor(y, z)
-        acted = [CTX.cst(b, y, x, z) for b in CTX.bimodule.hom_cached(yz, xz)]
+        acted = [CTX.cst(b, y, x, z) for b in CTX.hom_cached(yz, xz)]
         for h in eq.hom_cached(x, y):
             want = direct(h, xz, yz, acted)
             assert eq.st(h, z) == want
@@ -367,7 +367,7 @@ def test_eq_action_memo_tells_apart_members_with_equal_tables():
     for a, n in ((a1, 4), (a2, 8)):
         out = eq.ract(h, a)
         assert (out.src, out.dst) == (I, a.dst)
-        assert len(out.values) == len(CTX.bimodule.hom_cached(a.dst, I)) == n
+        assert len(out.values) == len(CTX.hom_cached(a.dst, I)) == n
 
 
 def test_eq_actions_on_a_keyless_arrow_raise_domain_error():

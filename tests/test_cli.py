@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -260,3 +261,31 @@ def test_fmt_round_trips_byte_identical(tmp_path, capsys):
 
 def test_missing_file_exits_2(capsys):
     assert main(["solve", "/nonexistent.game"]) == 2
+
+
+def test_cli_snapshot_records_stdout_stderr_and_exit_code(tmp_path, capsys, monkeypatch):
+    path = pathlib.Path(__file__).parents[1] / "tools" / "cli_snapshot.py"
+    spec = importlib.util.spec_from_file_location("cli_snapshot", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.delenv("OPENARROWS_MAX_SIZE", raising=False)
+    # the law suites at size 1 only; the refusals stay, as they run nothing
+    runs = [r for r in tool.RUNS if r[:2] != ["laws", "--suite"] or r[4] != "2"]
+    assert len(tool.RUNS) == 32 and len(runs) == 27
+    tool.snapshot(tmp_path, runs)
+    names = [tool.run_name(r) for r in runs]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        n + ext for n in names for ext in (".code", ".err", ".out")
+    )
+    codes = {n: (tmp_path / f"{n}.code").read_text() for n in names}
+    assert {n for n, c in codes.items() if c != "0\n"} == {
+        "laws_mutants", "laws_mutants_format_json",
+        "laws_suite_context_size_3", "laws_suite_graded_size_4",
+        "oracle_matching_pennies_prob", "oracle_matching_pennies_prob_format_json",
+        "solve_matching_pennies_prob_closed_monoid_witness",
+    }
+    assert codes["laws_suite_graded_size_4"] == "3\n"
+    assert main(["solve", PD, "--closed", "--format", "json"]) == 0
+    out = (tmp_path / "solve_prisoners_dilemma_closed_format_json.out").read_text()
+    assert out == capsys.readouterr().out
+    assert "exceeds the bound" in (tmp_path / "laws_suite_graded_size_4.err").read_text()

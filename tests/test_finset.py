@@ -272,6 +272,11 @@ def test_dist_normalizes_support():
         Dist([("x", Fraction(1, 2))])
 
 
+def test_dist_repr_renders_each_point_and_weight():
+    d = Dist([("b", Fraction(2, 3)), ("a", Fraction(1, 3))])
+    assert repr(d) == "Dist(a: 1/3, b: 2/3)"
+
+
 def test_dist_product_and_expectation():
     d = Dist([(0, Fraction(1, 4)), (1, Fraction(3, 4))])
     assert dist_product(dist_pure("l"), d).weight(("l", 1)) == Fraction(3, 4)

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openarrows import laws
-from openarrows.base import PAIR_I
-from openarrows.bimodule import CtxPair, ctx_of_arrow, eq_apply
+from openarrows.base import PAIR_I, PairObj
+from openarrows.bimodule import CtxPair, ctx_of_arrow
 from openarrows.finset import (
     BOOL_AND,
     STAR,
@@ -29,11 +29,12 @@ from openarrows.finset import (
 )
 from openarrows.games import (
     GAME_CTX,
+    BestRespElement,
     OpenGame,
     RowElement,
-    best_response_fixed_points,
+    _RowMemo,
+    context_count,
     decision,
-    decision_relation,
     decisions_to_normal_form,
     equilibria,
     lift_covariant,
@@ -48,6 +49,8 @@ from openarrows.games import (
     trivial_context,
 )
 from openarrows.grading import GradedPairMor, ParamFamily, SizeError
+
+from references import eq_apply
 
 MOVES = FinSet(("C", "D"))
 COINS = FinSet(("H", "T"))
@@ -129,6 +132,28 @@ def test_map_monoid_collapses_witnesses():
     assert db.row(ctx) == tuple(map(witnesses_empty, d.row(ctx)))
 
 
+def decision_relation(d: OpenGame) -> BestRespElement:
+    """The canonical relation of a decision: the second profile is a better move.
+
+    A profile is a fixed point (related above every other) exactly when
+    it is a weak-argmax equilibrium.
+    """
+
+    def row(c: CtxPair) -> frozenset:
+        pay = {j: Fraction(c.cont(d.play(j).fwd(c.state))) for j in d.index}
+        return frozenset(
+            (j1, j2) for j1, j2 in itertools.product(d.index, repeat=2)
+            if pay[j2] >= pay[j1]
+        )
+
+    return BestRespElement(d.src, d.dst, d.index, _RowMemo(row))
+
+
+def best_response_fixed_points(b: BestRespElement, c: CtxPair) -> list:
+    row = b.row(c)
+    return [j for j in b.grade if all((i, j) in row for i in b.grade)]
+
+
 def test_best_response_fixed_points_match_equilibria():
     d = decision(UNIT, MOVES, UTIL4)
     k = FinFun.of(MOVES, UTIL4, {"C": 0, "D": 3})
@@ -190,6 +215,42 @@ def test_mixed_dilemma_point_mass_at_dd_passes():
     assert ppd.judge(cc, _joint(MOVES, dist_pure("C"), dist_pure("D"))) is False
     mixed = HALF.map(lambda c: {"H": "C", "T": "D"}[c])
     assert ppd.judge(cc, _joint(MOVES, mixed, dist_pure("D"))) is False
+
+
+def _uniform(points) -> Dist:
+    # built in reverse, so the support's order is the Dist's own
+    w = Fraction(1, len(points))
+    return Dist([(p, w) for p in reversed(points)])
+
+
+def test_a_support_of_contexts_is_ordered_by_repr():
+    # states 1, 10 and 2 sort as text; at one state the table decides
+    x = PairObj(FinSet(("a", "b")), FinSet((0, 1)))
+    ctxs = GAME_CTX.hom(x, PairObj(FinSet((1, 10, 2)), UNIT))
+    support = _uniform(ctxs).support
+    assert support == tuple(sorted(ctxs, key=repr))
+    assert [(c.state, c.cont.table) for c in support[3:6]] == [
+        (1, (1, 1)), (10, (0, 0)), (10, (0, 1)),
+    ]
+    assert [c.state for c in support[::4]] == [1, 10, 2]
+
+
+def test_a_support_of_strategy_profiles_is_ordered_by_repr():
+    # profiles of two decisions, one observing the coin: moves y, x sort
+    # as x, y, against the order strategies are enumerated in
+    g = par(decision(COINS, FinSet(("y", "x")), UTIL4), decision(UNIT, COINS, UTIL4))
+    support = _uniform(g.index.elements).support
+    assert support == tuple(sorted(g.index.elements, key=repr))
+    assert [(j1.table, j2(STAR)) for j1, j2 in support[:3]] == [
+        (("x", "x"), "H"), (("x", "x"), "T"), (("x", "y"), "H"),
+    ]
+
+
+def test_context_count_is_the_number_of_contexts_enumerated():
+    carriers = [FinSet(range(n)) for n in (1, 2, 3)]
+    objs = [PairObj(f, b) for f in carriers for b in carriers]
+    for x, y in itertools.product(objs, repeat=2):
+        assert context_count(x, y) == len(GAME_CTX.hom(x, y)), (x, y)
 
 
 def test_trivial_context_requires_a_closed_game():
@@ -255,7 +316,7 @@ def test_row_actions_match_the_tabulated_equilibrium_bimodule(monoid):
         return ParamFamily(a.src, a.dst, ONE, (a,))
 
     def agree(got, want):
-        contexts = cb.bimodule.hom_cached(want.dst, want.src)
+        contexts = cb.hom_cached(want.dst, want.src)
         assert (got.src, got.dst, len(got.grade)) == (want.src, want.dst, 1)
         for c in contexts:
             assert got.row(c) == (eq_apply(cb, want, c),), (want, c)
@@ -282,7 +343,7 @@ def test_row_regrade_permutes_and_merge_combines_position_by_position():
     grade = FinSet((0, 1, 2))
     b = RowElement(PAIR_I, PAIR_I, grade, lambda c: (("a",), (), ("b",)))
     phi = FinFun.of(grade, grade, {0: 2, 1: 0, 2: 1})
-    c = GAME_CTX.bimodule.hom_cached(PAIR_I, PAIR_I)[0]
+    c = GAME_CTX.hom_cached(PAIR_I, PAIR_I)[0]
     moved = rows.regrade(phi, b)
     assert moved.row(c) == (("b",), ("a",), ())
     assert rows.m(b, moved).row(c) == (("a", "b"), ("a",), ("b",))
@@ -313,8 +374,8 @@ def test_composing_evaluates_no_judgement_and_enumerates_no_context(monkeypatch)
                   lambda p: (int(p[0][1]), int(p[1][1])))
     d1, d2 = (spied(decision(UNIT, MOVES7, UTIL7)) for _ in range(2))
     with monkeypatch.context() as mp:
-        mp.setattr(GAME_CTX.bimodule, "hom", no_enumeration)
-        mp.setattr(GAME_CTX.bimodule, "hom_cached", no_enumeration)
+        mp.setattr(GAME_CTX, "hom", no_enumeration)
+        mp.setattr(GAME_CTX, "hom_cached", no_enumeration)
         g = seq(par(d1, d2), payoff_block(u))
     assert rows_read == []
     assert len(g.index) == 49
@@ -328,8 +389,8 @@ def test_comparing_games_with_too_many_contexts_fails_before_enumerating(monkeyp
         raise AssertionError("a game context was enumerated")
 
     g = par(decision(UNIT, MOVES7, UTIL7), decision(UNIT, MOVES7, UTIL7))
-    monkeypatch.setattr(GAME_CTX.bimodule, "hom", no_enumeration)
-    monkeypatch.setattr(GAME_CTX.bimodule, "hom_cached", no_enumeration)
+    monkeypatch.setattr(GAME_CTX, "hom", no_enumeration)
+    monkeypatch.setattr(GAME_CTX, "hom_cached", no_enumeration)
     with pytest.raises(SizeError, match="contexts, over the bound"):
         g.arrow.equal(g.member, g.member)
 

@@ -73,7 +73,7 @@ def test_context_laws_keep_no_three_factor_hom(size):
         PAIR.tensor(PAIR.tensor(x, z), w)
         for x, z, w in itertools.product(atoms, repeat=3)
     }
-    for cache in (ctx.bimodule._hom_cache, lens._hom_cache):
+    for cache in (ctx._hom_cache, lens._hom_cache):
         assert cache
         assert not any(x in three or y in three for x, y in cache)
 
@@ -183,11 +183,11 @@ def _captured(target, runner):
         mp.setattr(mutants, runner, lambda got, *args, **kwargs: seen.append(got))
         mutants.MUTANTS[target]()
     (got,) = seen
-    return getattr(got, "bimodule", got)
+    return got
 
 
 def _keyless(b):
-    return dataclasses.replace(b, key=None, _hom_cache={}, _index_cache={})
+    return dataclasses.replace(b, key=None, _hom_cache={})
 
 
 def _keyless_arrow(a):
@@ -218,10 +218,10 @@ def _suite_bimodules(size):
     ctx2 = ctx_of_arrow(lens_arrow(atoms2))
     octx = lens_optic_context(lens_arrow(atoms2), [PAIR_I, atoms2[0]])
     return {
-        "ctx(lens)": ctx_of_arrow(lens_arrow(atoms3)).bimodule,
+        "ctx(lens)": ctx_of_arrow(lens_arrow(atoms3)),
         "eq(lens,bool)": eq_from_context(ctx2, BOOL_AND),
         "eq(lens,witness)": eq_from_context(ctx2, WITNESSES, value_pool=[(), (("w",),)]),
-        "opticctx(lens)": octx.bimodule,
+        "opticctx(lens)": octx,
     }
 
 
@@ -806,8 +806,8 @@ def _reference_gbim(gb, objects, grades, name):
     ]
 
 
-def _checked_gbim(gb, objects, grades, name):
-    reports = laws.check_graded_bimodule(gb, objects, grades, name)
+def _checked_gbim(gb, name):
+    reports = laws.check_graded_bimodule(gb, name)
     by_law = {r.law: r for r in reports}
     return [by_law[law] for law in _INTERNED_GBIM_LAWS]
 
@@ -825,7 +825,7 @@ def test_interned_gbim_laws_match_per_case_chasing_on_mutants(target):
     assert gb.key is not None
     # numbered by identity, every distinct result is handed to equal
     for b in (gb, dataclasses.replace(gb, key=None)):
-        got = _checked_gbim(b, [mutants._B2], mutants._GRADES2, target)
+        got = _checked_gbim(b, target)
         assert got == _reference_gbim(b, [mutants._B2], mutants._GRADES2, target)
         if target in _INTERNED_GBIM_LAWS:
             assert target not in {r.law for r in got if r.status == "pass"}
@@ -840,8 +840,8 @@ def _suite_graded(size):
         arrows[name] = (g, iso_args)
         return []
 
-    def record_gbim(gb, objects, grades, name, equality):
-        gbims[name] = (gb, objects, grades)
+    def record_gbim(gb, name, equality):
+        gbims[name] = (gb, gb.arrow.objects, gb.arrow.grades)
         return []
 
     with pytest.MonkeyPatch.context() as mp:
@@ -860,7 +860,7 @@ def _suite_gbims(size):
 def test_interned_gbim_laws_match_per_case_chasing_on_suites(instance, size):
     gb, objects, grades = _suite_gbims(size)[instance]
     assert gb.key is not None
-    got = _checked_gbim(gb, objects, grades, instance)
+    got = _checked_gbim(gb, instance)
     assert _verdicts(got) == _verdicts(_reference_gbim(gb, objects, grades, instance))
     assert {r.status for r in got} == {"pass"}
 
@@ -923,7 +923,7 @@ def test_bestresp_default_pool_is_every_game_context():
     grade = FinSet((0, 1))
     le = frozenset((p1, p2) for p1 in grade for p2 in grade if p1 <= p2)
     b = BestRespElement(x, y, grade, lambda c: le)
-    contexts = GAME_CTX.bimodule.hom_cached(y, x)
+    contexts = GAME_CTX.hom_cached(y, x)
     assert len(contexts) > 1
     assert gb.key(b) == (grade.elements, tuple(b.row(c) for c in contexts))
     assert b.row(contexts[0]) == frozenset({(0, 0), (0, 1), (1, 1)})

@@ -20,13 +20,13 @@ from openarrows.finset import (
 from openarrows.lens import (
     Lens,
     all_lenses,
-    cont_lens,
     identity_lens,
     lens_comp,
     lens_pure,
     lens_strength,
-    point_lens,
 )
+
+from references import cont_lens, point_lens
 
 B = bit_set(2)
 R = FinSet(("r0", "r1"))

@@ -16,12 +16,12 @@ from openarrows.finset import STAR, CompositionError, FinFun, FinSet, product
 from openarrows.lens import (
     Lens,
     all_lenses,
-    cont_lens,
     lens_arrow,
     lens_comp,
     lens_pure,
-    point_lens,
 )
+from references import cont_lens, point_lens
+
 from openarrows.optic import (
     Optic,
     OpticCtx,
@@ -281,8 +281,8 @@ def _assert_keys_collapse_alike(octx, ctxs):
     # one key per collapsed context, and one collapsed context per key
     by_key = {}
     for c in ctxs:
-        plain = PLAIN.bimodule.key(_collapse(c))
-        assert by_key.setdefault(octx.bimodule.key(c), plain) == plain
+        plain = PLAIN.key(_collapse(c))
+        assert by_key.setdefault(octx.key(c), plain) == plain
     assert len(set(by_key.values())) == len(by_key)
 
 
@@ -292,7 +292,7 @@ def test_optic_costrength_tables_match_the_composite_on_every_context(size):
     objs = objs + [PAIR.tensor(objs[-1], objs[-1])]
     checked = 0
     for x, y, z in itertools.product(objs, repeat=3):
-        for c in octx.bimodule.hom(PAIR.tensor(x, z), PAIR.tensor(y, z)):
+        for c in octx.hom(PAIR.tensor(x, z), PAIR.tensor(y, z)):
             assert octx.cst(c, x, y, z) == _composed_cst(c, x, y, z)
             checked += 1
     assert checked == {1: 54, 2: 2793}[size]
@@ -304,7 +304,7 @@ def test_optic_costrength_matches_the_composite_with_two_point_x_and_z():
     octx, (_, a) = _octx(2)
     f = pair_atoms((2, 1))[0]
     z = PAIR.tensor(f, a)
-    ctxs = octx.bimodule.hom(PAIR.tensor(f, z), PAIR.tensor(f, z))
+    ctxs = octx.hom(PAIR.tensor(f, z), PAIR.tensor(f, z))
     assert len(ctxs) == 4 * 2**4 + 8 * 2**8
     for c in ctxs:
         assert octx.cst(c, f, f, z) == _composed_cst(c, f, f, z)
@@ -315,7 +315,7 @@ def test_optic_context_keys_match_the_collapse_on_every_context(size):
     octx, objs = _octx(size)
     objs = objs + [pair_atoms((size, size))[0]]
     for x, y in itertools.product(objs, repeat=2):
-        _assert_keys_collapse_alike(octx, octx.bimodule.hom(x, y))
+        _assert_keys_collapse_alike(octx, octx.hom(x, y))
 
 
 def _labelled(tag, n_fwd, n_bwd):
@@ -379,7 +379,7 @@ def test_optic_context_keys_match_the_collapse_on_sampled_contexts(x, y, data):
         point_lens(PAIR.tensor(THETA2, y), (theta2, yv)),
         cont_lens(tx, FinFun(tx.fwd, tx.bwd, tuple(table))),
     )
-    same_key = octx.bimodule.key(c1) == octx.bimodule.key(c2)
+    same_key = octx.key(c1) == octx.key(c2)
     assert same_key == (_collapse(c1) == _collapse(c2))
 
 
@@ -392,7 +392,7 @@ def _raised(f, *args) -> str:
 def test_optic_costrength_needs_a_state_into_theta_y_z():
     octx, (i, a) = _octx(2)
     aa = PAIR.tensor(a, a)
-    c = octx.bimodule.hom(aa, aa)[-1]
+    c = octx.hom(aa, aa)[-1]
     # with I stated as the spectator, Y (x) Z is A (x) I, not A (x) A
     assert c.state.dst != PAIR.tensor(c.residual, PAIR.tensor(a, i))
     message = _raised(octx.cst, c, a, a, i)
@@ -401,7 +401,7 @@ def test_optic_costrength_needs_a_state_into_theta_y_z():
 
 def test_optic_costrength_needs_a_continuation_out_of_theta_x_z():
     octx, (i, a) = _octx(2)
-    c = octx.bimodule.hom(PAIR.tensor(i, a), PAIR.tensor(a, a))[-1]
+    c = octx.hom(PAIR.tensor(i, a), PAIR.tensor(a, a))[-1]
     # the state fits Y (x) Z = A (x) A, but the continuation leaves
     # Theta (x) (I (x) A), not Theta (x) (A (x) A)
     assert c.state.dst == PAIR.tensor(c.residual, PAIR.tensor(a, a))

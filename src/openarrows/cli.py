@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -50,6 +49,10 @@ SCHEMA_SOLVE = "openarrows.solve/1"
 SCHEMA_LAWS = "openarrows.laws/1"
 SCHEMA_MUTANTS = "openarrows.mutants/1"
 SCHEMA_ORACLE = "openarrows.oracle/1"
+
+#: the largest ``laws --size``; above it, the closed-form case estimates
+#: alone would build huge integers before any suite refuses on its budget
+MAX_SIZE = 3
 
 
 class OracleShapeError(ValueError):
@@ -112,19 +115,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_laws(args) -> int:
-    raw = os.environ.get("OPENARROWS_MAX_SIZE", "3")
-    try:
-        max_size = int(raw)
-    except ValueError:
-        print(f"error: OPENARROWS_MAX_SIZE must be an integer, got {raw!r}",
-              file=sys.stderr)
-        return 2
     if args.size < 1:
         print(f"error: --size must be at least 1, got {args.size}", file=sys.stderr)
         return 2
-    if args.size > max_size:
-        print(f"error: size {args.size} exceeds the bound of {max_size} "
-              f"(set OPENARROWS_MAX_SIZE to raise it)", file=sys.stderr)
+    if args.size > MAX_SIZE:
+        print(f"error: size {args.size} exceeds the bound of {MAX_SIZE}",
+              file=sys.stderr)
         return 3
     if args.mutants:
         for r in run_mutants():

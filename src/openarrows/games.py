@@ -323,15 +323,8 @@ def lift_pure(m: BaseMap, m_monoid: Monoid = BOOL_AND) -> OpenGame:
     return _unit_game(_LENS.pure(m), m_monoid)
 
 
-def lift_covariant(
-    f: FinFun, bwd_carrier: FinSet = UNIT, m_monoid: Monoid = BOOL_AND
-) -> OpenGame:
-    m = BaseMap(
-        PairObj(f.dom, bwd_carrier),
-        PairObj(f.cod, bwd_carrier),
-        f,
-        FinFun.identity(bwd_carrier),
-    )
+def lift_covariant(f: FinFun, m_monoid: Monoid = BOOL_AND) -> OpenGame:
+    m = BaseMap(PairObj(f.dom, UNIT), PairObj(f.cod, UNIT), f, FinFun.identity(UNIT))
     return lift_pure(m, m_monoid)
 
 

@@ -81,9 +81,9 @@ class ParamFamily:
         return self.members[self.grade.index(j)]
 
 
-def default_grades(max_size: int = 2) -> list[FinSet]:
-    """Canonical small index sets: {0}, {0,1}, ..."""
-    return [FinSet(tuple(range(n))) for n in range(1, max_size + 1)]
+def default_grades() -> list[FinSet]:
+    """Canonical small index sets: {0} and {0,1}."""
+    return [FinSet((0,)), FinSet((0, 1))]
 
 
 GRADE_UNIT = FinSet((0,))
@@ -192,15 +192,13 @@ def grade_by_param(
     )
 
 
-def hide(
-    graded: GradedArrow, bound: int = DEFAULT_INDEX_BOUND
-) -> ArrowInstance:
+def hide(graded: GradedArrow) -> ArrowInstance:
     """Sum out the grading: morphisms are graded elements up to grade iso.
 
     The result is keyless, as a graded key need not be invariant under
     regrading, and equality searches the grade isomorphisms.
     """
-    return _hide(graded, bound, None, f"hide({graded.name})")
+    return _hide(graded, DEFAULT_INDEX_BOUND, None, f"hide({graded.name})")
 
 
 def _hide(graded: GradedArrow, bound: int, key, name: str) -> ArrowInstance:

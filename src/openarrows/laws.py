@@ -1,7 +1,9 @@
 """Coherence law checking: exhaustive diagram chases over registered universes.
 
 Every equation the library's structures promise is written once here, as a
-quantified trial generator; running a suite chases each diagram over a
+quantified trial generator; the identity law of every structure is one
+generator, ``_neutral_trials``, given the sides that compose, act or merge
+a member with a unit.  Running a suite chases each diagram over a
 registered finite universe and emits one report per (law, instance), with a
 concrete counterexample on failure.  ``LAWS`` is the one manifest of law
 ids: ``run_suite`` refuses a report whose id it lacks, and the planted
@@ -364,6 +366,18 @@ def _assoc_regrade(g: GradedArrow, regrade: Callable, num: _Interned) -> Callabl
     return fix
 
 
+def _neutral_trials(grades, objs, hom: Callable, equal: Callable, *sides: Callable):
+    """The identity laws: for each member ``e`` of ``hom(p, x, y)``, one
+    trial per side, ``side(p, x, y, e)`` against ``e``.  A plain arrow or
+    bimodule has the one grade ``None``."""
+    for p in grades:
+        for x, y in itertools.product(objs, repeat=2):
+            for e in hom(p, x, y):
+                for side in sides:
+                    lhs = side(p, x, y, e)
+                    yield ((e,), lhs, e, equal(lhs, e))
+
+
 def _once(blocks: Iterable, num: _Interned, chase: Callable, equal: Callable):
     """The slab of each block of objects (and grades): ``chase(fin, *block)``
     gives its ``(inputs, lhs, rhs)``, the sides numbered in ``fin``, a table
@@ -431,18 +445,11 @@ def check_arrow_laws(
     arrow costs memory in proportion to its ``assoc`` cases."""
     name = instance or a.name
     objs = a.objects
-
-    def unit_trials():
-        for x, y in itertools.product(objs, repeat=2):
-            for m in a.hom_cached(x, y):
-                lhs = a.comp(a.identity(x), m)
-                yield ((m,), lhs, m, a.equal(lhs, m))
-                rhs = a.comp(m, a.identity(y))
-                yield ((m,), rhs, m, a.equal(rhs, m))
+    hom = _one_grade(a)
 
     def assoc_trials():
         # lact-comp of the arrow acting on itself
-        hom, num = _one_grade(a), _Interned(a.key)
+        num = _Interned(a.key)
         return _action_trials(
             objs, [None], hom, hom, num, num, a.comp, a.comp, a.comp, _no_regrade,
             a.equal,
@@ -458,7 +465,11 @@ def check_arrow_laws(
                     yield ((f, g), lhs, rhs, a.equal(lhs, rhs))
 
     return [
-        _report("arrow.unit", name, unit_trials(), equality),
+        _report("arrow.unit", name, _neutral_trials(
+            [None], objs, hom, a.equal,
+            lambda p, x, y, m: a.comp(a.identity(x), m),
+            lambda p, x, y, m: a.comp(m, a.identity(y)),
+        ), equality),
         _report("arrow.assoc", name, assoc_trials(), equality),
         _report("arrow.pure-functor", name, pure_trials(), equality),
     ]
@@ -467,14 +478,18 @@ def check_arrow_laws(
 def check_strength(
     a: ArrowInstance, instance: str | None = None, equality: str = "structural"
 ) -> list[LawReport]:
-    """The four coherence equations of the strength.
+    """The four coherence equations of the strength, and ``arrow.commute``
+    for a commutative arrow.
 
     ``unit``, ``assoc`` and ``comp`` decide each block of objects by one
     ``==`` of the numbers of its sides, a block met again by its count
     (``_once``); members are strengthened once per (number, spectator) and
     each ``dimap``'s lifts built once per block, so ``key`` equality must
     imply ``equal``, before and after ``st``.  ``comp`` is
-    ``_strength_trials`` over the arrow's own composition.
+    ``_strength_trials`` over the arrow's own composition.  ``commute``
+    interchanges ``arrow_tensor`` and ``arrow_tensor_flipped`` through
+    ``_commute_trials`` at the one grade, as ``graded.commute`` does, and
+    reuses the numbers and strengthened rows of ``assoc`` and ``comp``.
     """
     name = instance or a.name
     base, objs = a.base, a.objects
@@ -502,7 +517,7 @@ def check_strength(
                     rhs = a.pure(base.tensor_mor(f, base.id(z)))
                     yield ((f, z), lhs, rhs, a.equal(lhs, rhs))
 
-    return [
+    out = [
         _report("strength.unit", name, _once(
             itertools.product(objs, repeat=2), num, unit, a.equal), equality),
         _report("strength.assoc", name, _once(
@@ -513,26 +528,13 @@ def check_strength(
         ), equality),
     ]
 
+    if a.commutative:
+        ls = _Strong(st.hom, num, functools.partial(left_strength, a))
+        out.append(_report("arrow.commute", name, _commute_trials(
+            objs, [None], st, ls, a.comp, a.comp, lambda p, q: lambda m: m, a.equal,
+        ), equality))
 
-def check_commutativity(
-    a: ArrowInstance, instance: str | None = None, equality: str = "structural"
-) -> list[LawReport]:
-    """Interchange of the two tensor interleavings; only for flagged arrows.
-
-    The sides are ``arrow_tensor`` and ``arrow_tensor_flipped``, chased by
-    ``_commute_trials`` at the one grade, as ``graded.commute`` is: one
-    ``==`` per block of objects, each member strengthened once per (number,
-    spectator).
-    """
-    if not a.commutative:
-        return []
-    hom, num = _one_grade(a), _Interned(a.key)
-    trials = _commute_trials(
-        a.objects, [None], _Strong(hom, num, a.st),
-        _Strong(hom, num, functools.partial(left_strength, a)), a.comp, a.comp,
-        lambda p, q: lambda m: m, a.equal,
-    )
-    return [_report("arrow.commute", instance or a.name, trials, equality)]
+    return out
 
 
 # -- bimodule laws ------------------------------------------------------------
@@ -561,27 +563,20 @@ def check_bimodule(
     a = b.arrow
     objs = a.objects
 
-    def lact_unit():
-        for x, y in itertools.product(objs, repeat=2):
-            for e in b.hom_cached(x, y):
-                lhs = b.lact(a.identity(x), e)
-                yield ((e,), lhs, e, b.equal(lhs, e))
-
-    def ract_unit():
-        for x, y in itertools.product(objs, repeat=2):
-            for e in b.hom_cached(x, y):
-                lhs = b.ract(e, a.identity(y))
-                yield ((e,), lhs, e, b.equal(lhs, e))
-
+    hb = _one_grade(b)
     lact_comp, ract_comp, mixed = _action_trials(
-        objs, [None], _one_grade(a), _one_grade(b), _Interned(a.key),
+        objs, [None], _one_grade(a), hb, _Interned(a.key),
         _Interned(b.key), a.comp, b.lact, b.ract, _no_regrade, b.equal,
     )
 
     out = [
-        _report("bimodule.lact-unit", name, lact_unit(), equality),
+        _report("bimodule.lact-unit", name, _neutral_trials(
+            [None], objs, hb, b.equal, lambda p, x, y, e: b.lact(a.identity(x), e),
+        ), equality),
         _report("bimodule.lact-comp", name, lact_comp, equality),
-        _report("bimodule.ract-unit", name, ract_unit(), equality),
+        _report("bimodule.ract-unit", name, _neutral_trials(
+            [None], objs, hb, b.equal, lambda p, x, y, e: b.ract(e, a.identity(y)),
+        ), equality),
         _report("bimodule.ract-comp", name, ract_comp, equality),
         _report("bimodule.mixed", name, mixed, equality),
     ]
@@ -616,15 +611,7 @@ def check_eqmonoid(
         return []
     a = b.arrow
     objs = a.objects
-
-    def m_unit():
-        for x, y in itertools.product(objs, repeat=2):
-            e0 = b.e(x, y)
-            for e in b.hom_cached(x, y):
-                lhs = b.m(e0, e)
-                yield ((e,), lhs, e, b.equal(lhs, e))
-                rhs = b.m(e, e0)
-                yield ((e,), rhs, e, b.equal(rhs, e))
+    e0 = functools.cache(b.e)  # tabulated once per pair of objects
 
     def m_assoc():
         for x, y in itertools.product(objs, repeat=2):
@@ -675,7 +662,11 @@ def check_eqmonoid(
                     yield ((a1, e1, e2), lhs, rhs, b.equal(lhs, rhs))
 
     return [
-        _report("eqmonoid.m-unit", name, m_unit(), equality),
+        _report("eqmonoid.m-unit", name, _neutral_trials(
+            [None], objs, _one_grade(b), b.equal,
+            lambda p, x, y, e: b.m(e0(x, y), e),
+            lambda p, x, y, e: b.m(e, e0(x, y)),
+        ), equality),
         _report("eqmonoid.m-assoc", name, m_assoc(), equality),
         _report("eqmonoid.m-commute", name, m_commute(), equality),
         _report("eqmonoid.lact-e", name, lact_e(), equality),
@@ -783,28 +774,18 @@ def check_graded(
     with ``arrow.assoc`` and ``arrow.commute``: both go by interned numbers,
     so ``key`` equality must imply ``equal``, also after ``st``, and a
     keyless ``g`` costs memory in proportion to its ``assoc`` cases.
-    ``unit``, ``regrade`` and ``st-natural`` still run per case.
+    ``unit``, ``regrade`` and ``st-natural`` run per case, ``unit`` and the
+    identity cases of ``regrade`` through ``_neutral_trials``.
     """
     name = instance or g.name
     base, objs, grades = g.base, g.objects, g.grades
     gs = g.grade_structural
     hom = functools.cache(g.hom)
 
-    def unit_trials():
-        for p in grades:
-            for x, y in itertools.product(objs, repeat=2):
-                for e in hom(p, x, y):
-                    lhs = g.regrade(gs("lunit", (p,)), g.gcomp(g.unit(base.id(x)), e))
-                    yield ((e,), lhs, e, g.equal(lhs, e))
-                    rhs = g.regrade(gs("runit", (p,)), g.gcomp(e, g.unit(base.id(y))))
-                    yield ((e,), rhs, e, g.equal(rhs, e))
-
     def regrade_trials():
-        for p in grades:
-            for x, y in itertools.product(objs, repeat=2):
-                for e in hom(p, x, y):
-                    lhs = g.regrade(iso_id(p), e)
-                    yield ((e,), lhs, e, g.equal(lhs, e))
+        yield from _neutral_trials(
+            grades, objs, hom, g.equal, lambda p, x, y, e: g.regrade(iso_id(p), e)
+        )
         for p, q, r in itertools.product(grades, repeat=3):
             for phi in g.grade_isos(q, p):
                 for chi in g.grade_isos(r, q):
@@ -833,7 +814,15 @@ def check_graded(
         )[0]
 
     out = [
-        _report("graded.unit", name, unit_trials(), equality),
+        _report("graded.unit", name, _neutral_trials(
+            grades, objs, hom, g.equal,
+            lambda p, x, y, e: g.regrade(
+                gs("lunit", (p,)), g.gcomp(g.unit(base.id(x)), e)
+            ),
+            lambda p, x, y, e: g.regrade(
+                gs("runit", (p,)), g.gcomp(e, g.unit(base.id(y)))
+            ),
+        ), equality),
         _report("graded.assoc", name, assoc_trials(), equality),
         _report("graded.regrade", name, regrade_trials(), equality),
         _report("graded.st-natural", name, st_natural_trials(), equality),
@@ -868,31 +857,25 @@ def check_graded_bimodule(
     hb = functools.cache(gb.hom)
     num_b = _Interned(gb.key)
 
-    def lact_unit():
-        for q in grades:
-            for x, y in itertools.product(objects, repeat=2):
-                for e in hb(q, x, y):
-                    acted = gb.glact(g.unit(base.id(x)), e)
-                    lhs = gb.regrade(gs("lunit", (q,)), acted)
-                    yield ((e,), lhs, e, gb.equal(lhs, e))
-
-    def ract_unit():
-        for q in grades:
-            for x, y in itertools.product(objects, repeat=2):
-                for e in hb(q, x, y):
-                    acted = gb.gract(e, g.unit(base.id(y)))
-                    lhs = gb.regrade(gs("runit", (q,)), acted)
-                    yield ((e,), lhs, e, gb.equal(lhs, e))
-
     lact_comp, ract_comp, mixed = _action_trials(
         objects, grades, functools.cache(g.hom), hb, _Interned(g.key),
         num_b, g.gcomp, gb.glact, gb.gract, _assoc_regrade(g, gb.regrade, num_b),
         gb.equal,
     )
     return [
-        _report("gbim.lact-unit", name, lact_unit(), equality),
+        _report("gbim.lact-unit", name, _neutral_trials(
+            grades, objects, hb, gb.equal,
+            lambda q, x, y, e: gb.regrade(
+                gs("lunit", (q,)), gb.glact(g.unit(base.id(x)), e)
+            ),
+        ), equality),
         _report("gbim.lact-comp", name, lact_comp, equality),
-        _report("gbim.ract-unit", name, ract_unit(), equality),
+        _report("gbim.ract-unit", name, _neutral_trials(
+            grades, objects, hb, gb.equal,
+            lambda q, x, y, e: gb.regrade(
+                gs("runit", (q,)), gb.gract(e, g.unit(base.id(y)))
+            ),
+        ), equality),
         _report("gbim.ract-comp", name, ract_comp, equality),
         _report("gbim.mixed", name, mixed, equality),
     ]
@@ -901,10 +884,7 @@ def check_graded_bimodule(
 # -- registered universes -----------------------------------------------------
 
 def _arrow_laws(a: ArrowInstance, name: str, eq: str = "structural") -> list[LawReport]:
-    return (
-        check_arrow_laws(a, name, eq) + check_strength(a, name, eq)
-        + check_commutativity(a, name, eq)
-    )
+    return check_arrow_laws(a, name, eq) + check_strength(a, name, eq)
 
 
 def _lens_h(x: PairObj, y: PairObj) -> int:
@@ -966,7 +946,6 @@ def arrow_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
     lens2 = lens_arrow(atoms2)
     weq2 = with_eq(lens2, ctx_of_arrow(lens2), BOOL_AND)
     reports += check_strength(weq2, "witheq(lens,bool)")
-    reports += check_commutativity(weq2, "witheq(lens,bool)")
 
     fam_arrow = fam(weq2, member_pool=_truncated(weq2.hom_cached, 2))
     fam_eq = "index-bijection over pooled members"

@@ -166,11 +166,10 @@ def test_laws_stream_and_exit_zero(capsys):
     assert all(r["status"] == "pass" for r in rows)
 
 
-def test_laws_size_bound_exits_3(capsys, monkeypatch):
+def test_laws_size_bound_exits_3(capsys):
     assert main(["laws", "--suite", "optic", "--size", "3"]) == 3
-    monkeypatch.setenv("OPENARROWS_MAX_SIZE", "2")
-    assert main(["laws", "--suite", "optic", "--size", "3"]) == 3
-    assert "OPENARROWS_MAX_SIZE" in capsys.readouterr().err
+    assert main(["laws", "--suite", "optic", "--size", "4"]) == 3
+    assert "size 4 exceeds the bound of 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite,size", [("optic", "0"), ("arrow", "-1"),
@@ -180,14 +179,6 @@ def test_laws_size_below_one_exits_2(suite, size, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"--size must be at least 1, got {size}" in captured.err
-
-
-def test_laws_bad_size_bound_setting_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("OPENARROWS_MAX_SIZE", "abc")
-    assert main(["laws", "--suite", "optic", "--size", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "OPENARROWS_MAX_SIZE" in captured.err and "'abc'" in captured.err
 
 
 def test_laws_mutants_exit_nonzero_and_isolate(capsys):
@@ -263,12 +254,17 @@ def test_missing_file_exits_2(capsys):
     assert main(["solve", "/nonexistent.game"]) == 2
 
 
-def test_cli_snapshot_records_stdout_stderr_and_exit_code(tmp_path, capsys, monkeypatch):
-    path = pathlib.Path(__file__).parents[1] / "tools" / "cli_snapshot.py"
-    spec = importlib.util.spec_from_file_location("cli_snapshot", path)
+def _tool(name):
+    # a script under tools/, loaded as a module
+    path = pathlib.Path(__file__).parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    monkeypatch.delenv("OPENARROWS_MAX_SIZE", raising=False)
+    return tool
+
+
+def test_cli_snapshot_records_stdout_stderr_and_exit_code(tmp_path, capsys):
+    tool = _tool("cli_snapshot")
     # the law suites at size 1 only; the refusals stay, as they run nothing
     runs = [r for r in tool.RUNS if r[:2] != ["laws", "--suite"] or r[4] != "2"]
     assert len(tool.RUNS) == 32 and len(runs) == 27
@@ -289,3 +285,19 @@ def test_cli_snapshot_records_stdout_stderr_and_exit_code(tmp_path, capsys, monk
     out = (tmp_path / "solve_prisoners_dilemma_closed_format_json.out").read_text()
     assert out == capsys.readouterr().out
     assert "exceeds the bound" in (tmp_path / "laws_suite_graded_size_4.err").read_text()
+
+
+def test_node_count_totals_lines_and_syntax_tree_nodes(tmp_path):
+    tool = _tool("node_count")
+    (tmp_path / "a.py").write_text("x = 1\n")
+    (tmp_path / "b.py").write_text("def f():\n    return 2\n")
+    (tmp_path / "notes.txt").write_text("not a module\n")
+    # Module, Assign, Name, Store, Constant; Module, FunctionDef, arguments,
+    # Return, Constant
+    assert tool.counts(tmp_path / "a.py") == (1, 5)
+    assert tool.report([tmp_path]).splitlines() == [
+        f"      1        5  {tmp_path / 'a.py'}",
+        f"      2        5  {tmp_path / 'b.py'}",
+        "      3       10  total",
+    ]
+    assert tool.DEFAULT_DIR == pathlib.Path(openarrows.__file__).resolve().parent

@@ -12,7 +12,7 @@ from openarrows import laws, mutants
 from openarrows.arrow import arrow_tensor, arrow_tensor_flipped, dimap, hom_arrow
 from openarrows.base import PAIR, PAIR_I, SET, PairObj, bit_set, pair_atoms
 from openarrows.bimodule import EqFun, ctx_of_arrow, eq_from_context, with_eq
-from openarrows.finset import BOOL_AND, UNIT, WITNESSES, DomainError, FinSet
+from openarrows.finset import BOOL_AND, UNIT, WITNESSES, DomainError, FinFun, FinSet
 from openarrows.games import GAME_CTX, BestRespElement, best_resp_bimodule
 from openarrows.grading import (
     GradedPairMor,
@@ -440,7 +440,7 @@ def test_strength_comp_failure_inside_a_block_reports_as_per_case_chasing():
         commutative=False,
     ))
     for arr in (a, _keyless_arrow(a)):
-        got = _strength_laws(arr, "mid-block")
+        got = laws.check_strength(arr, "mid-block")
         assert got == _reference_strength_laws(arr, "mid-block")
         (comp,) = [r for r in got if r.law == "strength.comp"]
         # 90 cases pass in the blocks of (UNIT, UNIT, UNIT), (UNIT, UNIT, B2)
@@ -462,7 +462,7 @@ def test_strength_assoc_failure_inside_a_slab_reports_as_per_case_chasing():
         st_tag=lambda t, z: (t[1], t[0]) if len(z) in (2, 4) else t,
     )
     for arr in (a, _keyless_arrow(a)):
-        got = _strength_laws(arr, "mid-slab")
+        got = laws.check_strength(arr, "mid-slab")
         assert got == _reference_strength_laws(arr, "mid-slab")
         (assoc,) = [r for r in got if r.law == "strength.assoc"]
         # x = y = UNIT: three slabs of four pass, then the tag (0, 1), second
@@ -481,7 +481,6 @@ def test_checkers_leave_no_cyclic_garbage():
         laws.check_bimodule(b)
         laws.check_arrow_laws(a)
         laws.check_strength(a)
-        laws.check_commutativity(a)
         laws.run_mutants(["costrength.mixed"])
         assert gc.collect() == 0
     finally:
@@ -567,10 +566,6 @@ def _reference_commute(a, name):
     return [laws._report("arrow.commute", name, trials(), "structural")]
 
 
-def _strength_laws(a, name):
-    return laws.check_strength(a, name) + laws.check_commutativity(a, name)
-
-
 def _reference_strength_laws(a, name):
     strength = (
         _reference_strength_unit, _reference_strength_assoc, _reference_strength_pure,
@@ -581,7 +576,7 @@ def _reference_strength_laws(a, name):
 
 def _shared_arrow_laws(a, name):
     (assoc,) = [r for r in laws.check_arrow_laws(a, name) if r.law == "arrow.assoc"]
-    return [assoc] + _strength_laws(a, name)
+    return [assoc] + laws.check_strength(a, name)
 
 
 def _reference_arrow_laws(a, name):
@@ -663,7 +658,7 @@ def test_strength_laws_match_per_case_chasing_on_colimits_at_size_2(instance):
     # the numbered chases strengthen class representatives, so they rely on
     # the key being a congruence for st, as arrow.assoc relies on it for comp
     a = _suite_arrows(2)[instance]
-    got = _strength_laws(a, instance)
+    got = laws.check_strength(a, instance)
     assert got == _reference_strength_laws(a, instance)
     assert {r.status for r in got} == {"pass"}
 
@@ -1109,6 +1104,180 @@ def test_shared_graded_laws_match_per_case_chasing_on_param_lens_at_size_2():
     assert _verdicts(got) == _verdicts(_reference_graded(g, "param(lens)"))
 
 
+# -- identity laws agree with their own loops ----------------------------------
+#
+# Every identity law is chased by ``laws._neutral_trials``.  The reference
+# trials below are each law's own loop, member by member and side by side;
+# the checkers must agree with them on every field, case order included.
+
+_NEUTRAL_LAWS = (
+    "arrow.unit", "bimodule.lact-unit", "bimodule.ract-unit", "eqmonoid.m-unit",
+    "graded.unit", "graded.regrade", "gbim.lact-unit", "gbim.ract-unit",
+)
+
+
+def _reference_arrow_unit(a, name):
+    def unit():
+        for x, y in itertools.product(a.objects, repeat=2):
+            for m in a.hom_cached(x, y):
+                lhs = a.comp(a.identity(x), m)
+                yield ((m,), lhs, m, a.equal(lhs, m))
+                rhs = a.comp(m, a.identity(y))
+                yield ((m,), rhs, m, a.equal(rhs, m))
+
+    return [laws._report("arrow.unit", name, unit(), "structural")]
+
+
+def _reference_bimodule_units(b, name):
+    a = b.arrow
+    objs = a.objects
+
+    def lact_unit():
+        for x, y in itertools.product(objs, repeat=2):
+            for e in b.hom_cached(x, y):
+                lhs = b.lact(a.identity(x), e)
+                yield ((e,), lhs, e, b.equal(lhs, e))
+
+    def ract_unit():
+        for x, y in itertools.product(objs, repeat=2):
+            for e in b.hom_cached(x, y):
+                lhs = b.ract(e, a.identity(y))
+                yield ((e,), lhs, e, b.equal(lhs, e))
+
+    def m_unit():
+        for x, y in itertools.product(objs, repeat=2):
+            e0 = b.e(x, y)
+            for e in b.hom_cached(x, y):
+                lhs = b.m(e0, e)
+                yield ((e,), lhs, e, b.equal(lhs, e))
+                rhs = b.m(e, e0)
+                yield ((e,), rhs, e, b.equal(rhs, e))
+
+    trials = [lact_unit(), ract_unit()] + ([m_unit()] if b.m is not None else [])
+    return [
+        laws._report(law, name, t, "structural")
+        for law, t in zip(
+            ("bimodule.lact-unit", "bimodule.ract-unit", "eqmonoid.m-unit"), trials
+        )
+    ]
+
+
+def _reference_graded_units(
+    g, name, iso_id=FinFun.identity, iso_comp=laws._default_iso_comp
+):
+    base, objs, grades = g.base, g.objects, g.grades
+    gs = g.grade_structural
+
+    def unit():
+        for p in grades:
+            for x, y in itertools.product(objs, repeat=2):
+                for e in g.hom(p, x, y):
+                    lhs = g.regrade(gs("lunit", (p,)), g.gcomp(g.unit(base.id(x)), e))
+                    yield ((e,), lhs, e, g.equal(lhs, e))
+                    rhs = g.regrade(gs("runit", (p,)), g.gcomp(e, g.unit(base.id(y))))
+                    yield ((e,), rhs, e, g.equal(rhs, e))
+
+    def regrade():
+        for p in grades:
+            for x, y in itertools.product(objs, repeat=2):
+                for e in g.hom(p, x, y):
+                    lhs = g.regrade(iso_id(p), e)
+                    yield ((e,), lhs, e, g.equal(lhs, e))
+        for p, q, r in itertools.product(grades, repeat=3):
+            for phi in g.grade_isos(q, p):
+                for chi in g.grade_isos(r, q):
+                    composite = iso_comp(phi, chi)
+                    for x, y in itertools.product(objs, repeat=2):
+                        for e in g.hom(p, x, y):
+                            lhs = g.regrade(composite, e)
+                            rhs = g.regrade(chi, g.regrade(phi, e))
+                            yield ((phi, chi, e), lhs, rhs, g.equal(lhs, rhs))
+
+    return [
+        laws._report("graded.unit", name, unit(), "structural"),
+        laws._report("graded.regrade", name, regrade(), "structural"),
+    ]
+
+
+def _reference_gbim_units(gb, name):
+    g = gb.arrow
+    base, objects = g.base, g.objects
+    gs = g.grade_structural
+
+    def lact_unit():
+        for q in g.grades:
+            for x, y in itertools.product(objects, repeat=2):
+                for e in gb.hom(q, x, y):
+                    acted = gb.glact(g.unit(base.id(x)), e)
+                    lhs = gb.regrade(gs("lunit", (q,)), acted)
+                    yield ((e,), lhs, e, gb.equal(lhs, e))
+
+    def ract_unit():
+        for q in g.grades:
+            for x, y in itertools.product(objects, repeat=2):
+                for e in gb.hom(q, x, y):
+                    acted = gb.gract(e, g.unit(base.id(y)))
+                    lhs = gb.regrade(gs("runit", (q,)), acted)
+                    yield ((e,), lhs, e, gb.equal(lhs, e))
+
+    return [
+        laws._report("gbim.lact-unit", name, lact_unit(), "structural"),
+        laws._report("gbim.ract-unit", name, ract_unit(), "structural"),
+    ]
+
+
+def _checked_bimodule_units(b, name):
+    return laws.check_bimodule(b, name) + laws.check_eqmonoid(b, name)
+
+
+# kind -> (the runner its mutants hand it to, checker, reference)
+_NEUTRAL_KINDS = {
+    "arrow": ("_run_tag_arrow", laws.check_arrow_laws, _reference_arrow_unit),
+    "bimodule": ("_run_bimodule", _checked_bimodule_units, _reference_bimodule_units),
+    "graded": ("check_graded", laws.check_graded, _reference_graded_units),
+    "gbim": ("_run_gbim", laws.check_graded_bimodule, _reference_gbim_units),
+}
+
+
+def _neutral_pair(kind, got, name, **iso_args):
+    # the checker's identity-law reports and the reference's
+    _, checker, reference = _NEUTRAL_KINDS[kind]
+    checked = [r for r in checker(got, name, **iso_args) if r.law in _NEUTRAL_LAWS]
+    return checked, reference(got, name, **iso_args)
+
+
+@pytest.mark.parametrize("target", _NEUTRAL_LAWS)
+def test_identity_laws_match_their_own_loops_on_mutants(target):
+    kind = target.split(".")[0].replace("eqmonoid", "bimodule")
+    got, want = _neutral_pair(kind, _captured(target, _NEUTRAL_KINDS[kind][0]), target)
+    assert got == want
+    assert target in {r.law for r in got if r.status == "fail"}
+
+
+def _neutral_suite_instance(kind, instance):
+    # the size-1 suite instances, as the ``_suite_*`` helpers capture them
+    if kind == "arrow":
+        return _suite_arrows(1)[instance], {}
+    if kind == "bimodule":
+        return _suite_bimodules(1)[instance], {}
+    if kind == "graded":
+        return _suite_graded(1)[0][instance]
+    return _suite_gbims(1)[instance][0], {}
+
+
+@pytest.mark.parametrize("kind,instance", [
+    *(("arrow", n) for n in sorted(_suite_arrows(1))),
+    *(("bimodule", n) for n in sorted(_suite_bimodules(1))),
+    ("graded", "param(lens)"), ("graded", "twisted(set)"),
+    ("gbim", "bestresp(lens)"), ("gbim", "probequib(lens)"),
+])
+def test_identity_laws_match_their_own_loops_on_suites(kind, instance):
+    got, iso_args = _neutral_suite_instance(kind, instance)
+    checked, want = _neutral_pair(kind, got, instance, **iso_args)
+    assert checked == want
+    assert checked and {r.status for r in checked} == {"pass"}
+
+
 # -- keys of the registered families -------------------------------------------
 #
 # The chases above decide cases by comparing interned numbers, which needs
@@ -1153,7 +1322,7 @@ def test_twisted_keys_decide_equality():
 
 
 _CHECKERS = (
-    "check_arrow_laws", "check_strength", "check_commutativity", "check_bimodule",
+    "check_arrow_laws", "check_strength", "check_bimodule",
     "check_eqmonoid", "check_context", "check_graded", "check_graded_bimodule",
 )
 
@@ -1180,8 +1349,7 @@ def test_every_registered_family_has_a_key():
     assert len(seen) > len(mutants.MUTANTS)
     unkeyed = []
     for got in seen:
-        family = getattr(got, "bimodule", got)  # a context's bimodule
-        for f in (family, getattr(family, "arrow", family)):
+        for f in (got, getattr(got, "arrow", got)):
             if f.key is None:
                 unkeyed.append((type(got).__name__, f.name))
     assert unkeyed == []

@@ -8,7 +8,7 @@ Run as a script, each run goes in process through ``openarrows.cli.main``
 of the checkout this script sits in, and leaves ``NAME.out``, ``NAME.err`` and
 ``NAME.code`` in OUTDIR.  Game files are named relative to the bundled
 fixture directory, so snapshots of two checkouts compare with
-``diff -r``.  The runs read ``OPENARROWS_MAX_SIZE`` as the CLI does.
+``diff -r``.
 """
 
 from __future__ import annotations

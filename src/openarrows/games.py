@@ -20,9 +20,11 @@ starts at and the table that pays off each of its outcomes.
 ``game_context`` builds one and ``trivial_context`` gives a closed game's
 unique one; a probabilistic judgement reads a distribution over them.
 
-Best-response relations form a third graded bimodule, which the law
-suites check, and a brute-force normal-form oracle gives an independent
-check of the Boolean verdicts.
+Best-response relations are rows too: at a context, the set of related
+profile pairs.  One constructor builds both row bimodules, which differ
+only in how rows join, pull back and merge, and the law suites check the
+best-response one.  A brute-force normal-form oracle gives an
+independent check of the Boolean verdicts.
 """
 
 from __future__ import annotations
@@ -118,51 +120,76 @@ def _game_contexts(x: PairObj, y: PairObj) -> list:
 
 @dataclass(frozen=True, eq=False)
 class RowElement:
-    """A judgement of every strategy at each context, computed on demand.
+    """A judgement at each context, computed on demand.
 
-    ``row(c)`` holds one monoid value per element of ``grade``, in its
-    order.  Nothing is tabulated: games compose pointwise in the context,
-    so enumerating contexts when composing would be work for nothing.
+    ``row(c)`` is the judgement at context ``c``: under ``row_bimodule``,
+    one monoid value per element of ``grade``, in its order; under
+    ``best_resp_bimodule``, the frozenset of related profile pairs.
+    Nothing is tabulated: games compose pointwise in the context, so
+    enumerating contexts when composing would be work for nothing.
     """
 
     src: PairObj
     dst: PairObj
-    grade: FinSet  # the strategy index
-    row: Callable[[CtxPair], tuple] = field(repr=False)
+    grade: FinSet  # the strategy (profile) index
+    row: Callable[[CtxPair], Any] = field(repr=False)
 
 
-def row_bimodule(m_monoid: Monoid) -> GradedBimodule:
-    """Rows of ``m_monoid`` values in context, acted on by lens families.
+def _row_judgement(
+    name: str,
+    arrow: GradedArrow,
+    left: Callable[[FinSet, list], Any],
+    right: Callable[[FinSet, list], Any],
+    pull: Callable[[FinFun, FinSet], Callable[[Any], Any]],
+    unit: Callable[[FinSet], Any],
+    merge: Callable[[Any, Any], Any],
+    commutative: bool,
+    element_pool: Callable[[Any, Any, Any], list] | None = None,
+    context_pool: Callable[[Any, Any], list] | None = None,
+) -> GradedBimodule:
+    """Rows of one algebra's values in context, as a graded bimodule.
 
-    The left action reads the operand's row at the context extended by
-    each prefix lens; the right action reads it at the context with each
-    suffix lens prepended, and interleaves those rows into the order of
-    the product grade.  Either runs one context action per member of the
-    family.  ``st`` reads the row at the costrength, ``regrade`` permutes
-    positions, ``m`` combines two rows position by position and ``e`` is
-    a row of units.  Equality compares rows at every context ``GAME_CTX``
-    enumerates, and refuses (``SizeError``) more than ``CONTEXT_BOUND``.
+    Its elements are ``RowElement``s.  The left action reads the operand's
+    row at the context extended by each member of the family and joins
+    those rows with ``left(family grade, rows)``; the right action reads it
+    at the context with each member prepended and joins with ``right``.
+    ``st`` reads the row at the costrength, ``regrade`` maps each row
+    through ``pull(phi, grade)``, ``e`` is ``unit(grade)`` everywhere and
+    ``m`` merges two rows context by context.  Equality and the key read
+    rows over the endpoints' context pool (by default every context
+    ``GAME_CTX`` enumerates, up to ``CONTEXT_BOUND``), so key equality is
+    equality.
     """
     ctx = GAME_CTX
-    op, unit = m_monoid.op, m_monoid.unit
+    pool_of = context_pool or _game_contexts
+    pools: dict = {}
+
+    def ctxs(x, y):
+        # one list per endpoint pair
+        if (x, y) not in pools:
+            pools[(x, y)] = pool_of(x, y)
+        return pools[(x, y)]
 
     def hom(grade, x, y):
-        raise DomainError("judgement rows are not enumerable")
+        if element_pool is None:
+            raise DomainError(f"the {name} bimodule is not enumerable")
+        return element_pool(grade, x, y)
 
     def glact(a: ParamFamily, b: RowElement):
-        def row(c):
-            return tuple(
-                v for aj in a.members for v in b.row(ctx.ract(c, aj))
-            )
-
-        return RowElement(a.src, b.dst, product(a.grade, b.grade), row)
+        if a.dst != b.src:
+            raise CompositionError(f"{name} left action: endpoint mismatch")
+        return RowElement(
+            a.src, b.dst, product(a.grade, b.grade),
+            lambda c: left(a.grade, [b.row(ctx.ract(c, aj)) for aj in a.members]),
+        )
 
     def gract(b: RowElement, a: ParamFamily):
-        def row(c):
-            cols = [b.row(ctx.lact(ak, c)) for ak in a.members]
-            return tuple(v for vs in zip(*cols) for v in vs)
-
-        return RowElement(b.src, a.dst, product(b.grade, a.grade), row)
+        if b.dst != a.src:
+            raise CompositionError(f"{name} right action: endpoint mismatch")
+        return RowElement(
+            b.src, a.dst, product(b.grade, a.grade),
+            lambda c: right(a.grade, [b.row(ctx.lact(ak, c)) for ak in a.members]),
+        )
 
     def st(b: RowElement, z_obj: PairObj):
         return RowElement(
@@ -173,23 +200,21 @@ def row_bimodule(m_monoid: Monoid) -> GradedBimodule:
         )
 
     def regrade(phi: FinFun, b: RowElement):
-        pos = [b.grade.index(j) for j in phi.table]
-        return RowElement(
-            b.src, b.dst, phi.dom, lambda c: tuple(map(b.row(c).__getitem__, pos))
-        )
+        pulled = pull(phi, b.grade)
+        return RowElement(b.src, b.dst, phi.dom, lambda c: pulled(b.row(c)))
 
     def equal(b1, b2):
         if (b1.src, b1.dst, b1.grade) != (b2.src, b2.dst, b2.grade):
             return False
-        return all(b1.row(c) == b2.row(c) for c in _game_contexts(b1.src, b1.dst))
+        return all(b1.row(c) == b2.row(c) for c in ctxs(b1.src, b1.dst))
 
     def e(grade, x, y):
-        units = (unit,) * len(grade)
-        return RowElement(x, y, grade, lambda c: units)
+        row = unit(grade)
+        return RowElement(x, y, grade, lambda c: row)
 
     return GradedBimodule(
-        name=f"rows({m_monoid.name})",
-        arrow=_GRADED,
+        name=name,
+        arrow=arrow,
         hom=hom,
         glact=glact,
         gract=gract,
@@ -198,8 +223,42 @@ def row_bimodule(m_monoid: Monoid) -> GradedBimodule:
         st=st,
         e=e,
         m=lambda b1, b2: RowElement(
-            b1.src, b1.dst, b1.grade, lambda c: tuple(map(op, b1.row(c), b2.row(c)))
+            b1.src, b1.dst, b1.grade, lambda c: merge(b1.row(c), b2.row(c))
         ),
+        commutative=commutative,
+        key=lambda b: (
+            b.grade.elements, tuple(b.row(c) for c in ctxs(b.src, b.dst))
+        ),
+    )
+
+
+def row_bimodule(m_monoid: Monoid) -> GradedBimodule:
+    """Rows of ``m_monoid`` values in context, acted on by lens families.
+
+    The left action lays the rows read at each prefix lens end to end;
+    the right action interleaves those read at each suffix lens into the
+    order of the product grade.  Either runs one context action per
+    member of the family.  ``st`` reads the row at the costrength,
+    ``regrade`` permutes positions, ``m`` combines two rows position by
+    position and ``e`` is a row of units.  Equality and the key compare
+    rows at every context ``GAME_CTX`` enumerates, and refuse
+    (``SizeError``) more than ``CONTEXT_BOUND``.
+    """
+    op, unit = m_monoid.op, m_monoid.unit
+
+    def pull(phi, grade):
+        # position j of the pulled-back row reads position phi(j)
+        pos = [grade.index(j) for j in phi.table]
+        return lambda row: tuple(map(row.__getitem__, pos))
+
+    return _row_judgement(
+        f"rows({m_monoid.name})",
+        _GRADED,
+        left=lambda grade, rows: tuple(itertools.chain.from_iterable(rows)),
+        right=lambda grade, cols: tuple(itertools.chain.from_iterable(zip(*cols))),
+        pull=pull,
+        unit=lambda grade: (unit,) * len(grade),
+        merge=lambda r1, r2: tuple(map(op, r1, r2)),
         commutative=m_monoid.commutative,
     )
 
@@ -443,34 +502,6 @@ def decisions_to_normal_form(
 
 # -- best-response games ------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class BestRespElement:
-    """A context-indexed relation between strategy profiles.
-
-    ``row(c)`` is the relation at context ``c``, as the frozenset of
-    related profile pairs.  The best-response bimodule's results keep
-    their rows in a ``_RowMemo``, so each is built once per context object.
-    """
-
-    src: PairObj
-    dst: PairObj
-    grade: FinSet  # the profile index J
-    row: Callable[[CtxPair], frozenset] = field(repr=False)
-
-
-class _RowMemo:
-    """``c -> build(c)``, run once per context object (the entry keeps it alive)."""
-
-    def __init__(self, build: Callable[[CtxPair], frozenset]):
-        self.build, self.rows = build, {}
-
-    def __call__(self, c: CtxPair) -> frozenset:
-        hit = self.rows.get(id(c))
-        if hit is None:
-            hit = self.rows[id(c)] = (c, self.build(c))
-        return hit[1]
-
-
 def best_resp_bimodule(
     graded_lens,
     element_pool: Callable[[Any, Any, Any], list] | None = None,
@@ -478,111 +509,56 @@ def best_resp_bimodule(
 ) -> GradedBimodule:
     """Strategy-pair relations in context, acted on by lens families.
 
-    The left action extends the context with the prefix profile's lens
-    and relates the suffix components; the second prefix component is
-    discarded.  The right action mirrors this.  Each action, ``st`` and
-    ``regrade`` build a result's row at a context from the operand's rows,
-    running the real context action once per (member, context).
+    An element is a ``RowElement`` whose row at a context is the frozenset
+    of related profile pairs.  The left action extends the context with
+    the prefix profile's lens and relates the suffix components; the
+    second prefix component is discarded.  The right action mirrors this.
+    ``regrade`` takes preimages, ``m`` intersects and ``e`` relates
+    everything.
 
     Equality compares rows over the context pool of the endpoints
     (``context_pool``, by default every context ``GAME_CTX`` enumerates, up
     to ``CONTEXT_BOUND``), and the key is the grade with those rows, so key
     equality is equality.
     """
-    ctx = GAME_CTX
-    pool_of = context_pool or _game_contexts
-    pools: dict = {}
 
-    def ctxs(x, y):
-        # one list per endpoint pair, so rows are found again by context
-        if (x, y) not in pools:
-            pools[(x, y)] = pool_of(x, y)
-        return pools[(x, y)]
-
-    def hom(grade, x, y):
-        if element_pool is None:
-            raise DomainError("best-response relations are not enumerable")
-        return element_pool(grade, x, y)
-
-    def glact(a: ParamFamily, b: BestRespElement):
-        if a.dst != b.src:
-            raise CompositionError("best-response left action: endpoint mismatch")
-
-        def build(c):
-            # ((j1, k1), (j2, k2)) for any j2, when k1, k2 are related in
-            # the context extended by the lens j1 plays
-            return frozenset(
-                ((j1, k1), (j2, k2))
-                for j1, aj in zip(a.grade, a.members)
-                for k1, k2 in b.row(ctx.ract(c, aj))
-                for j2 in a.grade
-            )
-
-        return BestRespElement(
-            a.src, b.dst, product(a.grade, b.grade), _RowMemo(build)
+    def left(grade, rows):
+        # ((j1, k1), (j2, k2)) for any j2, when k1, k2 are related in the
+        # context extended by the lens j1 plays
+        return frozenset(
+            ((j1, k1), (j2, k2))
+            for j1, row in zip(grade, rows)
+            for k1, k2 in row
+            for j2 in grade
         )
 
-    def gract(b: BestRespElement, a: ParamFamily):
-        if b.dst != a.src:
-            raise CompositionError("best-response right action: endpoint mismatch")
-
-        def build(c):
-            return frozenset(
-                ((j1, k1), (j2, k2))
-                for k1, ak in zip(a.grade, a.members)
-                for j1, j2 in b.row(ctx.lact(ak, c))
-                for k2 in a.grade
-            )
-
-        return BestRespElement(
-            b.src, a.dst, product(b.grade, a.grade), _RowMemo(build)
+    def right(grade, rows):
+        return frozenset(
+            ((j1, k1), (j2, k2))
+            for k1, row in zip(grade, rows)
+            for j1, j2 in row
+            for k2 in grade
         )
 
-    def st(b: BestRespElement, z_obj: PairObj):
-        xz, yz = PAIR.tensor(b.src, z_obj), PAIR.tensor(b.dst, z_obj)
-        return BestRespElement(
-            xz, yz, b.grade,
-            _RowMemo(lambda c: b.row(ctx.cst(c, b.dst, b.src, z_obj))),
-        )
-
-    def regrade(phi: FinFun, b: BestRespElement):
+    def pull(phi, grade):
+        # the preimage of the relation under phi x phi
         image = dict(zip(phi.dom.elements, phi.table))
+        return lambda row: frozenset(
+            (p1, p2) for p1, p2 in itertools.product(phi.dom, repeat=2)
+            if (image[p1], image[p2]) in row
+        )
 
-        def build(c):
-            row = b.row(c)
-            return frozenset(
-                (p1, p2) for p1, p2 in itertools.product(phi.dom, repeat=2)
-                if (image[p1], image[p2]) in row
-            )
-
-        return BestRespElement(b.src, b.dst, phi.dom, _RowMemo(build))
-
-    def equal(b1, b2):
-        if (b1.src, b1.dst, b1.grade) != (b2.src, b2.dst, b2.grade):
-            return False
-        return all(b1.row(c) == b2.row(c) for c in ctxs(b1.src, b1.dst))
-
-    def e(grade, x, y):
-        full = frozenset(itertools.product(grade, repeat=2))
-        return BestRespElement(x, y, grade, lambda c: full)
-
-    return GradedBimodule(
-        name="bestresp",
-        arrow=graded_lens,
-        hom=hom,
-        glact=glact,
-        gract=gract,
-        regrade=regrade,
-        equal=equal,
-        st=st,
-        e=e,
-        m=lambda b1, b2: BestRespElement(
-            b1.src, b1.dst, b1.grade, _RowMemo(lambda c: b1.row(c) & b2.row(c))
-        ),
+    return _row_judgement(
+        "bestresp",
+        graded_lens,
+        left=left,
+        right=right,
+        pull=pull,
+        unit=lambda grade: frozenset(itertools.product(grade, repeat=2)),
+        merge=frozenset.__and__,
         commutative=True,
-        key=lambda b: (
-            b.grade.elements, tuple(b.row(c) for c in ctxs(b.src, b.dst))
-        ),
+        element_pool=element_pool,
+        context_pool=context_pool,
     )
 
 

@@ -42,18 +42,18 @@ class GradedArrow:
     """A grade-indexed hom-family whose composition multiplies grades.
 
     Each member carries its own grade and endpoints as ``.grade``,
-    ``.src`` and ``.dst``.
+    ``.src`` and ``.dst``, so the unit grade and the grade tensor are read
+    off members: ``unit`` builds one at the unit grade, and ``gcomp`` one
+    at the tensor of its operands' grades.
     """
 
     name: str
     base: Any
     objects: list
     grades: list
-    grade_unit: Any
-    grade_tensor: Callable[[Any, Any], Any]
     grade_isos: Callable[[Any, Any], list]
     hom: Callable[[Any, Any, Any], list]  # (grade, X, Y) -> elements
-    unit: Callable[[Any], Any]  # base morphism -> element at grade_unit
+    unit: Callable[[Any], Any]  # base morphism -> element at the unit grade
     gcomp: Callable[[Any, Any], Any]
     st: Callable[[Any, Any], Any]
     regrade: Callable[[Any, Any], Any]  # (grade iso q -> p, elem at p) -> at q
@@ -177,8 +177,6 @@ def grade_by_param(
         base=a_inst.base,
         objects=list(a_inst.objects),
         grades=list(grades),
-        grade_unit=GRADE_UNIT,
-        grade_tensor=product,
         grade_isos=all_bijections,
         hom=hom,
         unit=unit,
@@ -405,13 +403,16 @@ def para(
 # -- structural combinators on graded arrows ---------------------------------
 
 def graded_dimap(graded: GradedArrow, f, e, g):
-    """pure(f) ; e ; pure(g), with the grade renormalized back to e's."""
-    out = graded.gcomp(graded.gcomp(graded.unit(f), e), graded.unit(g))
-    # grade is (1 (x) p) (x) 1: peel the units off
-    p = e.grade
-    lp = graded.grade_tensor(graded.grade_unit, p)
-    out = graded.regrade(graded.grade_structural("runit", (lp,)), out)
-    return graded.regrade(graded.grade_structural("lunit", (p,)), out)
+    """pure(f) ; e ; pure(g), with the grade renormalized back to e's.
+
+    The composite's grade is (1 (x) p) (x) 1, for p the grade of ``e``;
+    the runit and lunit grade isos peel the units off, the first at the
+    inner composite's grade 1 (x) p.
+    """
+    inner = graded.gcomp(graded.unit(f), e)
+    out = graded.gcomp(inner, graded.unit(g))
+    out = graded.regrade(graded.grade_structural("runit", (inner.grade,)), out)
+    return graded.regrade(graded.grade_structural("lunit", (e.grade,)), out)
 
 
 def graded_left_strength(graded: GradedArrow, e, z):
@@ -501,7 +502,7 @@ def graded_product(graded: GradedArrow, gbim: GradedBimodule) -> GradedArrow:
 
     def unit(base_mor):
         a = graded.unit(base_mor)
-        return GradedPairMor(a, gbim.e(graded.grade_unit, a.src, a.dst))
+        return GradedPairMor(a, gbim.e(a.grade, a.src, a.dst))
 
     def gcomp(m1, m2):
         return GradedPairMor(
@@ -535,8 +536,6 @@ def graded_product(graded: GradedArrow, gbim: GradedBimodule) -> GradedArrow:
         base=graded.base,
         objects=list(graded.objects),
         grades=list(graded.grades),
-        grade_unit=graded.grade_unit,
-        grade_tensor=graded.grade_tensor,
         grade_isos=graded.grade_isos,
         hom=hom,
         unit=unit,

@@ -46,8 +46,8 @@ from .finset import (
     product,
 )
 from .games import (
-    BestRespElement,
     ProbElement,
+    RowElement,
     best_resp_bimodule,
     context_count,
     prob_bimodule,
@@ -1108,8 +1108,8 @@ def graded_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
             for flip in (True, False)
         }
         return [
-            BestRespElement(x, y, grade, lambda c: rows[True]),
-            BestRespElement(x, y, grade, lambda c: rows[c.state == x0]),
+            RowElement(x, y, grade, lambda c: rows[True]),
+            RowElement(x, y, grade, lambda c: rows[c.state == x0]),
         ]
 
     def two_contexts(x, y):

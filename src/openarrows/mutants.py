@@ -416,8 +416,10 @@ def _mutant_cst_ract():
 
 
 def _mutant_cst_mixed():
+    # the tag flips by the parity of log2|Z|, which differs between the
+    # spectators UNIT and B2
     bim = _tag_bimodule(
-        [_B2, product(_B2, _B2)], (0, 1), _honest_psi, _honest_psi, _sigma_id,
+        [UNIT, _B2], (0, 1), _honest_psi, _honest_psi, _sigma_id,
         commutative=True,
     )
     return _run_context(_tag_context(
@@ -493,8 +495,6 @@ def _tag_graded(
         base=SET,
         objects=[_B2],
         grades=list(_GRADES2),
-        grade_unit=GRADE_UNIT,
-        grade_tensor=product,
         grade_isos=all_bijections,
         hom=hom,
         unit=unit,

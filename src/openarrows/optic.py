@@ -311,8 +311,6 @@ def twisted_grading(
         base=PAIR,
         objects=list(objects),
         grades=list(grades),
-        grade_unit=unit_grade,
-        grade_tensor=lambda g1, g2: TwGrade(SET.tensor_mor(g1.f, g2.f)),
         grade_isos=_tw_isos,
         hom=hom,
         unit=unit,

@@ -14,6 +14,7 @@ import pytest
 import openarrows
 from openarrows.cli import main
 from openarrows.gamefile import build_game, fixture_path
+from openarrows.laws import LAWS
 
 PD = fixture_path("prisoners_dilemma.game")
 MP = fixture_path("matching_pennies.game")
@@ -271,7 +272,8 @@ def test_cli_snapshot_records_stdout_stderr_and_exit_code(tmp_path, capsys):
     tool.snapshot(tmp_path, runs)
     names = [tool.run_name(r) for r in runs]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        n + ext for n in names for ext in (".code", ".err", ".out")
+        [n + ext for n in names for ext in (".code", ".err", ".out")]
+        + [f"mutant_{target}.reports" for target in LAWS]
     )
     codes = {n: (tmp_path / f"{n}.code").read_text() for n in names}
     assert {n for n, c in codes.items() if c != "0\n"} == {
@@ -285,6 +287,13 @@ def test_cli_snapshot_records_stdout_stderr_and_exit_code(tmp_path, capsys):
     out = (tmp_path / "solve_prisoners_dilemma_closed_format_json.out").read_text()
     assert out == capsys.readouterr().out
     assert "exceeds the bound" in (tmp_path / "laws_suite_graded_size_4.err").read_text()
+    # a mutant's reports keep every field, one report a line
+    lines = (tmp_path / "mutant_arrow.unit.reports").read_text().splitlines()
+    assert lines and all(line.startswith("LawReport(law=") for line in lines)
+    failing = [line for line in lines if "status='fail'" in line]
+    assert len(failing) == 1 and "law='arrow.unit'" in failing[0]
+    assert "checked=" in failing[0] and "counterexample=(" in failing[0]
+    assert "equality=" in failing[0]
 
 
 def test_node_count_totals_lines_and_syntax_tree_nodes(tmp_path):

@@ -18,6 +18,7 @@ from openarrows.finset import (
     STAR,
     UNIT,
     WITNESSES,
+    CompositionError,
     Dist,
     DomainError,
     FinFun,
@@ -29,10 +30,8 @@ from openarrows.finset import (
 )
 from openarrows.games import (
     GAME_CTX,
-    BestRespElement,
     OpenGame,
     RowElement,
-    _RowMemo,
     context_count,
     decision,
     decisions_to_normal_form,
@@ -132,7 +131,7 @@ def test_map_monoid_collapses_witnesses():
     assert db.row(ctx) == tuple(map(witnesses_empty, d.row(ctx)))
 
 
-def decision_relation(d: OpenGame) -> BestRespElement:
+def decision_relation(d: OpenGame) -> RowElement:
     """The canonical relation of a decision: the second profile is a better move.
 
     A profile is a fixed point (related above every other) exactly when
@@ -146,10 +145,10 @@ def decision_relation(d: OpenGame) -> BestRespElement:
             if pay[j2] >= pay[j1]
         )
 
-    return BestRespElement(d.src, d.dst, d.index, _RowMemo(row))
+    return RowElement(d.src, d.dst, d.index, row)
 
 
-def best_response_fixed_points(b: BestRespElement, c: CtxPair) -> list:
+def best_response_fixed_points(b: RowElement, c: CtxPair) -> list:
     row = b.row(c)
     return [j for j in b.grade if all((i, j) in row for i in b.grade)]
 
@@ -349,6 +348,18 @@ def test_row_regrade_permutes_and_merge_combines_position_by_position():
     assert rows.m(b, moved).row(c) == (("a", "b"), ("a",), ("b",))
     assert rows.m(rows.e(grade, PAIR_I, PAIR_I), b).row(c) == b.row(c)
 
+
+
+@pytest.mark.parametrize("m_monoid", [BOOL_AND, WITNESSES])
+def test_row_actions_refuse_mismatched_endpoints(m_monoid):
+    rows = row_bimodule(m_monoid)
+    d = decision(UNIT, MOVES, UTIL4, m_monoid=m_monoid)
+    # the plays run (1, 1) -> (MOVES, UTIL4), and so does the row: neither
+    # action composes them
+    with pytest.raises(CompositionError, match="left action"):
+        rows.glact(d.plays, d.judgement)
+    with pytest.raises(CompositionError, match="right action"):
+        rows.gract(d.judgement, d.plays)
 
 MOVES7 = FinSet(tuple(f"m{i}" for i in range(7)))
 UTIL7 = FinSet(tuple(range(7)))

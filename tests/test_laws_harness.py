@@ -12,8 +12,16 @@ from openarrows import laws, mutants
 from openarrows.arrow import arrow_tensor, arrow_tensor_flipped, dimap, hom_arrow
 from openarrows.base import PAIR, PAIR_I, SET, PairObj, bit_set, pair_atoms
 from openarrows.bimodule import EqFun, ctx_of_arrow, eq_from_context, with_eq
-from openarrows.finset import BOOL_AND, UNIT, WITNESSES, DomainError, FinFun, FinSet
-from openarrows.games import GAME_CTX, BestRespElement, best_resp_bimodule
+from openarrows.finset import (
+    BOOL_AND,
+    UNIT,
+    WITNESSES,
+    DomainError,
+    FinFun,
+    FinSet,
+    all_funs,
+)
+from openarrows.games import GAME_CTX, RowElement, best_resp_bimodule, row_bimodule
 from openarrows.grading import (
     GradedPairMor,
     ParaMor,
@@ -905,11 +913,11 @@ def test_bestresp_elements_apart_at_one_registered_context_have_different_keys()
         # (0, 0) dropped at contexts starting at ``first``
         return le - {(0, 0)} if c.state == first else le
 
-    b1 = BestRespElement(x, y, grade, lambda c: le)
-    b2 = BestRespElement(x, y, grade, le_but_once)
+    b1 = RowElement(x, y, grade, lambda c: le)
+    b2 = RowElement(x, y, grade, le_but_once)
     assert gb.key(b1) != gb.key(b2)
     assert gb.equal(b1, b2) is False
-    assert gb.key(b1) == gb.key(BestRespElement(x, y, grade, lambda c: le))
+    assert gb.key(b1) == gb.key(RowElement(x, y, grade, lambda c: le))
 
 
 def test_bestresp_default_pool_is_every_game_context():
@@ -917,11 +925,148 @@ def test_bestresp_default_pool_is_every_game_context():
     x, y = PAIR_I, PairObj(bit_set(2), bit_set(2))
     grade = FinSet((0, 1))
     le = frozenset((p1, p2) for p1 in grade for p2 in grade if p1 <= p2)
-    b = BestRespElement(x, y, grade, lambda c: le)
+    b = RowElement(x, y, grade, lambda c: le)
     contexts = GAME_CTX.hom_cached(y, x)
     assert len(contexts) > 1
     assert gb.key(b) == (grade.elements, tuple(b.row(c) for c in contexts))
     assert b.row(contexts[0]) == frozenset({(0, 0), (0, 1), (1, 1)})
+
+
+
+def test_row_elements_apart_at_one_context_have_different_keys():
+    gb = row_bimodule(BOOL_AND)
+    x, y = PAIR_I, PairObj(bit_set(2), bit_set(2))
+    grade = FinSet((0, 1))
+    odd = GAME_CTX.hom_cached(y, x)[1]
+
+    def true_but_once(c):
+        return (True, False) if c == odd else (True, True)
+
+    b1 = RowElement(x, y, grade, lambda c: (True, True))
+    b2 = RowElement(x, y, grade, true_but_once)
+    assert gb.key(b1) != gb.key(b2)
+    assert gb.equal(b1, b2) is False
+    b3 = RowElement(x, y, grade, lambda c: (True, True))
+    assert gb.key(b1) == gb.key(b3)
+    assert gb.equal(b1, b3) is True
+
+
+# The best-response bimodule's actions as they were written before rows and
+# best responses shared one constructor: each builds a result's row at one
+# context from the operand's rows, running the real context action.
+
+def _reference_br_glact(a, b):
+    def row(c):
+        return frozenset(
+            ((j1, k1), (j2, k2))
+            for j1, aj in zip(a.grade, a.members)
+            for k1, k2 in b.row(GAME_CTX.ract(c, aj))
+            for j2 in a.grade
+        )
+
+    return row
+
+
+def _reference_br_gract(b, a):
+    def row(c):
+        return frozenset(
+            ((j1, k1), (j2, k2))
+            for k1, ak in zip(a.grade, a.members)
+            for j1, j2 in b.row(GAME_CTX.lact(ak, c))
+            for k2 in a.grade
+        )
+
+    return row
+
+
+def _reference_br_st(b, z):
+    return lambda c: b.row(GAME_CTX.cst(c, b.dst, b.src, z))
+
+
+def _reference_br_regrade(phi, b):
+    image = dict(zip(phi.dom.elements, phi.table))
+
+    def row(c):
+        return frozenset(
+            (p1, p2) for p1, p2 in itertools.product(phi.dom, repeat=2)
+            if (image[p1], image[p2]) in b.row(c)
+        )
+
+    return row
+
+
+def _reference_br_m(b1, b2):
+    return lambda c: b1.row(c) & b2.row(c)
+
+
+def _reference_br_e(grade):
+    return lambda c: frozenset(itertools.product(grade, repeat=2))
+
+
+def _suite_bestresp(size):
+    # the graded suite's best-response bimodule and its context pool
+    pools = []
+
+    def recording(graded_lens, element_pool=None, context_pool=None):
+        pools.append(context_pool)
+        return best_resp_bimodule(graded_lens, element_pool, context_pool)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laws, "best_resp_bimodule", recording)
+        gb, objects, grades = _suite_gbims(size)["bestresp(lens)"]
+    (context_pool,) = pools
+    return gb, objects, grades, context_pool
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_bestresp_rows_match_per_context_references(size):
+    # the registered elements, one that reads the continuation (the
+    # registered ones read only the state, which a right action keeps), and
+    # every one-level composite of them, at every registered context of the
+    # result's endpoints
+    gb, objects, grades, context_pool = _suite_bestresp(size)
+    g = gb.arrow
+
+    def by_cont(q, x, y):
+        # two tables that differ in one entry have different parities
+        rows = (
+            frozenset((p1, p2) for p1 in q for p2 in q if p1 <= p2),
+            frozenset(itertools.product(q, repeat=2)),
+        )
+        return RowElement(
+            x, y, q, lambda c: rows[sum(map(y.bwd.index, c.cont.table)) % 2]
+        )
+
+    pool = [
+        b for q in grades for x, y in itertools.product(objects, repeat=2)
+        for b in [*gb.hom(q, x, y), by_cont(q, x, y)]
+    ]
+    pairs = [(b, lambda c, b=b: b.row(c)) for b in pool]
+    for b in pool:
+        pairs += [
+            (gb.glact(a, b), _reference_br_glact(a, b))
+            for p in grades for z in objects for a in g.hom(p, z, b.src)
+        ]
+        pairs += [
+            (gb.gract(b, a), _reference_br_gract(b, a))
+            for p in grades for z in objects for a in g.hom(p, b.dst, z)
+        ]
+        pairs += [(gb.st(b, z), _reference_br_st(b, z)) for z in objects]
+        pairs += [
+            (gb.regrade(phi, b), _reference_br_regrade(phi, b))
+            for q in grades for phi in all_funs(q, b.grade)
+        ]
+        pairs += [
+            (gb.m(b, b2), _reference_br_m(b, b2)) for b2 in pool
+            if (b2.src, b2.dst, b2.grade) == (b.src, b.dst, b.grade)
+        ]
+        pairs.append((gb.e(b.grade, b.src, b.dst), _reference_br_e(b.grade)))
+    checked = 0
+    for got, want in pairs:
+        for c in context_pool(got.src, got.dst):
+            assert got.row(c) == want(c), (got, c)
+            checked += 1
+    assert checked > 100 * size
 
 
 # -- the graded product: the one composition path of open games ---------------

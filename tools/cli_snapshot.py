@@ -1,4 +1,5 @@
-"""Record stdout, stderr and the exit code of a fixed list of CLI runs.
+"""Record stdout, stderr and the exit code of a fixed list of CLI runs,
+and every law report of every planted mutant.
 
 Usage::
 
@@ -6,9 +7,12 @@ Usage::
 
 Run as a script, each run goes in process through ``openarrows.cli.main``
 of the checkout this script sits in, and leaves ``NAME.out``, ``NAME.err`` and
-``NAME.code`` in OUTDIR.  Game files are named relative to the bundled
-fixture directory, so snapshots of two checkouts compare with
-``diff -r``.
+``NAME.code`` in OUTDIR.  Each mutant of ``openarrows.mutants.MUTANTS``
+leaves ``mutant_TARGET.reports``: the ``repr`` of each of its reports, one
+a line, with every field (law, instance, status, ``checked``,
+counterexample and equality), which the CLI's mutant table leaves out.
+Game files are named relative to the bundled fixture directory, so
+snapshots of two checkouts compare with ``diff -r``.
 """
 
 from __future__ import annotations
@@ -63,9 +67,11 @@ def run_name(argv: list) -> str:
 
 
 def snapshot(outdir, runs: list = RUNS) -> None:
-    """Write the three files of every run in ``runs`` into ``outdir``."""
+    """Write the three files of every run in ``runs``, and the reports of
+    every mutant, into ``outdir``."""
     from openarrows.cli import main
     from openarrows.gamefile import fixture_path
+    from openarrows.mutants import MUTANTS
 
     outdir = pathlib.Path(outdir).resolve()
     outdir.mkdir(parents=True, exist_ok=True)
@@ -85,6 +91,9 @@ def snapshot(outdir, runs: list = RUNS) -> None:
             stem.with_suffix(".code").write_text(f"{code}\n")
     finally:
         os.chdir(here)
+    for target, run in MUTANTS.items():
+        reports = "".join(f"{r!r}\n" for r in run())
+        (outdir / f"mutant_{target}.reports").write_text(reports)
 
 
 if __name__ == "__main__":

@@ -178,7 +178,7 @@ class GameFile:
 # -- tokenizing ---------------------------------------------------------------
 
 _INT = re.compile(r"-?\d+$")
-_FRACTION = re.compile(r"-?\d+/\d+$")
+_FRACTION = re.compile(r"-?\d+/\d*[1-9]\d*$")  # a nonzero denominator
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*$")
 
 
@@ -521,6 +521,12 @@ def _validate(gf: GameFile, m_monoid) -> BuiltGame:
             known_set(d.obs, f"decision {d.name!r}")
         known_set(d.moves, f"decision {d.name!r}")
         known_set(d.util, f"decision {d.name!r}")
+        for u in sets[d.util].elements:  # judged in Fraction arithmetic
+            try:
+                Fraction(u)
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise GameFileError(f"decision {d.name!r} has utility "
+                                    f"{_render_elem(u)!r}, not a number") from None
     for pr in gf.probes.values():
         for who, weights in pr.parts:
             d = gf.decisions.get(who)

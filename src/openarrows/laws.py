@@ -163,11 +163,14 @@ def _report(law: str, instance: str, trials: Iterator, equality: str) -> LawRepo
 #
 # Laws that chase composites and actions over whole hom sets meet the same
 # operand pairs again and again.  Their checkers number every member they
-# meet, run each real operation once per pair of numbers, and decide a case
-# by comparing the numbers of its two sides, calling ``equal`` only when
-# they differ.  This needs "key-equal implies equal" of every keyed family.
-# A slab, the innermost loops under one outer prefix, is decided by one ``==``
-# of its two lists of numbers, and replayed case by case only if they differ.
+# meet, run each real operation once per pair of numbers (``_Op``), and
+# decide a case by comparing the numbers of its two sides, calling ``equal``
+# only when they differ.  This needs "key-equal implies equal" of every
+# keyed family, before and after each operation.  A slab, the inner member
+# loops under one outer prefix, is decided by one ``==`` of its two lists of
+# numbers, and replayed case by case only if they differ.  Every law that
+# compares two bracketings of three operands is one chase,
+# ``_nested_trials``, whose slab is the (v, w) block of each first operand.
 # The strength and interchange chases number the sides of each block of
 # objects in a table of the block's own (``_once``), freed with the block.
 
@@ -239,25 +242,6 @@ class _Op(dict):
         return row
 
 
-class _Composites(dict):
-    """(u, v) -> rows of the numbers of ``comp(m1, m2)``, m1 in hom(*u), m2 in hom(*v).
-
-    Rows are positional (one exact-size tuple per ``m1``), so a table costs
-    a pointer per composite; a dict keyed on pairs costs several times that.
-    """
-
-    def __init__(self, comp: Callable, hom: Callable, num: _Interned):
-        self.comp, self.hom, self.num = comp, hom, num
-
-    def __missing__(self, uv):
-        comp, num, right = self.comp, self.num, self.hom(*uv[1])
-        rows = self[uv] = [
-            tuple(map(num, map(comp, itertools.repeat(m1), right)))
-            for m1 in self.hom(*uv[0])
-        ]
-        return rows
-
-
 _same = operator.index  # the identity on numbers, mapped at C speed
 
 
@@ -267,69 +251,80 @@ def _sides(op: _Op, nums: list, fix: Callable) -> Callable:
     return functools.cache(lambda n: list(map(fix, map(op[n].__getitem__, nums))))
 
 
+def _chain_blocks(objs, grades, hu, hv, hw, assoc) -> Iterator:
+    """The blocks of three composable operands: for grades p, q, r, then
+    objects x, y, z, w, ``(assoc(p, q, r), hu(p, x, y), hv(q, y, z),
+    hw(r, z, w))``."""
+    for p, q, r in itertools.product(grades, repeat=3):
+        fix = assoc(p, q, r)
+        for x, y, z, w in itertools.product(objs, repeat=4):
+            yield fix, hu(p, x, y), hv(q, y, z), hw(r, z, w)
+
+
+def _nested_trials(blocks: Iterable, inner_l: _Op, out_l: _Op, inner_r: _Op,
+                   out_r: _Op, fixed_lhs: bool, equal: Callable) -> Iterator:
+    """The one bracketing chase: ``fix(out_l(inner_l(u, v), w))`` against
+    ``out_r(u, inner_r(v, w))``, the fixed side first if ``fixed_lhs``.
+
+    ``blocks`` yields ``(fix, hu, hv, hw)``: a block's structural regrade,
+    as a map on numbers, and the member lists u, v and w range over.  Each
+    u's (v, w) block is a slab: one ``==`` of two lists of numbers, replayed
+    case by case only when they differ, so cases run u, then v, then w.
+    """
+    num_u, num_v, num_w = inner_l.left, inner_l.right, out_l.right
+    # the two bracketings read u, v and w, and land, in the same families
+    assert (out_r.left, inner_r.left, inner_r.right) == (num_u, num_v, num_w)
+    assert (out_l.left, out_r.right, out_r.out) == (inner_l.out, inner_r.out, out_l.out)
+    for fix, hu, hv, hw in blocks:
+        if not (hu and hv and hw):
+            continue
+        n_v, n_w = num_v.ids(hv), num_w.ids(hw)
+        nested, inner = _sides(out_l, n_w, fix), _sides(inner_r, n_w, _same)
+        block = [*itertools.chain(*map(inner, n_v))]
+        for u, n in zip(hu, num_u.ids(hu)):
+            fixed = [*itertools.chain(*map(nested, map(inner_l[n].__getitem__, n_v)))]
+            other = [*map(out_r[n].__getitem__, block)]
+            lhs, rhs = (fixed, other) if fixed_lhs else (other, fixed)
+            yield from out_l.out.slab(itertools.product((u,), hv, hw), lhs, rhs, equal)
+
+
+def _hom_blocks(objs, hom) -> Iterator:
+    """The blocks of three operands in one hom: for objects x, y, no
+    regrade and ``hom(x, y)`` three times."""
+    for x, y in itertools.product(objs, repeat=2):
+        h = hom(x, y)
+        yield _same, h, h, h
+
+
+def _assoc_trials(blocks: Iterable, num: _Interned, op: Callable, equal: Callable):
+    """Associativity of one operation: the bracketing chase with all four
+    operations read from one table of ``op``.  A (graded) arrow's is
+    ``lact-comp`` of the arrow acting on itself."""
+    table = _Op(op, num, num, num)
+    return _nested_trials(blocks, table, table, table, table, True, equal)
+
+
 def _action_trials(objs, grades, ha, hb, num_a, num_b, comp, lact, ract, assoc, equal):
-    """The ``lact-comp``, ``ract-comp`` and ``mixed`` trials of a (graded) bimodule.
+    """The ``lact-comp``, ``ract-comp`` and ``mixed`` trials of a (graded)
+    bimodule, each one bracketing chase (``_nested_trials``).
 
     ``ha(p, x, y)`` and ``hb(p, x, y)`` list the arrow's and the bimodule's
     members at grade ``p``, the same list on every call; a plain bimodule
     has the one grade ``None``.  ``assoc(p, q, r)`` maps the number of a
     bimodule member at grade (p q) r to that of its regrade to p (q r).
-    A slab is the last member loop, but in ``lact-comp`` the (a2, e) block
-    of each ``a1``.  An arrow's associativity is ``lact-comp`` of the arrow
-    acting on itself.
+    Composites and actions are ``_Op`` tables, shared by the laws that use
+    them.
     """
-    composites = _Composites(comp, ha, num_a)
+    comp = _Op(comp, num_a, num_a, num_a)
     lact, ract = _Op(lact, num_a, num_b, num_b), _Op(ract, num_b, num_a, num_b)
-    chain, product = itertools.chain, itertools.product
-
-    def lact_comp():
-        for p, q, r in product(grades, repeat=3):
-            fix = assoc(p, q, r)
-            for x, y, z, w in product(objs, repeat=4):
-                hxy, hyz, hzw = ha(p, x, y), ha(q, y, z), hb(r, z, w)
-                if not (hxy and hyz and hzw):
-                    continue
-                rows = composites[((p, x, y), (q, y, z))]
-                n_zw = num_b.ids(hzw)
-                lhs_of, acted = _sides(lact, n_zw, fix), _sides(lact, n_zw, _same)
-                block = [*chain(*map(acted, num_a.ids(hyz)))]
-                for a1, n1, row in zip(hxy, num_a.ids(hxy), rows):
-                    lhs = [*chain(*map(lhs_of, row))]
-                    rhs = [*map(lact[n1].__getitem__, block)]
-                    yield from num_b.slab(product((a1,), hyz, hzw), lhs, rhs, equal)
-
-    def ract_comp():
-        for p, q, r in product(grades, repeat=3):
-            fix = assoc(p, q, r)
-            for x, y, z, w in product(objs, repeat=4):
-                hxy, hyz, hzw = hb(p, x, y), ha(q, y, z), ha(r, z, w)
-                if not (hxy and hyz and hzw):
-                    continue
-                rows = composites[((q, y, z), (r, z, w))]
-                rhs_of = _sides(ract, num_a.ids(hzw), fix)
-                for e, ne in zip(hxy, num_b.ids(hxy)):
-                    act_e = ract[ne].__getitem__
-                    for a1, n1, row in zip(hyz, num_a.ids(hyz), rows):
-                        inputs, lhs = product((e,), (a1,), hzw), [*map(act_e, row)]
-                        yield from num_b.slab(inputs, lhs, rhs_of(act_e(n1)), equal)
-
-    def mixed():
-        for p, q, r in product(grades, repeat=3):
-            fix = assoc(p, q, r)
-            for x, y, z, w in product(objs, repeat=4):
-                hxy, hyz, hzw = ha(p, x, y), hb(q, y, z), ha(r, z, w)
-                if not (hxy and hyz and hzw):
-                    continue
-                n_zw = num_a.ids(hzw)
-                acted, rhs_of = _sides(ract, n_zw, _same), _sides(ract, n_zw, fix)
-                for a1, n1 in zip(hxy, num_a.ids(hxy)):
-                    act1 = lact[n1].__getitem__
-                    for e, ne in zip(hyz, num_b.ids(hyz)):
-                        inputs = product((a1,), (e,), hzw)
-                        lhs = [*map(act1, acted(ne))]
-                        yield from num_b.slab(inputs, lhs, rhs_of(act1(ne)), equal)
-
-    return lact_comp(), ract_comp(), mixed()
+    return (
+        _nested_trials(_chain_blocks(objs, grades, ha, ha, hb, assoc),
+                       comp, lact, lact, lact, True, equal),
+        _nested_trials(_chain_blocks(objs, grades, hb, ha, ha, assoc),
+                       ract, ract, comp, ract, False, equal),
+        _nested_trials(_chain_blocks(objs, grades, ha, hb, ha, assoc),
+                       lact, ract, ract, lact, False, equal),
+    )
 
 
 class _Strong(dict):
@@ -447,14 +442,6 @@ def check_arrow_laws(
     objs = a.objects
     hom = _one_grade(a)
 
-    def assoc_trials():
-        # lact-comp of the arrow acting on itself
-        num = _Interned(a.key)
-        return _action_trials(
-            objs, [None], hom, hom, num, num, a.comp, a.comp, a.comp, _no_regrade,
-            a.equal,
-        )[0]
-
     def pure_trials():
         base = a.base
         for x, y, z in itertools.product(objs, repeat=3):
@@ -470,7 +457,10 @@ def check_arrow_laws(
             lambda p, x, y, m: a.comp(a.identity(x), m),
             lambda p, x, y, m: a.comp(m, a.identity(y)),
         ), equality),
-        _report("arrow.assoc", name, assoc_trials(), equality),
+        _report("arrow.assoc", name, _assoc_trials(
+            _chain_blocks(objs, [None], hom, hom, hom, _no_regrade), _Interned(a.key),
+            a.comp, a.equal,
+        ), equality),
         _report("arrow.pure-functor", name, pure_trials(), equality),
     ]
 
@@ -551,13 +541,15 @@ def check_bimodule(
 ) -> list[LawReport]:
     """Action, mixed-action and strength-compatibility laws of a bimodule.
 
-    ``lact-comp``, ``ract-comp`` and ``mixed`` (``_action_trials``) number
-    the arrow and bimodule members they meet (``_Interned``), run each real
-    composite and action once per pair of numbers, and decide a case by
-    comparing the numbers of its two sides, calling ``equal`` only when
-    they differ; so ``key`` equality must imply ``equal``.  Reported inputs
-    are the enumerated members themselves.  ``lact-st``, ``ract-st`` and
-    ``commute`` decide a block of objects at a time, as ``strength.comp``.
+    ``lact-comp``, ``ract-comp`` and ``mixed`` (``_action_trials``) are
+    bracketing chases (``_nested_trials``): they number the arrow and
+    bimodule members they meet (``_Interned``), run each real composite and
+    action once per pair of numbers, and decide the (v, w) block of each
+    first operand by one ``==`` of the numbers of its two sides, calling
+    ``equal`` only on a case whose numbers differ; so ``key`` equality must
+    imply ``equal``.  Reported inputs are the enumerated members
+    themselves.  ``lact-st``, ``ract-st`` and ``commute`` decide a block of
+    objects at a time, as ``strength.comp``.
     """
     name = instance or b.name
     a = b.arrow
@@ -605,21 +597,19 @@ def check_eqmonoid(
     instance: str | None = None,
     equality: str = "structural",
 ) -> list[LawReport]:
-    """Monoid laws of the designated merge, and action preservation."""
+    """Monoid laws of the designated merge, and action preservation.
+
+    ``m-assoc`` is a bracketing chase (``_nested_trials``) over each
+    ``hom(x, y)``: each merge runs once per pair of numbers, so ``key``
+    equality must imply equality, before and after ``m``.  The other laws
+    run per case, the identity law through ``_neutral_trials``.
+    """
     name = instance or b.name
     if b.m is None:
         return []
     a = b.arrow
     objs = a.objects
     e0 = functools.cache(b.e)  # tabulated once per pair of objects
-
-    def m_assoc():
-        for x, y in itertools.product(objs, repeat=2):
-            hom = b.hom_cached(x, y)
-            for e1, e2, e3 in itertools.product(hom, repeat=3):
-                lhs = b.m(b.m(e1, e2), e3)
-                rhs = b.m(e1, b.m(e2, e3))
-                yield ((e1, e2, e3), lhs, rhs, b.equal(lhs, rhs))
 
     def m_commute():
         for x, y in itertools.product(objs, repeat=2):
@@ -667,7 +657,9 @@ def check_eqmonoid(
             lambda p, x, y, e: b.m(e0(x, y), e),
             lambda p, x, y, e: b.m(e, e0(x, y)),
         ), equality),
-        _report("eqmonoid.m-assoc", name, m_assoc(), equality),
+        _report("eqmonoid.m-assoc", name, _assoc_trials(
+            _hom_blocks(objs, b.hom_cached), _Interned(b.key), b.m, b.equal,
+        ), equality),
         _report("eqmonoid.m-commute", name, m_commute(), equality),
         _report("eqmonoid.lact-e", name, lact_e(), equality),
         _report("eqmonoid.lact-m", name, lact_m(), equality),
@@ -796,6 +788,12 @@ def check_graded(
                             rhs = g.regrade(chi, g.regrade(phi, e))
                             yield ((phi, chi, e), lhs, rhs, g.equal(lhs, rhs))
 
+    def assoc_trials():
+        num = _Interned(g.key)
+        fix = _assoc_regrade(g, g.regrade, num)
+        return _assoc_trials(_chain_blocks(objs, grades, hom, hom, hom, fix), num,
+                             g.gcomp, g.equal)
+
     def st_natural_trials():
         for p, q in itertools.product(grades, repeat=2):
             for phi in g.grade_isos(q, p):
@@ -805,13 +803,6 @@ def check_graded(
                             lhs = g.st(g.regrade(phi, e), z)
                             rhs = g.regrade(phi, g.st(e, z))
                             yield ((phi, e, z), lhs, rhs, g.equal(lhs, rhs))
-
-    def assoc_trials():
-        num = _Interned(g.key)
-        return _action_trials(
-            objs, grades, hom, hom, num, num, g.gcomp, g.gcomp, g.gcomp,
-            _assoc_regrade(g, g.regrade, num), g.equal,
-        )[0]
 
     out = [
         _report("graded.unit", name, _neutral_trials(
@@ -846,9 +837,10 @@ def check_graded_bimodule(
 ) -> list[LawReport]:
     """Graded action laws, with grade bookkeeping along structural regrades.
 
-    ``lact-comp``, ``ract-comp`` and ``mixed`` go through the interned
-    tables as in ``check_bimodule``, structural regrades included: ``key``
-    equality must imply ``equal``.
+    ``lact-comp``, ``ract-comp`` and ``mixed`` are the bracketing chases
+    of ``check_bimodule``, each regraded along the structural ``assoc`` of
+    its block's grades, which is numbered too: ``key`` equality must imply
+    ``equal``, also after ``regrade``.
     """
     name = instance or gb.name
     g = gb.arrow

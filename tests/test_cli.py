@@ -251,6 +251,41 @@ def test_fmt_round_trips_byte_identical(tmp_path, capsys):
     assert capsys.readouterr().out == once
 
 
+LOHI = """set moves C D
+set util lo hi
+payoff u : moves moves -> util util
+  C C = hi hi
+  C D = lo hi
+  D C = hi lo
+  D D = lo lo
+decision row : moves utility util
+decision col : moves utility util
+game pd = (seq (par row col) u)
+"""
+
+
+def _bad_inputs():
+    mpp = pathlib.Path(MPP).read_text()
+    return {
+        "utility": (LOHI, "error: decision 'row' has utility 'lo', not a number\n"),
+        "weight": (
+            mpp.replace("even = H 1/2", "even = H 1/0", 1),
+            "error: line 20, column 12: weight '1/0' is not a rational\n",
+        ),
+    }
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "fmt"])
+@pytest.mark.parametrize("bad", ["utility", "weight"])
+def test_non_numeric_utilities_and_zero_weights_exit_2(bad, command, tmp_path, capsys):
+    # decisions judge in Fraction arithmetic: bad input, not an internal error
+    text, err = _bad_inputs()[bad]
+    f = tmp_path / "bad.game"
+    f.write_text(text)
+    assert main([command, str(f)]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["solve", "/nonexistent.game"]) == 2
 
@@ -310,3 +345,21 @@ def test_node_count_totals_lines_and_syntax_tree_nodes(tmp_path):
         "      3       10  total",
     ]
     assert tool.DEFAULT_DIR == pathlib.Path(openarrows.__file__).resolve().parent
+
+
+def test_law_times_runs_each_suite_in_fresh_interpreters(monkeypatch):
+    tool = _tool("law_times")
+    src = str(pathlib.Path(openarrows.__file__).resolve().parents[1])
+    rows = tool.measure([src], size=1, repeat=1)
+    assert [row[:2] for row in rows] == [(suite, src) for suite in tool.SUITES]
+    for _, _, median, low, high, rss in rows:
+        assert 0 < low == median == high and rss > 0
+    lines = tool.render(rows).splitlines()
+    assert lines[0] == "suite\ttree\tmedian_s\trange_s\tpeak_rss_mb"
+    assert [line.split("\t")[0] for line in lines[1:]] == list(tool.SUITES)
+    # which tree goes first alternates from one repetition to the next
+    calls = []
+    monkeypatch.setattr(tool, "run_once", lambda *args: calls.append(args) or (1.0, 2.0))
+    tool.measure(["a", "b"], size=3, repeat=3)
+    assert calls[:6] == [(t, "arrow", 3) for t in "abbaab"]
+    assert len(calls) == 6 * len(tool.SUITES)

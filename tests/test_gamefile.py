@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openarrows.cli import main
 from openarrows.gamefile import (
@@ -21,6 +23,7 @@ from openarrows.gamefile import (
     resolve_context,
     strategy_label,
 )
+from openarrows.games import equilibria, trivial_context
 
 PD = """
 set moves C D
@@ -121,6 +124,87 @@ def test_negative_probe_weight_is_a_parse_error(command, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: line 13, column 11: weight '-1/2' is negative\n"
     )
+
+
+@pytest.mark.parametrize("command", ["solve", "fmt"])
+def test_zero_denominator_probe_weight_is_a_parse_error(command, tmp_path, capsys):
+    text = PD.replace("decision row", "probdecision row").replace(
+        "decision col", "probdecision col"
+    ) + "probe p\n  row = C 1/0 D 1\n  col = D 1\n"
+    f = tmp_path / "zero.game"
+    f.write_text(text)
+    assert main([command, str(f)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 13, column 11: weight '1/0' is not a rational\n"
+    )
+
+
+@pytest.mark.parametrize("kind", ["decision", "probdecision"])
+@pytest.mark.parametrize("bad", ["hi", "*", "1/0"])
+def test_decision_utilities_must_be_numbers(bad, kind):
+    # decisions judge in Fraction arithmetic, so a utility set holds numbers
+    # only, even an element no payoff pays
+    text = PD.replace("set util 0 1 2 3", f"set util 0 1 2 3 {bad}")
+    text = text.replace("decision row", f"{kind} row").replace(
+        "decision col", f"{kind} col"
+    )
+    with pytest.raises(GameFileError) as exc:
+        parse_game_text(text)
+    assert str(exc.value) == f"decision 'row' has utility {bad!r}, not a number"
+
+
+def test_decimal_and_fraction_utilities_solve():
+    for spelled in ("7/2", "3.5"):
+        text = PD.replace(" 3", f" {spelled}")
+        assert text.count(spelled) == 3
+        built = parse_game_text(text).built
+        verdicts = equilibria(built.game, trivial_context(built.game))
+        assert [strategy_label(j) for j, v in verdicts.items() if v] == ["D,D"]
+
+
+# utility elements and probe weights: integers, p/q with q in 0..3, the
+# one-point element and names
+_TOKENS = st.one_of(
+    st.integers(-2, 3).map(str),
+    st.builds("{}/{}".format, st.integers(-2, 3), st.integers(0, 3)),
+    st.sampled_from(["*", "lo", "hi"]),
+)
+
+
+@st.composite
+def _two_player_texts(draw):
+    kind = draw(st.sampled_from(["decision", "probdecision"]))
+    utils = draw(st.lists(_TOKENS, min_size=1, max_size=3, unique=True))
+    rows = "".join(
+        f"  {a} {b} = {draw(st.sampled_from(utils))} {draw(st.sampled_from(utils))}\n"
+        for a in "CD" for b in "CD"
+    )
+    text = (
+        f"set moves C D\nset util {' '.join(utils)}\n"
+        f"payoff u : moves moves -> util util\n{rows}"
+        f"{kind} row : moves utility util\n{kind} col : moves utility util\n"
+        "game g = (seq (par row col) u)\n"
+    )
+    if kind == "probdecision":
+        text += f"probe p\n  row = C {draw(_TOKENS)} D {draw(_TOKENS)}\n  col = D 1\n"
+    return text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_two_player_texts())
+def test_generated_games_are_refused_or_solve(text):
+    # bad input is a GameFileError; a game the parser returns solves
+    try:
+        gf = parse_game_text(text)
+    except GameFileError:
+        return
+    built = gf.built
+    ctx = trivial_context(built.game)
+    if built.prob:
+        for probe in gf.probes.values():
+            built.game.judge(ctx, probe_distribution(gf, built, probe))
+    else:
+        equilibria(built.game, ctx)
 
 
 def test_probe_distribution_follows_the_composition_tree():

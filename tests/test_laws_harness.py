@@ -240,6 +240,44 @@ def test_interned_bimodule_laws_match_per_case_chasing_on_suites(instance, size)
     assert _checked_bimodule(b, instance) == _reference_bimodule(b, instance)
 
 
+def _reference_m_assoc(b, name):
+    def trials():
+        for x, y in itertools.product(b.arrow.objects, repeat=2):
+            hom = b.hom_cached(x, y)
+            for e1, e2, e3 in itertools.product(hom, repeat=3):
+                lhs = b.m(b.m(e1, e2), e3)
+                rhs = b.m(e1, b.m(e2, e3))
+                yield ((e1, e2, e3), lhs, rhs, b.equal(lhs, rhs))
+
+    return laws._report("eqmonoid.m-assoc", name, trials(), "structural")
+
+
+def _checked_m_assoc(b, name):
+    (got,) = [r for r in laws.check_eqmonoid(b, name) if r.law == "eqmonoid.m-assoc"]
+    return got
+
+
+@pytest.mark.parametrize("target", _BIMODULE_MUTANTS)
+def test_numbered_m_assoc_matches_per_case_chasing_on_mutants(target):
+    b = _captured(target, "_run_bimodule")
+    if b.m is None:  # the bimodule.* mutants have no merge
+        assert laws.check_eqmonoid(b, target) == []
+        return
+    for bim in (b, _keyless(b)):
+        got = _checked_m_assoc(bim, target)
+        assert got == _reference_m_assoc(bim, target)
+        assert (got.status == "fail") == (target == "eqmonoid.m-assoc")
+
+
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("instance", ["eq(lens,bool)", "eq(lens,witness)"])
+def test_numbered_m_assoc_matches_per_case_chasing_on_suites(instance, size):
+    b = _suite_bimodules(size)[instance]
+    got = _checked_m_assoc(b, instance)
+    assert got == _reference_m_assoc(b, instance)
+    assert got.status == "pass"
+
+
 # -- strengthened bimodule laws agree with per-case chasing --------------------
 #
 # ``lact-st``, ``ract-st`` and ``commute`` strengthen each numbered member
@@ -366,10 +404,13 @@ def test_interned_assoc_matches_per_case_chasing(instance):
 
 # -- a failure inside a slab ---------------------------------------------------
 #
-# Every numbered chase decides a slab, the innermost member loops under one
-# outer prefix, by one comparison of its two lists of numbers, and replays it
-# case by case only when they differ.  A first failure that sits inside a
-# slab must still be reported with the per-case ``checked`` and
+# Every numbered chase decides a slab, the inner member loops under one outer
+# prefix, by one comparison of its two lists of numbers, and replays it case
+# by case only when they differ.  The bracketing chase of ``arrow.assoc``,
+# ``graded.assoc``, the action laws and ``eqmonoid.m-assoc`` takes as its
+# slab the (v, w) block of each first operand u; the strength and
+# interchange chases take a block of objects.  A first failure that sits
+# inside a slab must still be reported with the per-case ``checked`` and
 # counterexample.
 
 def _survives_identities(a, t):
@@ -416,6 +457,65 @@ def test_lact_comp_failure_inside_a_block_reports_as_per_case_chasing():
         swap, e = SET.morphisms(mutants._B2, mutants._B2)[2], (mutants._B2, UNIT, 2)
         assert swap.table == (1, 0)
         assert lact.counterexample[0][1:] == (repr(swap), repr(mutants.TagElem(*e)))
+
+
+def _zero_to_one_drops_tag_2(a, t):
+    # acting on the right, a map sending 0 to 1 drops tag 2 (to 1); followed
+    # by a map sending 1 back to 0 it makes a composite that keeps tag 2
+    return 1 if t == 2 and a.table[0] == 1 else t
+
+
+def test_ract_comp_failure_inside_a_block_reports_as_per_case_chasing():
+    # ``ract-comp`` decides the (a1, a2) block of each e at once
+    b = mutants._tag_bimodule(
+        [UNIT, mutants._B2], (0, 2, 1), mutants._honest_psi,
+        _zero_to_one_drops_tag_2,
+    )
+    for bim in (b, _keyless(b)):
+        got = _checked_bimodule(bim, "mid-block")
+        assert got == _reference_bimodule(bim, "mid-block")
+        lact, ract, mixed = got
+        assert (lact.status, ract.status, mixed.status) == ("pass", "fail", "pass")
+        # 9 cases come before (x, y, z, w) = (UNIT, UNIT, B2, UNIT); there e = 0
+        # passes its block of two, and for e = 2 the second a1, the point 1,
+        # fails against the one map B2 -> UNIT
+        assert ract.checked == 9 + 2 + 2
+        point1 = SET.morphisms(UNIT, mutants._B2)[1]
+        (bang,) = SET.morphisms(mutants._B2, UNIT)
+        assert point1.table == (1,)
+        assert ract.counterexample[0] == (
+            repr(mutants.TagElem(UNIT, UNIT, 2)), repr(point1), repr(bang),
+        )
+
+
+def _permuted_across_sizes(perm):
+    # a map between carriers of different sizes permutes the tag by ``perm``,
+    # an involution: ``perm`` on B2 and the identity on UNIT carried along the
+    # map, so this is an action
+    return lambda a, t: t if len(a.dom) == len(a.cod) else perm[t]
+
+
+def test_mixed_failure_inside_a_block_reports_as_per_case_chasing():
+    # ``mixed`` decides the (e, a2) block of each a1 at once; the left action
+    # swaps tags 1 and 2 and the right action tags 2 and 3, so only tag 0
+    # commutes past both
+    b = mutants._tag_bimodule(
+        [UNIT, mutants._B2], (0, 1, 2, 3),
+        _permuted_across_sizes((0, 2, 1, 3)), _permuted_across_sizes((0, 1, 3, 2)),
+    )
+    for bim in (b, _keyless(b)):
+        got = _checked_bimodule(bim, "mid-block")
+        assert got == _reference_bimodule(bim, "mid-block")
+        lact, ract, mixed = got
+        assert (lact.status, ract.status, mixed.status) == ("pass", "pass", "fail")
+        # 40 cases come before (x, y, z, w) = (UNIT, B2, UNIT, B2), the first
+        # block where both actions move a tag; for its first a1, e = 0 passes
+        # against both a2, and e = 1, the second e, fails at the first a2
+        assert mixed.checked == 40 + 2 + 1
+        point0 = SET.morphisms(UNIT, mutants._B2)[0]
+        assert mixed.counterexample[0] == (
+            repr(point0), repr(mutants.TagElem(mutants._B2, UNIT, 1)), repr(point0),
+        )
 
 
 def test_assoc_failure_inside_a_slab_reports_as_per_case_chasing():

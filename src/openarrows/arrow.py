@@ -9,8 +9,9 @@ instances at runtime and the law harness can check them exhaustively.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from typing import Any, Callable
+
+from .record import record
 
 
 class CommutativityError(ValueError):
@@ -18,16 +19,24 @@ class CommutativityError(ValueError):
 
 
 class CachedHom:
-    """``hom_cached(x, y)``: ``hom(x, y)`` listed once per pair, in ``_hom_cache``."""
+    """``hom_cached(x, y)``: ``hom(x, y)`` listed once per pair, in ``_hom_cache``.
+
+    The cache is made on first use and is not a field: it is in no
+    ``repr``, comparison or ``replace``.
+    """
 
     def hom_cached(self, x, y) -> list:
+        try:
+            cache = self._hom_cache
+        except AttributeError:
+            cache = self._hom_cache = {}
         k = (x, y)
-        if k not in self._hom_cache:
-            self._hom_cache[k] = list(self.hom(x, y))
-        return self._hom_cache[k]
+        if k not in cache:
+            cache[k] = list(self.hom(x, y))
+        return cache[k]
 
 
-@dataclass
+@record
 class ArrowInstance(CachedHom):
     """A strong hom-family with identity lift, composition and strength.
 
@@ -49,7 +58,6 @@ class ArrowInstance(CachedHom):
     equal: Callable[[Any, Any], bool]
     key: Callable[[Any], Any] | None = None
     commutative: bool = False
-    _hom_cache: dict = field(default_factory=dict, repr=False)
 
     def identity(self, x):
         return self.pure(self.base.id(x))
@@ -109,7 +117,7 @@ def hom_arrow(base, objects: list, name: str | None = None) -> ArrowInstance:
     )
 
 
-@dataclass
+@record
 class InducedCategory:
     """The symmetric monoidal category view of a commutative arrow."""
 

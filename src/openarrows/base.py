@@ -15,8 +15,6 @@ bijections on tuple carriers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .finset import (
     UNIT,
     CompositionError,
@@ -33,14 +31,34 @@ from .finset import (
     sym_iso,
     tensor_fun,
 )
+from .record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PairObj:
-    """An object of the pair base: covariant carrier fwd, contravariant bwd."""
+    """An object of the pair base: covariant carrier fwd, contravariant bwd.
+
+    Its hash is the record hash, ``hash((fwd, bwd))``, computed once.
+    """
 
     fwd: FinSet
     bwd: FinSet
+
+    def __init__(self, fwd: FinSet, bwd: FinSet):
+        object.__setattr__(self, "fwd", fwd)
+        object.__setattr__(self, "bwd", bwd)
+        object.__setattr__(self, "_hash", hash((fwd, bwd)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is PairObj:
+            return self is other or (
+                self._hash == other._hash
+                and (self.fwd, self.bwd) == (other.fwd, other.bwd)
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return f"({self.fwd!r}, {self.bwd!r})"
@@ -49,7 +67,7 @@ class PairObj:
 PAIR_I = PairObj(UNIT, UNIT)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BaseMap:
     """A morphism of the pair base.
 

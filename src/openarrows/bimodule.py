@@ -12,14 +12,14 @@ are play/coplay data together with an equilibrium predicate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .arrow import ArrowInstance, CachedHom
 from .finset import CompositionError, DomainError, FinFun, Monoid, all_funs
+from .record import record
 
 
-@dataclass
+@record
 class Bimodule(CachedHom):
     """A hom-family with compatible left and right actions of an arrow.
 
@@ -41,7 +41,6 @@ class Bimodule(CachedHom):
     e: Callable[[Any, Any], Any] | None = None  # (X, Y) -> unit of B(X, Y)
     m: Callable[[Any, Any], Any] | None = None  # (b, b') -> b''
     commutative: bool = False
-    _hom_cache: dict = field(default_factory=dict, repr=False)
 
     def dimap(self, f, b, g):
         """Reindex along base maps using the actions and the arrow's pure."""
@@ -51,7 +50,7 @@ class Bimodule(CachedHom):
 
 # -- the canonical context of the lens arrow --------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CtxPair:
     """A context of the lens arrow: a point of the target and a payoff table.
 
@@ -66,6 +65,21 @@ class CtxPair:
     dst: Any
     state: Any  # an element of dst.fwd
     cont: FinFun  # src.fwd -> src.bwd
+
+    def __init__(self, src, dst, state, cont: FinFun):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "cont", cont)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is CtxPair:
+            return (self.src, self.dst, self.state, self.cont) == (
+                other.src, other.dst, other.state, other.cont)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.src, self.dst, self.state, self.cont))
 
     def _order_key(self) -> str:
         # a Dist's contexts share their endpoints: order them by the rest
@@ -135,7 +149,7 @@ def ctx_of_arrow(a_inst: ArrowInstance) -> Bimodule:
 
 # -- the equilibrium bimodule ------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EqFun:
     """A monoid-valued function on contexts, tabulated over their enumeration.
 
@@ -255,7 +269,7 @@ def eq_from_context(
 
 # -- bundling an arrow with a monoid bimodule --------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WithBMor:
     """A morphism of the product arrow: arrow part plus bimodule part."""
 

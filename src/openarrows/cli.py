@@ -34,6 +34,7 @@ from .finset import STAR, FinFun, FinSet, clear_identity_memos, product
 from .gamefile import (
     GameFileError,
     Node,
+    build_game,
     format_game_file,
     monoid_by_name,
     parse_game_file,
@@ -87,8 +88,9 @@ def _emit(record: dict, fmt: str, columns: tuple) -> None:
 
 
 def cmd_solve(args) -> int:
-    gf = parse_game_file(args.file, monoid_by_name(args.monoid))
-    built = gf.built
+    monoid = monoid_by_name(args.monoid)
+    gf = parse_game_file(args.file, monoid)
+    built = build_game(gf, monoid)
     ctx = resolve_context(gf, built, None if args.closed else args.context)
     if built.prob:
         probes = sorted(gf.probes)
@@ -143,8 +145,7 @@ def cmd_laws(args) -> int:
 
 def cmd_oracle(args) -> int:
     gf = parse_game_file(args.file)
-    built = gf.built
-    e = built.expr
+    e = gf.game.expr
     shape_ok = (
         isinstance(e, Node) and e.op == "seq"
         and isinstance(e.left, Node) and e.left.op == "par"
@@ -165,6 +166,7 @@ def cmd_oracle(args) -> int:
             "the oracle reads exactly (seq (par d1 d2) u): two plain "
             "unit-observation decisions under a two-player payoff"
         )
+    built = build_game(gf)
     d1 = built.atoms[e.left.left.name]
     d2 = built.atoms[e.left.right.name]
     p = gf.payoffs[e.right.name]

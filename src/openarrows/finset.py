@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping
+
+from .record import record
 
 Rat = Fraction
 
@@ -28,11 +29,11 @@ class CompositionError(ValueError):
     """Endpoint mismatch when composing functions or morphisms."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FinSet:
     """An explicitly enumerated finite set with a stable element order.
 
-    Its hash is the dataclass hash, ``hash((elements,))``, computed once.
+    Its hash is the record hash, ``hash((elements,))``, computed once.
     """
 
     elements: tuple
@@ -45,6 +46,13 @@ class FinSet:
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_hash", hash((elems,)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is FinSet:
+            return self is other or (
+                self._hash == other._hash and self.elements == other.elements
+            )
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
@@ -128,7 +136,7 @@ def product(a: FinSet, b: FinSet) -> FinSet:
     return FinSet(tuple(itertools.product(a.elements, b.elements)))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FinFun:
     """A total function between finite sets, stored positionally.
 
@@ -137,11 +145,14 @@ class FinFun:
     the table's length and images; the identities, composites, inverses,
     tensors, structural isos and enumerations below are tables by
     construction, so they go through ``_trusted``, which checks nothing.
+    The hash is computed when first asked for, and kept: most tables are
+    never hashed.
     """
 
     dom: FinSet
     cod: FinSet
     table: tuple
+    _hash = None
 
     def __post_init__(self):
         if len(self.table) != len(self.dom.elements):
@@ -149,6 +160,13 @@ class FinFun:
         if not self.cod._index.keys() >= set(self.table):
             y = next(y for y in self.table if y not in self.cod)
             raise DomainError(f"image {y!r} not in codomain {self.cod}")
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.dom, self.cod, self.table))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @classmethod
     def _trusted(cls, dom: FinSet, cod: FinSet, table: tuple) -> "FinFun":
@@ -264,7 +282,7 @@ def lunit_iso(a: FinSet) -> FinFun:
 
 # -- monoids ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Monoid:
     """A monoid, possibly over an infinite designated carrier.
 
@@ -297,7 +315,7 @@ def witnesses_empty(w: tuple) -> bool:
 
 # -- exact finite distributions ---------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Dist:
     """A finite distribution with exact rational weights summing to 1.
 
@@ -383,6 +401,8 @@ def dist_bind(d: Dist, k: Callable[[Any], Dist]) -> Dist:
         dx = k(x)
         if not isinstance(dx, Dist):
             raise DomainError(f"continuation returned non-distribution at {x!r}")
+        if len(d.weights) == 1:  # the monad's left unit: bind(pure(x), k) = k(x)
+            return dx
         out.extend((y, w * v) for y, v in dx.weights)
     return Dist._trusted(out)
 

@@ -12,17 +12,19 @@ be diffable and writable by hand:
     decision d1 : moves utility util
     game main = (seq (par d1 d2) u)
 
-Parsing resolves every name and type-checks the composition; the result
-round-trips bit-for-bit through :func:`format_game_file`.
+Parsing resolves every name and type-checks the composition from the
+declared carriers, without building the game; the result round-trips
+bit-for-bit through :func:`format_game_file`.  :func:`build_game` builds
+it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
+from .base import PairObj
 from .bimodule import CtxPair
 from .finset import (
     BOOL_AND,
@@ -47,8 +49,10 @@ from .games import (
     prob_decision,
     prob_payoff_block,
     seq,
+    sequence_error,
     trivial_context,
 )
+from .record import record
 
 
 class GameFileError(ValueError):
@@ -72,13 +76,13 @@ class ContextError(GameFileError):
 
 # -- declarations -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SetDecl:
     name: str
     elements: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PayoffDecl:
     name: str
     args: tuple  # argument set names
@@ -86,7 +90,7 @@ class PayoffDecl:
     rows: tuple  # ((arg values...), (util values...)) pairs
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LiftDecl:
     name: str
     src: str
@@ -94,7 +98,7 @@ class LiftDecl:
     rows: tuple  # (element, element) pairs
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DecisionDecl:
     name: str
     obs: str | None  # observation set; None observes the unit
@@ -103,25 +107,25 @@ class DecisionDecl:
     prob: bool = False
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Atom:
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Node:
     op: str  # "seq" | "par"
     left: Any
     right: Any
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GameDecl:
     name: str
     expr: Any
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ContextDecl:
     name: str
     trivial: bool
@@ -129,19 +133,15 @@ class ContextDecl:
     cont_rows: tuple = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProbeDecl:
     name: str
     parts: tuple  # (decision name, ((move, Fraction weight), ...)) pairs
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GameFile:
     decls: tuple
-    #: The game under the monoid it was parsed for (Boolean unless asked),
-    #: which parsing builds to type-check the composition; ``None`` for a
-    #: file that was not parsed.
-    built: BuiltGame | None = field(default=None, compare=False, repr=False)
 
     def _of(self, kind):
         return {d.name: d for d in self.decls if isinstance(d, kind)}
@@ -182,11 +182,16 @@ _FRACTION = re.compile(r"-?\d+/\d*[1-9]\d*$")  # a nonzero denominator
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*$")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _Tok:
     text: str
     line: int
     col: int
+
+    def __init__(self, text: str, line: int, col: int):
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "col", col)
 
 
 def _tokenize(text: str):
@@ -241,17 +246,24 @@ def _name_tok(toks: list, i: int, what: str) -> _Tok:
 
 # -- the s-expression composition term ---------------------------------------
 
-def _parse_expr(toks: list, i: int):
+#: how deep a composition term may nest; every walk over a term recurses
+MAX_TERM_DEPTH = 200
+
+
+def _parse_expr(toks: list, i: int, depth: int = 0):
     t = _expect(toks, i, "a composition term")
     if t.text == "(":
+        if depth == MAX_TERM_DEPTH:
+            raise ParseError(f"composition term nested deeper than "
+                             f"{MAX_TERM_DEPTH}", t.line, t.col)
         op = _expect(toks, i + 1, "an operator")
         if op.text not in ("seq", "par"):
             raise ParseError(
                 f"unknown operator {op.text!r} (expected seq or par)",
                 op.line, op.col,
             )
-        left, i = _parse_expr(toks, i + 2)
-        right, i = _parse_expr(toks, i)
+        left, i = _parse_expr(toks, i + 2, depth + 1)
+        right, i = _parse_expr(toks, i, depth + 1)
         close = _expect(toks, i, "')'")
         if close.text != ")":
             raise ParseError(f"expected ')', found {close.text!r}",
@@ -338,7 +350,8 @@ def parse_game_text(text: str, m_monoid=BOOL_AND) -> GameFile:
                              head.line, head.col)
 
     gf = GameFile(tuple(decls))
-    return GameFile(gf.decls, _validate(gf, m_monoid))
+    _validate(gf, m_monoid)
+    return gf
 
 
 def _parse_payoff(toks, body, declare):
@@ -471,7 +484,7 @@ def parse_game_file(path, m_monoid=BOOL_AND) -> GameFile:
 
 # -- static validation --------------------------------------------------------
 
-def _validate(gf: GameFile, m_monoid) -> BuiltGame:
+def _validate(gf: GameFile, m_monoid) -> None:
     games = [d for d in gf.decls if isinstance(d, GameDecl)]
     if not games:
         raise GameFileError("no game declared")
@@ -544,7 +557,7 @@ def _validate(gf: GameFile, m_monoid) -> BuiltGame:
                 if m not in moves:
                     raise GameFileError(f"probe {pr.name!r} plays {m!r} "
                                         f"outside the move set of {who!r}")
-    return build_game(gf, m_monoid)  # type-checks the composition
+    _compose(gf, m_monoid, _atom_ends, _seq_ends, _par_ends)
 
 
 # -- formatting ---------------------------------------------------------------
@@ -593,9 +606,9 @@ def format_game_file(gf: GameFile) -> str:
     return "\n\n".join(chunks) + "\n"
 
 
-# -- building the declared game ----------------------------------------------
+# -- composing the declared game ---------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BuiltGame:
     """A resolved composition: the game object plus its ingredients."""
 
@@ -613,22 +626,25 @@ def _obs_set(gf: GameFile, d: DecisionDecl) -> FinSet:
     return UNIT if d.obs is None else _finset(gf, d.obs)
 
 
-def _payoff_fun(gf: GameFile, p: PayoffDecl) -> FinFun:
+def _payoff_sets(gf: GameFile, p: PayoffDecl) -> tuple:
+    # the block's argument and utility carriers, a pair for two players
     if len(p.args) > 2 or len(p.utils) > 2:
         raise GameFileError(
             f"payoff {p.name!r}: blocks with more than two players need an "
             f"explicitly nested table, which this format does not offer"
         )
-    arg_sets = [_finset(gf, a) for a in p.args]
-    util_sets = [_finset(gf, u) for u in p.utils]
-    dom = arg_sets[0] if len(arg_sets) == 1 else product(*arg_sets)
-    cod = util_sets[0] if len(util_sets) == 1 else product(*util_sets)
+    dom, cod = (tuple(_finset(gf, n) for n in names) for names in (p.args, p.utils))
+    return (dom[0] if len(dom) == 1 else dom), (cod[0] if len(cod) == 1 else cod)
+
+
+def _payoff_fun(gf: GameFile, p: PayoffDecl) -> FinFun:
+    dom, cod = _payoff_sets(gf, p)
     table = {
         (args[0] if len(args) == 1 else args):
         (utils[0] if len(utils) == 1 else utils)
         for args, utils in p.rows
     }
-    return FinFun.of(dom, cod, table)
+    return FinFun.of(_carrier(dom), _carrier(cod), table)
 
 
 def _atom_names(e, out: list) -> list:
@@ -640,69 +656,112 @@ def _atom_names(e, out: list) -> list:
     return out
 
 
-def build_game(gf: GameFile, m_monoid=BOOL_AND) -> BuiltGame:
-    """Resolve the composition term into an open or probabilistic game."""
-    expr = gf.game.expr
-    used = _atom_names(expr, [])
+def _compose(gf: GameFile, m_monoid, atom, seq_, par_):
+    """Fold the composition term: ``atom(gf, name, prob, m_monoid)`` at
+    each name it uses (once per name), ``seq_`` or ``par_`` at each node.
+
+    Returns ``(prob, folded term, {name: atom})``.  Type-checking folds
+    endpoints and building folds games, through the same refusals in the
+    same order, so the first error is the same either way.
+    """
+    used = _atom_names(gf.game.expr, [])
     kinds = set()
     for name in used:
         if name in gf.decisions:
             kinds.add("prob" if gf.decisions[name].prob else "det")
-        elif name in gf.payoffs or name in gf.lifts:
-            pass
-        else:
+        elif name not in gf.payoffs and name not in gf.lifts:
             raise GameFileError(f"game composes unknown name {name!r}")
     if kinds == {"det", "prob"}:
         raise GameFileError(
             "cannot mix plain and probabilistic decisions in one game"
         )
     prob = kinds == {"prob"}
-
     atoms: dict = {}
 
-    def atom(name: str):
-        if name in atoms:
-            return atoms[name]
-        if name in gf.decisions:
-            d = gf.decisions[name]
-            obs = _obs_set(gf, d)
-            moves, util = _finset(gf, d.moves), _finset(gf, d.util)
-            g = (prob_decision(obs, moves, util) if d.prob
-                 else decision(obs, moves, util, m_monoid=m_monoid))
-        elif name in gf.payoffs:
-            u = _payoff_fun(gf, gf.payoffs[name])
-            g = prob_payoff_block(u) if prob else payoff_block(u, m_monoid)
-        else:
-            if prob:
+    def walk(e):
+        if isinstance(e, Node):
+            left, right = walk(e.left), walk(e.right)
+            try:
+                return (seq_ if e.op == "seq" else par_)(left, right)
+            except (DomainError, ValueError) as exc:
+                raise EndpointError(f"at {_format_expr(e)}: {exc}") from exc
+        if e.name not in atoms:
+            if prob and e.name in gf.lifts:
                 raise GameFileError(
-                    f"lift {name!r} has no probabilistic interpretation"
+                    f"lift {e.name!r} has no probabilistic interpretation"
                 )
-            lf = gf.lifts[name]
-            fun = FinFun.of(_finset(gf, lf.src), _finset(gf, lf.dst),
-                            dict(lf.rows))
-            g = lift_covariant(fun, m_monoid=m_monoid)
-        atoms[name] = g
-        return g
+            atoms[e.name] = atom(gf, e.name, prob, m_monoid)
+        return atoms[e.name]
 
-    def build(e):
-        if isinstance(e, Atom):
-            return atom(e.name)
-        left, right = build(e.left), build(e.right)
-        try:
-            if e.op == "seq":
-                return seq(left, right)
-            return par(left, right)
-        except (DomainError, ValueError) as exc:
-            raise EndpointError(
-                f"at {_format_expr(e)}: {exc}"
-            ) from exc
-
-    game = build(expr)
+    folded = walk(gf.game.expr)
     # probabilistic atoms ignore the monoid, so an ill-typed composition is
     # reported before the monoid is refused
     if prob and m_monoid.name != BOOL_AND.name:
         raise GameFileError("probabilistic games judge Booleans only")
-    return BuiltGame(prob, game, expr, atoms)
+    return prob, folded, atoms
+
+
+# -- type-checking by endpoints ------------------------------------------------
+#
+# A carrier is a declared ``FinSet`` or, for a product, the pair of its
+# factors' carriers, so a term of n players is checked without building
+# carriers of 2^n elements.  Declared sets are non-empty and hold no
+# tuples, so two such carriers are equal exactly when the ``FinSet``s they
+# stand for are.  An endpoint is a (forward, backward) pair of carriers.
+
+def _carrier(c) -> FinSet:
+    """The ``FinSet`` a carrier stands for."""
+    return c if isinstance(c, FinSet) else product(_carrier(c[0]), _carrier(c[1]))
+
+
+def _atom_ends(gf: GameFile, name: str, prob: bool, m_monoid) -> tuple:
+    # (source, target) of the atom ``build_game`` makes of ``name``
+    if name in gf.decisions:
+        d = gf.decisions[name]
+        return ((_obs_set(gf, d), UNIT),
+                (_finset(gf, d.moves), _finset(gf, d.util)))
+    if name in gf.payoffs:
+        return _payoff_sets(gf, gf.payoffs[name]), (UNIT, UNIT)
+    lf = gf.lifts[name]
+    return (_finset(gf, lf.src), UNIT), (_finset(gf, lf.dst), UNIT)
+
+
+def _seq_ends(g1: tuple, g2: tuple) -> tuple:
+    if g1[1] != g2[0]:
+        raise sequence_error(_pair_obj(g1[1]), _pair_obj(g2[0]))
+    return g1[0], g2[1]
+
+
+def _pair_obj(ends: tuple) -> PairObj:
+    return PairObj(_carrier(ends[0]), _carrier(ends[1]))
+
+
+def _par_ends(g1: tuple, g2: tuple) -> tuple:
+    # each carrier of the tensor is the product of the two games' carriers
+    return tuple(tuple(zip(e1, e2)) for e1, e2 in zip(g1, g2))
+
+
+# -- building the declared game ----------------------------------------------
+
+def _atom_game(gf: GameFile, name: str, prob: bool, m_monoid) -> OpenGame:
+    if name in gf.decisions:
+        d = gf.decisions[name]
+        obs = _obs_set(gf, d)
+        moves, util = _finset(gf, d.moves), _finset(gf, d.util)
+        return (prob_decision(obs, moves, util) if d.prob
+                else decision(obs, moves, util, m_monoid=m_monoid))
+    if name in gf.payoffs:
+        u = _payoff_fun(gf, gf.payoffs[name])
+        return prob_payoff_block(u) if prob else payoff_block(u, m_monoid)
+    lf = gf.lifts[name]
+    fun = FinFun.of(_finset(gf, lf.src), _finset(gf, lf.dst), dict(lf.rows))
+    return lift_covariant(fun, m_monoid=m_monoid)
+
+
+def build_game(gf: GameFile, m_monoid=BOOL_AND) -> BuiltGame:
+    """Resolve the composition term into an open or probabilistic game."""
+    prob, game, atoms = _compose(gf, m_monoid, _atom_game, seq, par)
+    return BuiltGame(prob, game, gf.game.expr, atoms)
 
 
 def probe_distribution(gf: GameFile, built: BuiltGame, probe: ProbeDecl) -> Dist:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -65,6 +64,7 @@ from .grading import (
     graded_tensor,
 )
 from .lens import Lens, lens_arrow
+from .record import record
 
 _LENS = lens_arrow([])
 GAME_CTX: Bimodule = ctx_of_arrow(_LENS)
@@ -118,7 +118,7 @@ def _game_contexts(x: PairObj, y: PairObj) -> list:
 
 # -- row judgements -------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False, omit_repr=("row",))
 class RowElement:
     """A judgement at each context, computed on demand.
 
@@ -132,7 +132,7 @@ class RowElement:
     src: PairObj
     dst: PairObj
     grade: FinSet  # the strategy (profile) index
-    row: Callable[[CtxPair], Any] = field(repr=False)
+    row: Callable[[CtxPair], Any]
 
 
 def _row_judgement(
@@ -271,7 +271,7 @@ def row_arrow(m_monoid: Monoid) -> GradedArrow:
 
 # -- open games ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True, omit_repr=("arrow",))
 class OpenGame:
     """A game: a member of a game arrow, kept with that arrow.
 
@@ -281,7 +281,7 @@ class OpenGame:
     on the same arrow.
     """
 
-    arrow: GradedArrow = field(repr=False)
+    arrow: GradedArrow
     member: GradedPairMor
 
     @property
@@ -400,11 +400,16 @@ def payoff_block(u: FinFun, m_monoid: Monoid = BOOL_AND) -> OpenGame:
 
 def seq(g1: OpenGame, g2: OpenGame) -> OpenGame:
     if g1.dst != g2.src:
-        raise CompositionError(
-            f"cannot sequence a game into {g1.dst} with one out of {g2.src}"
-        )
+        raise sequence_error(g1.dst, g2.src)
     arrow = _shared_arrow(g1, g2)
     return OpenGame(arrow, arrow.gcomp(g1.member, g2.member))
+
+
+def sequence_error(dst: PairObj, src: PairObj) -> CompositionError:
+    """The refusal of ``seq`` for a game into ``dst`` and one out of ``src``."""
+    return CompositionError(
+        f"cannot sequence a game into {dst} with one out of {src}"
+    )
 
 
 def par(g1: OpenGame, g2: OpenGame) -> OpenGame:
@@ -436,7 +441,7 @@ def map_monoid(g: OpenGame, target: Monoid, h: Callable[[Any], Any]) -> OpenGame
 
 # -- the brute-force oracle ---------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NormalFormGame:
     players: tuple
     strategies: tuple  # FinSet per player
@@ -446,7 +451,7 @@ class NormalFormGame:
         return itertools.product(*(s.elements for s in self.strategies))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Deviation:
     player: int
     profile: tuple
@@ -568,7 +573,7 @@ def dist_marginal(d: Dist, which: int) -> Dist:
     return d.map(lambda p: p[which])
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProbElement:
     """A distribution-indexed equilibrium predicate in context.
 
@@ -666,12 +671,19 @@ def prob_bimodule(
             lambda c, d: b.pred(c, d.map(phi)),
         )
 
+    judged_at: dict = {}
+
     def verdicts(b: ProbElement) -> tuple:
-        return tuple(
-            b.pred(c if isinstance(c, Dist) else dist_pure(c), d)
-            for c in context_pool(b.src, b.dst)
-            for d in dist_pool(b.grade)
-        )
+        # one (context distribution, strategy distribution) list per
+        # (endpoints, grade), read from the pools once
+        k = (b.src, b.dst, b.grade)
+        if k not in judged_at:
+            judged_at[k] = [
+                (c if isinstance(c, Dist) else dist_pure(c), d)
+                for c in context_pool(b.src, b.dst)
+                for d in dist_pool(b.grade)
+            ]
+        return tuple(b.pred(c, d) for c, d in judged_at[k])
 
     def equal(b1, b2):
         if (b1.src, b1.dst, b1.grade) != (b2.src, b2.dst, b2.grade):

@@ -10,7 +10,6 @@ variants all live here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from .arrow import ArrowInstance, left_strength
@@ -25,6 +24,7 @@ from .finset import (
     product,
     sym_iso,
 )
+from .record import record
 
 #: hide and fam refuse index sets larger than this: composition grows indices
 #: multiplicatively and the bijection search must stay tractable.
@@ -37,7 +37,7 @@ class SizeError(ValueError):
 
 # -- graded arrows -----------------------------------------------------------
 
-@dataclass
+@record
 class GradedArrow:
     """A grade-indexed hom-family whose composition multiplies grades.
 
@@ -68,7 +68,7 @@ class GradedArrow:
     grade_structural: Callable[[str, tuple], Any] | None = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ParamFamily:
     """A morphism family indexed by a parameter set (one grade's worth)."""
 
@@ -258,7 +258,7 @@ def fam(
 
 # -- the parameterisation operator ------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ParaMor:
     """A parameter object plus a morphism consuming it on the left."""
 
@@ -436,7 +436,7 @@ def graded_tensor(graded: GradedArrow, a, b):
 
 # -- graded bimodules and the graded product ---------------------------------
 
-@dataclass
+@record
 class GradedBimodule:
     """A grade-indexed hom-family with graded actions of a graded arrow.
 
@@ -460,7 +460,7 @@ class GradedBimodule:
     commutative: bool = False
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GradedPairMor:
     """A graded-product morphism: arrow part and bimodule part at one grade."""
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator
 
@@ -70,6 +69,7 @@ from .optic import (
     optic_arrow,
     twisted_grading,
 )
+from .record import record
 
 #: refuse any suite whose dominant law would chase more cases than this
 CASE_BUDGET = 1_000_000
@@ -77,7 +77,7 @@ CASE_BUDGET = 1_000_000
 
 # -- reports -----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LawReport:
     """Outcome of chasing one law over one registered instance."""
 
@@ -1194,7 +1194,7 @@ def run_suite(name: str, size: int = 2, budget: int = CASE_BUDGET) -> list[LawRe
     return _suite_cache[key]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MutantResult:
     target: str
     failed: tuple  # sorted law ids that actually failed

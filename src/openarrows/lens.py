@@ -9,8 +9,6 @@ carrier so that equality stays a table comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arrow import ArrowInstance
 from .base import PAIR, PAIR_I, BaseMap, PairObj
 from .finset import (
@@ -21,9 +19,10 @@ from .finset import (
     fun_compose,
     product,
 )
+from .record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Lens:
     src: PairObj
     dst: PairObj

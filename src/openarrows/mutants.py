@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from .arrow import ArrowInstance, hom_arrow
@@ -38,9 +37,10 @@ from .laws import (
     check_graded,
     check_graded_bimodule,
 )
+from .record import record, replace
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TagMor:
     """A set function carrying an extra tag; mutations act on the tag."""
 
@@ -190,7 +190,7 @@ def _mutant_arrow_commute():
     ))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TagElem:
     """A bimodule element that is nothing but its endpoints and a tag."""
 
@@ -430,7 +430,7 @@ def _mutant_cst_mixed():
 # graded mutants: honest set functions in two-grade families, with a scalar
 # or per-index value whose bookkeeping carries the mutation
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GradeTag:
     src: FinSet
     dst: FinSet
@@ -555,7 +555,7 @@ def _mutant_graded_commute():
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GBTag:
     src: FinSet
     dst: FinSet

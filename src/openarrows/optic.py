@@ -16,7 +16,6 @@ continuation's tables.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from .arrow import ArrowInstance, left_strength
@@ -37,11 +36,12 @@ from .finset import (
 )
 from .grading import GradedArrow
 from .lens import Lens, _point_lens, all_lenses, lens_comp, lens_key
+from .record import record
 
 DEFAULT_RESIDUAL_CAP = 8
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Optic:
     """A residual carrier with a left part into it and a right part out of it."""
 
@@ -187,7 +187,7 @@ def optic_arrow(objects: list[PairObj]) -> ArrowInstance:
 # left part at P' and its right part at P.  Reindexing along commuting
 # squares of bijections is the grade-isomorphism relation.
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TwGrade:
     f: FinFun  # P' -> P
 
@@ -204,7 +204,7 @@ class TwGrade:
         return max(len(self.f.dom), len(self.f.cod))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TwIso:
     """A commuting square of bijections between two grades."""
 
@@ -212,7 +212,7 @@ class TwIso:
     v: FinFun  # between the right residuals
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TwElement:
     src: PairObj
     dst: PairObj
@@ -330,7 +330,7 @@ def twisted_grading(
 # it and a continuation out of it.  No point-splitting is needed; the
 # costrength re-injects the spectator into the residual.
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OpticCtx:
     src: PairObj
     dst: PairObj

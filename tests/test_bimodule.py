@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 import pytest
@@ -39,6 +38,7 @@ from openarrows.lens import (
     lens_key,
     lens_strength,
 )
+from openarrows.record import replace
 
 from references import cont_lens, eq_apply, point_lens
 
@@ -371,7 +371,7 @@ def test_eq_action_memo_tells_apart_members_with_equal_tables():
 
 
 def test_eq_actions_on_a_keyless_arrow_raise_domain_error():
-    keyless = dataclasses.replace(LENS, key=None, _hom_cache={})
+    keyless = replace(LENS, key=None)
     eq = eq_from_context(ctx_of_arrow(keyless), BOOL_AND)
     a = keyless.identity(X)
     h = eq.hom_cached(X, X)[0]

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -53,17 +54,19 @@ def test_solve_is_deterministic(capsys):
     (["solve", PD, "--closed", "--monoid", "witness"], 1),
     (["solve", MPP], 1),
     (["oracle", PD], 1),
-    (["fmt", PD], 1),
+    (["fmt", PD], 0),
 ])
-def test_each_command_builds_the_boolean_game_once(argv, builds, capsys, monkeypatch):
-    # parsing builds the game, under the monoid solve asks for, to type-check
-    # it; solve and oracle reuse it
+def test_only_solve_and_oracle_build_the_game_once(argv, builds, capsys, monkeypatch):
+    # parsing type-checks the composition from the declared carriers, and
+    # only the commands that judge the game build it, under the monoid
+    # solve asks for
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return build_game(*args, **kwargs)
 
+    monkeypatch.setattr(openarrows.cli, "build_game", counted)
     monkeypatch.setattr(openarrows.gamefile, "build_game", counted)
     assert main(argv) == 0
     assert len(calls) == builds
@@ -122,6 +125,36 @@ def test_solve_witness_refuses_probabilistic_games_after_type_checking(
 
 def test_solve_unknown_context_exits_2(capsys):
     assert main(["solve", PD, "--context", "ghost"]) == 2
+
+
+def _dilemma_with_term(term: str) -> str:
+    text = pathlib.Path(PD).read_text()
+    return text.replace("game pd = (seq (par row col) u)", f"game pd = {term}")
+
+
+def test_fmt_of_a_seven_player_term_builds_nothing(tmp_path, capsys):
+    # building this game took 8 s, and each further player multiplies that
+    # by about 8; fmt only type-checks it
+    term = "(par row col)"
+    for _ in range(5):
+        term = f"(par {term} col)"
+    f = tmp_path / "seven.game"
+    f.write_text(_dilemma_with_term(term))
+    start = time.perf_counter()
+    assert main(["fmt", str(f)]) == 0
+    assert time.perf_counter() - start < 1
+    assert f"game pd = {term}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["fmt", "solve", "oracle"])
+def test_a_term_too_deep_to_parse_exits_2(command, tmp_path, capsys):
+    term = "row"
+    for _ in range(1500):
+        term = f"(seq {term} u)"
+    f = tmp_path / "deep.game"
+    f.write_text(_dilemma_with_term(term))
+    assert main([command, str(f)]) == 2
+    assert "composition term nested deeper than" in capsys.readouterr().err
 
 
 def test_solve_parse_error_exits_2(tmp_path, capsys):
@@ -352,6 +385,9 @@ def test_law_times_runs_each_suite_in_fresh_interpreters(monkeypatch):
     src = str(pathlib.Path(openarrows.__file__).resolve().parents[1])
     rows = tool.measure([src], size=1, repeat=1)
     assert [row[:2] for row in rows] == [(suite, src) for suite in tool.SUITES]
+    # set-up is measured as the suites are: importing the CLI in a fresh
+    # interpreter
+    assert tool.SUITES[0] == "import"
     for _, _, median, low, high, rss in rows:
         assert 0 < low == median == high and rss > 0
     lines = tool.render(rows).splitlines()
@@ -361,5 +397,5 @@ def test_law_times_runs_each_suite_in_fresh_interpreters(monkeypatch):
     calls = []
     monkeypatch.setattr(tool, "run_once", lambda *args: calls.append(args) or (1.0, 2.0))
     tool.measure(["a", "b"], size=3, repeat=3)
-    assert calls[:6] == [(t, "arrow", 3) for t in "abbaab"]
+    assert calls[:6] == [(t, "import", 3) for t in "abbaab"]
     assert len(calls) == 6 * len(tool.SUITES)

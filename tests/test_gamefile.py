@@ -9,10 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openarrows.cli import main
+import openarrows.gamefile
 from openarrows.gamefile import (
+    MAX_TERM_DEPTH,
+    Atom,
     ContextDecl,
     EndpointError,
+    GameDecl,
+    GameFile,
     GameFileError,
+    Node,
     ParseError,
     build_game,
     fixture_path,
@@ -98,6 +104,107 @@ def test_endpoint_mismatch_is_reported_at_the_node():
         parse_game_text(broken)
 
 
+def test_an_endpoint_error_keeps_the_message_of_building():
+    broken = PD.replace("(seq (par row col) u)", "(seq u (par row col))")
+    with pytest.raises(EndpointError) as exc:
+        parse_game_text(broken)
+    assert str(exc.value) == (
+        "at (seq u (par row col)): cannot sequence a game into ({*}, {*}) "
+        "with one out of ({('*', '*')}, {('*', '*')})"
+    )
+
+
+# declarations for generated terms: two-player and one-player payoff
+# blocks, a lift, and decisions with and without an observation
+_ATOMS = """
+set moves C D
+set util 0 1
+payoff u : moves moves -> util util
+  C C = 1 1
+  C D = 0 1
+  D C = 1 0
+  D D = 0 0
+payoff v : moves -> util
+  C = 1
+  D = 0
+lift sw : moves -> moves
+  C = D
+  D = C
+decision row : moves utility util
+decision obs : moves -> moves utility util
+game g = row
+"""
+
+_TERMS = st.recursive(
+    st.sampled_from(["row", "obs", "u", "v", "sw"]).map(Atom),
+    lambda sub: st.builds(Node, st.sampled_from(["seq", "par"]), sub, sub),
+    max_leaves=4,
+)
+
+
+def _refusal(fn):
+    try:
+        fn()
+    except GameFileError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_TERMS)
+def test_type_checking_by_endpoints_agrees_with_building(term):
+    # parsing checks endpoints from the declarations; building composes the
+    # games and checks them again in seq: both refuse the same terms, first
+    # error for first error
+    base = parse_game_text(_ATOMS)
+    gf = GameFile(base.decls[:-1] + (GameDecl("g", term),))
+    assert _refusal(lambda: parse_game_text(format_game_file(gf))) == _refusal(
+        lambda: build_game(gf))
+
+
+def _players(n: int) -> str:
+    expr = "(par row col)"
+    for _ in range(n - 2):
+        expr = f"(par {expr} col)"
+    return PD.replace("(seq (par row col) u)", expr)
+
+
+def test_parsing_type_checks_many_players_without_building(monkeypatch):
+    # seven players: 2^7 moves and 4^7 payoffs per carrier, which building
+    # took seconds over; endpoints alone are read off the declarations
+    def refuse(*args):
+        raise AssertionError("parsing built a game")
+
+    for name in ("build_game", "seq", "par"):
+        monkeypatch.setattr(openarrows.gamefile, name, refuse)
+    gf = parse_game_text(_players(7))
+    assert format_game_file(gf).count("(par") == 6
+    # a balanced term of 301 players: carriers of 2^301 points, never built
+    terms = ["row"] + ["col"] * 300
+    while len(terms) > 1:
+        terms = [f"(par {a} {b})" for a, b in zip(terms[::2], terms[1::2])] + (
+            terms[-1:] if len(terms) % 2 else [])
+    parse_game_text(PD.replace("(seq (par row col) u)", terms[0]))
+    with pytest.raises(EndpointError, match="at \\(seq u \\(par"):
+        parse_game_text(PD.replace("(seq (par row col) u)", "(seq u (par row col))"))
+
+
+def test_a_term_nested_too_deep_is_a_parse_error():
+    def chain(depth):
+        expr = "row"
+        for _ in range(depth):
+            expr = f"(par {expr} col)"
+        return PD.replace("game pd = (seq (par row col) u)", f"game pd = {expr}")
+
+    assert parse_game_text(chain(MAX_TERM_DEPTH)).game.expr.op == "par"
+    with pytest.raises(ParseError) as exc:
+        parse_game_text(chain(MAX_TERM_DEPTH + 1))
+    # at the first parenthesis too many: "game pd = " then "(par " per level
+    column = len("game pd = ") + 1 + len("(par ") * MAX_TERM_DEPTH
+    assert str(exc.value) == (f"line 11, column {column}: composition term "
+                              f"nested deeper than {MAX_TERM_DEPTH}")
+
+
 def test_mixing_plain_and_probabilistic_decisions_is_rejected():
     broken = PD.replace("decision col", "probdecision col")
     with pytest.raises(GameFileError, match="mix"):
@@ -157,7 +264,7 @@ def test_decimal_and_fraction_utilities_solve():
     for spelled in ("7/2", "3.5"):
         text = PD.replace(" 3", f" {spelled}")
         assert text.count(spelled) == 3
-        built = parse_game_text(text).built
+        built = build_game(parse_game_text(text))
         verdicts = equilibria(built.game, trivial_context(built.game))
         assert [strategy_label(j) for j, v in verdicts.items() if v] == ["D,D"]
 
@@ -198,7 +305,7 @@ def test_generated_games_are_refused_or_solve(text):
         gf = parse_game_text(text)
     except GameFileError:
         return
-    built = gf.built
+    built = build_game(gf)
     ctx = trivial_context(built.game)
     if built.prob:
         for probe in gf.probes.values():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -48,6 +47,7 @@ from openarrows.games import (
     trivial_context,
 )
 from openarrows.grading import GradedPairMor, ParamFamily, SizeError
+from openarrows.record import replace
 
 from references import eq_apply
 
@@ -375,7 +375,7 @@ def test_composing_evaluates_no_judgement_and_enumerates_no_context(monkeypatch)
             rows_read.append(c)
             return row(c)
 
-        judgement = dataclasses.replace(g.judgement, row=counted)
+        judgement = replace(g.judgement, row=counted)
         return OpenGame(g.arrow, GradedPairMor(g.plays, judgement))
 
     def no_enumeration(*args):

@@ -137,3 +137,28 @@ def test_every_function_and_class_is_read_somewhere():
     tests = [p.read_text() for p in pathlib.Path(__file__).parent.glob("*.py")]
     assert len(modules) > 10
     assert unread_definitions(modules, list(modules.values()) + tests) == []
+
+
+def code_generating_calls(source: str) -> list[str]:
+    """Calls of the builtins that run source text: ``exec``, ``eval`` and
+    ``compile`` (``re.compile`` is a method, not the builtin)."""
+    return sorted(
+        f"line {node.lineno}: {node.func.id}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("exec", "eval", "compile")
+    )
+
+
+def test_the_scan_finds_a_code_generating_call():
+    src = "import re\nre.compile('x')\nexec('y = 1')\nf = eval\nf('2')\ncompile('3', '', 'eval')\n"
+    assert code_generating_calls(src) == ["line 3: exec", "line 6: compile"]
+
+
+def test_no_module_runs_source_text():
+    found = {
+        p.name: calls
+        for p in sorted(PACKAGE.glob("*.py"))
+        if (calls := code_generating_calls(p.read_text()))
+    }
+    assert found == {}

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import itertools
 
@@ -40,6 +39,7 @@ from openarrows.optic import (
     optic_arrow,
     twisted_grading,
 )
+from openarrows.record import replace
 
 
 def test_manifest_covers_every_emittable_law():
@@ -195,11 +195,11 @@ def _captured(target, runner):
 
 
 def _keyless(b):
-    return dataclasses.replace(b, key=None, _hom_cache={})
+    return replace(b, key=None)
 
 
 def _keyless_arrow(a):
-    return dataclasses.replace(a, key=None, _hom_cache={})
+    return replace(a, key=None)
 
 
 _BIMODULE_MUTANTS = sorted(
@@ -361,7 +361,7 @@ def test_keyless_members_are_numbered_by_identity_not_equality():
         [mutants._B2], (0, 1),
         lambda a, t: bool(t) if mutants._is_id_fun(a) else int(t), mutants._honest_psi,
     )
-    b = dataclasses.replace(
+    b = replace(
         _keyless(b),
         equal=lambda e1, e2: e1 == e2 and type(e1.tag) is type(e2.tag),
     )
@@ -534,11 +534,11 @@ def _squash_padded_swaps(a):
     # swap is one operand of a composite that is not itself a swap
     def st(m, z):
         padded = a.st(m, z)
-        return dataclasses.replace(padded, tag=0) if (
+        return replace(padded, tag=0) if (
             m.fun.table == (1, 0) and len(z) == 2
         ) else padded
 
-    return dataclasses.replace(a, st=st, _hom_cache={})
+    return replace(a, st=st)
 
 
 def test_strength_comp_failure_inside_a_block_reports_as_per_case_chasing():
@@ -812,7 +812,7 @@ def test_hide_over_a_keyless_graded_arrow_stays_keyless():
     assert a.key is None
     x = a.objects[-1]
     e = next(e for e in a.hom_cached(x, x) if len(set(e.members)) == 2)
-    swapped = dataclasses.replace(e, members=e.members[::-1])
+    swapped = replace(e, members=e.members[::-1])
     assert a.equal(e, swapped) is True
 
 
@@ -831,7 +831,7 @@ def test_hide_over_a_graded_arrow_keyed_otherwise_searches_the_grade_isos(make):
     # hide must not read them; it judges as over the keyless copy
     g = make()
     assert g.key is not None
-    a, keyless = hide(g), hide(dataclasses.replace(g, key=None))
+    a, keyless = hide(g), hide(replace(g, key=None))
     assert a.key is None
     pool = [
         e for x, y in itertools.product(a.objects, repeat=2)
@@ -927,7 +927,7 @@ def test_interned_gbim_laws_match_per_case_chasing_on_mutants(target):
     gb = _captured(target, "_run_gbim")
     assert gb.key is not None
     # numbered by identity, every distinct result is handed to equal
-    for b in (gb, dataclasses.replace(gb, key=None)):
+    for b in (gb, replace(gb, key=None)):
         got = _checked_gbim(b, target)
         assert got == _reference_gbim(b, [mutants._B2], mutants._GRADES2, target)
         if target in _INTERNED_GBIM_LAWS:
@@ -1178,7 +1178,7 @@ def _bestresp_product(size):
     # param(lens) paired with the graded suite's best-response bimodule, over
     # that bimodule's objects
     gb, objects, _grades = _suite_gbims(size)["bestresp(lens)"]
-    return dataclasses.replace(graded_product(gb.arrow, gb), objects=objects), gb
+    return replace(graded_product(gb.arrow, gb), objects=objects), gb
 
 
 def test_graded_product_passes_the_graded_laws():
@@ -1201,7 +1201,7 @@ def test_graded_product_with_swapped_action_operands_fails_a_graded_law():
                  gb.gract(m2.bim_part, m1.arrow_part)),
         )
 
-    bad = dataclasses.replace(prod, gcomp=swapped, objects=prod.objects[-1:])
+    bad = replace(prod, gcomp=swapped, objects=prod.objects[-1:])
     reports = laws.check_graded(bad, "swapped")
     assert {r.law for r in reports} == _GRADED_LAWS
     assert "fail" in {r.status for r in reports}
@@ -1210,8 +1210,8 @@ def test_graded_product_with_swapped_action_operands_fails_a_graded_law():
 def test_graded_product_is_keyed_by_its_parts_when_both_are():
     prod, gb = _bestresp_product(2)
     g = gb.arrow
-    assert graded_product(g, dataclasses.replace(gb, key=None)).key is None
-    assert graded_product(dataclasses.replace(g, key=None), gb).key is None
+    assert graded_product(g, replace(gb, key=None)).key is None
+    assert graded_product(replace(g, key=None), gb).key is None
     pool = [
         m for p in prod.grades for x, y in itertools.product(prod.objects, repeat=2)
         for m in prod.hom(p, x, y)
@@ -1327,7 +1327,7 @@ def test_shared_graded_laws_match_per_case_chasing_on_mutants(target):
     g = _captured(target, "check_graded")
     assert g.key is not None
     # numbered by identity, every distinct result is handed to equal
-    for h in (g, dataclasses.replace(g, key=None)):
+    for h in (g, replace(g, key=None)):
         got = _checked_graded(h, target)
         assert got == _reference_graded(h, target)
         if target in _SHARED_GRADED_LAWS:

@@ -1,16 +1,19 @@
-"""Time the law suites and the mutant battery of one or more source trees.
+"""Time importing the CLI, the law suites and the mutant battery of one or
+more source trees.
 
 Usage::
 
     python tools/law_times.py SRC [SRC ...] [--size N] [--repeat N]
 
-For each SRC (a directory holding the ``openarrows`` package), each of the
-five suites at ``--size`` (default 2) and the mutant battery run in
-``--repeat`` (default 5) fresh interpreters; which tree goes first
-alternates from one repetition to the next.  A child reports the seconds
-its run took in process, imports excluded, and its peak resident set.
-One row per (suite, tree): the median and range of the seconds and the
-median peak RSS in MB.  This process imports nothing from the trees.
+For each SRC (a directory holding the ``openarrows`` package), the
+``import`` row, each of the five suites at ``--size`` (default 2) and the
+mutant battery run in ``--repeat`` (default 5) fresh interpreters; which
+tree goes first alternates from one repetition to the next.  A child
+reports the seconds its run took in process and its peak resident set.
+The ``import`` row times ``import openarrows.cli`` alone, the set-up every
+CLI call pays; a suite's run excludes its imports.  One row per (row,
+tree): the median and range of the seconds and the median peak RSS in
+MB.  This process imports nothing from the trees.
 """
 
 from __future__ import annotations
@@ -20,15 +23,19 @@ import statistics
 import subprocess
 import sys
 
-SUITES = ("arrow", "optic", "bimodule", "context", "graded", "mutants")
+SUITES = ("import", "arrow", "optic", "bimodule", "context", "graded", "mutants")
 
 _CHILD = """
 import resource, sys, time
 src, suite, size = sys.argv[1], sys.argv[2], int(sys.argv[3])
 sys.path.insert(0, src)
-from openarrows import laws
-start = time.perf_counter()
-laws.run_mutants() if suite == "mutants" else laws.run_suite(suite, size)
+if suite == "import":
+    start = time.perf_counter()
+    import openarrows.cli
+else:
+    from openarrows import laws
+    start = time.perf_counter()
+    laws.run_mutants() if suite == "mutants" else laws.run_suite(suite, size)
 elapsed = time.perf_counter() - start
 print(elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """

@@ -24,7 +24,6 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .base import PairObj
 from .bimodule import CtxPair
 from .finset import (
     BOOL_AND,
@@ -37,10 +36,10 @@ from .finset import (
     FinSet,
     dist_product,
     dist_pure,
-    product,
 )
 from .games import (
     OpenGame,
+    carrier_set,
     decision,
     game_context,
     lift_covariant,
@@ -644,7 +643,7 @@ def _payoff_fun(gf: GameFile, p: PayoffDecl) -> FinFun:
         (utils[0] if len(utils) == 1 else utils)
         for args, utils in p.rows
     }
-    return FinFun.of(_carrier(dom), _carrier(cod), table)
+    return FinFun.of(carrier_set(dom), carrier_set(cod), table)
 
 
 def _atom_names(e, out: list) -> list:
@@ -707,12 +706,8 @@ def _compose(gf: GameFile, m_monoid, atom, seq_, par_):
 # factors' carriers, so a term of n players is checked without building
 # carriers of 2^n elements.  Declared sets are non-empty and hold no
 # tuples, so two such carriers are equal exactly when the ``FinSet``s they
-# stand for are.  An endpoint is a (forward, backward) pair of carriers.
-
-def _carrier(c) -> FinSet:
-    """The ``FinSet`` a carrier stands for."""
-    return c if isinstance(c, FinSet) else product(_carrier(c[0]), _carrier(c[1]))
-
+# stand for are.  An endpoint is a (forward, backward) pair of carriers,
+# and ``games.sequence_error`` renders it without building a large one.
 
 def _atom_ends(gf: GameFile, name: str, prob: bool, m_monoid) -> tuple:
     # (source, target) of the atom ``build_game`` makes of ``name``
@@ -728,12 +723,8 @@ def _atom_ends(gf: GameFile, name: str, prob: bool, m_monoid) -> tuple:
 
 def _seq_ends(g1: tuple, g2: tuple) -> tuple:
     if g1[1] != g2[0]:
-        raise sequence_error(_pair_obj(g1[1]), _pair_obj(g2[0]))
+        raise sequence_error(g1[1], g2[0])
     return g1[0], g2[1]
-
-
-def _pair_obj(ends: tuple) -> PairObj:
-    return PairObj(_carrier(ends[0]), _carrier(ends[1]))
 
 
 def _par_ends(g1: tuple, g2: tuple) -> tuple:

@@ -144,7 +144,7 @@ def _row_judgement(
     unit: Callable[[FinSet], Any],
     merge: Callable[[Any, Any], Any],
     commutative: bool,
-    element_pool: Callable[[Any, Any, Any], list] | None = None,
+    *,
     context_pool: Callable[[Any, Any], list] | None = None,
 ) -> GradedBimodule:
     """Rows of one algebra's values in context, as a graded bimodule.
@@ -158,7 +158,8 @@ def _row_judgement(
     ``m`` merges two rows context by context.  Equality and the key read
     rows over the endpoints' context pool (by default every context
     ``GAME_CTX`` enumerates, up to ``CONTEXT_BOUND``), so key equality is
-    equality.
+    equality.  ``hom`` refuses: a law universe registers its elements with
+    ``record.replace(bimodule, hom=pool)``.
     """
     ctx = GAME_CTX
     pool_of = context_pool or _game_contexts
@@ -171,9 +172,7 @@ def _row_judgement(
         return pools[(x, y)]
 
     def hom(grade, x, y):
-        if element_pool is None:
-            raise DomainError(f"the {name} bimodule is not enumerable")
-        return element_pool(grade, x, y)
+        raise DomainError(f"the {name} bimodule is not enumerable")
 
     def glact(a: ParamFamily, b: RowElement):
         if a.dst != b.src:
@@ -400,16 +399,35 @@ def payoff_block(u: FinFun, m_monoid: Monoid = BOOL_AND) -> OpenGame:
 
 def seq(g1: OpenGame, g2: OpenGame) -> OpenGame:
     if g1.dst != g2.src:
-        raise sequence_error(g1.dst, g2.src)
+        raise sequence_error((g1.dst.fwd, g1.dst.bwd), (g2.src.fwd, g2.src.bwd))
     arrow = _shared_arrow(g1, g2)
     return OpenGame(arrow, arrow.gcomp(g1.member, g2.member))
 
 
-def sequence_error(dst: PairObj, src: PairObj) -> CompositionError:
-    """The refusal of ``seq`` for a game into ``dst`` and one out of ``src``."""
-    return CompositionError(
-        f"cannot sequence a game into {dst} with one out of {src}"
-    )
+#: an endpoint error spells out a carrier of at most this many points and
+#: names a larger one by its size
+SPELLED_POINTS = 16
+
+
+def carrier_set(c) -> FinSet:
+    """The ``FinSet`` a carrier stands for: a carrier is a ``FinSet`` or a
+    pair of carriers, standing for their product."""
+    return c if isinstance(c, FinSet) else product(*map(carrier_set, c))
+
+
+def _points(c) -> int:
+    return len(c) if isinstance(c, FinSet) else _points(c[0]) * _points(c[1])
+
+
+def sequence_error(dst: tuple, src: tuple) -> CompositionError:
+    """The refusal of ``seq`` for a game into ``dst`` and one out of ``src``,
+    each a (forward, backward) pair of carriers."""
+    def text(c):
+        n = _points(c)
+        return repr(carrier_set(c)) if n <= SPELLED_POINTS else f"<{n} points>"
+
+    into, out = (f"({text(f)}, {text(b)})" for f, b in (dst, src))
+    return CompositionError(f"cannot sequence a game into {into} with one out of {out}")
 
 
 def par(g1: OpenGame, g2: OpenGame) -> OpenGame:
@@ -508,9 +526,7 @@ def decisions_to_normal_form(
 # -- best-response games ------------------------------------------------------
 
 def best_resp_bimodule(
-    graded_lens,
-    element_pool: Callable[[Any, Any, Any], list] | None = None,
-    context_pool: Callable[[Any, Any], list] | None = None,
+    graded_lens, *, context_pool: Callable[[Any, Any], list] | None = None
 ) -> GradedBimodule:
     """Strategy-pair relations in context, acted on by lens families.
 
@@ -562,7 +578,6 @@ def best_resp_bimodule(
         unit=lambda grade: frozenset(itertools.product(grade, repeat=2)),
         merge=frozenset.__and__,
         commutative=True,
-        element_pool=element_pool,
         context_pool=context_pool,
     )
 
@@ -593,7 +608,7 @@ class ProbElement:
 
 def prob_bimodule(
     graded_lens,
-    element_pool: Callable[[Any, Any, Any], list] | None = None,
+    *,
     context_pool: Callable[[Any, Any], list] | None = None,
     dist_pool: Callable[[FinSet], list] | None = None,
 ) -> GradedBimodule:
@@ -610,14 +625,13 @@ def prob_bimodule(
     point distribution, or a given distribution) and every registered
     strategy distribution of the grade.  The key is the grade with those
     verdicts, so key equality is equality; without both pools there is
-    neither equality nor a key.
+    neither equality nor a key.  ``hom`` refuses, as the row judgements'
+    does.
     """
     ctx = GAME_CTX
 
     def hom(grade, x, y):
-        if element_pool is None:
-            raise DomainError("probabilistic predicates are not enumerable")
-        return element_pool(grade, x, y)
+        raise DomainError("probabilistic predicates are not enumerable")
 
     def glact(a: ParamFamily, b: ProbElement):
         if a.dst != b.src:

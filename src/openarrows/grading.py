@@ -50,7 +50,7 @@ class GradedArrow:
     name: str
     base: Any
     objects: list
-    grades: list
+    grades: tuple
     grade_isos: Callable[[Any, Any], list]
     hom: Callable[[Any, Any, Any], list]  # (grade, X, Y) -> elements
     unit: Callable[[Any], Any]  # base morphism -> element at the unit grade
@@ -81,12 +81,9 @@ class ParamFamily:
         return self.members[self.grade.index(j)]
 
 
-def default_grades() -> list[FinSet]:
-    """Canonical small index sets: {0} and {0,1}."""
-    return [FinSet((0,)), FinSet((0, 1))]
-
-
 GRADE_UNIT = FinSet((0,))
+#: the index sets a parameterisation enumerates families over: {0} and {0, 1}
+GRADES = (GRADE_UNIT, FinSet((0, 1)))
 
 
 def param_structural(kind: str, args: tuple) -> FinFun:
@@ -105,22 +102,17 @@ def param_structural(kind: str, args: tuple) -> FinFun:
     raise ValueError(f"unknown structural grade iso {kind!r}")
 
 
-def grade_by_param(
-    a_inst: ArrowInstance,
-    grades: list[FinSet] | None = None,
-    member_pool: Callable[[Any, Any], list] | None = None,
-) -> GradedArrow:
+def grade_by_param(a_inst: ArrowInstance) -> GradedArrow:
     """Tables grade -> A(X, Y), graded by finite sets under product.
 
-    ``member_pool`` bounds which morphisms families draw from during
-    enumeration (law checking needs a finite, small pool); operations are
-    defined for arbitrary members regardless.
+    A family at a grade of ``GRADES`` draws its members from
+    ``a_inst.hom_cached``, so a law universe restricts the members by
+    registering a pool as the inner arrow's ``hom``; operations are defined
+    for arbitrary members regardless.
     """
-    grades = grades if grades is not None else default_grades()
-    pool = member_pool or a_inst.hom_cached
 
     def hom(p, x, y):
-        ms = pool(x, y)
+        ms = a_inst.hom_cached(x, y)
         return [
             ParamFamily(x, y, p, members)
             for members in itertools.product(ms, repeat=len(p))
@@ -176,7 +168,7 @@ def grade_by_param(
         name=f"param({a_inst.name})",
         base=a_inst.base,
         objects=list(a_inst.objects),
-        grades=list(grades),
+        grades=GRADES,
         grade_isos=all_bijections,
         hom=hom,
         unit=unit,
@@ -196,10 +188,10 @@ def hide(graded: GradedArrow) -> ArrowInstance:
     The result is keyless, as a graded key need not be invariant under
     regrading, and equality searches the grade isomorphisms.
     """
-    return _hide(graded, DEFAULT_INDEX_BOUND, None, f"hide({graded.name})")
+    return _hide(graded, None, f"hide({graded.name})")
 
 
-def _hide(graded: GradedArrow, bound: int, key, name: str) -> ArrowInstance:
+def _hide(graded: GradedArrow, key, name: str) -> ArrowInstance:
     # a given key is invariant under regrading and decides equality
 
     def hom(x, y):
@@ -208,15 +200,16 @@ def _hide(graded: GradedArrow, bound: int, key, name: str) -> ArrowInstance:
     def comp(e1, e2):
         out = graded.gcomp(e1, e2)
         n = len(out.grade)
-        if n > bound:
-            raise SizeError(f"composite index of size {n} exceeds the bound {bound}")
+        if n > DEFAULT_INDEX_BOUND:
+            raise SizeError(f"composite index of size {n} exceeds the bound "
+                            f"{DEFAULT_INDEX_BOUND}")
         return out
 
     def equal(e1, e2):
         p, q = e1.grade, e2.grade
         if (e1.src, e1.dst) != (e2.src, e2.dst):
             return False
-        if len(p) > bound or len(q) > bound:
+        if len(p) > DEFAULT_INDEX_BOUND or len(q) > DEFAULT_INDEX_BOUND:
             raise SizeError("index sets exceed the fam-equality bound")
         if len(p) != len(q):
             return False
@@ -241,19 +234,13 @@ def _hide(graded: GradedArrow, bound: int, key, name: str) -> ArrowInstance:
     )
 
 
-def fam(
-    a_inst: ArrowInstance,
-    grades: list[FinSet] | None = None,
-    member_pool: Callable[[Any, Any], list] | None = None,
-    bound: int = DEFAULT_INDEX_BOUND,
-) -> ArrowInstance:
+def fam(a_inst: ArrowInstance) -> ArrowInstance:
     """Strategy families over an arrow: hide applied to the parameterisation."""
     key = None
     if a_inst.key is not None:
         # regrading only permutes members, so their sorted keys are a key
         key = lambda e: tuple(sorted(map(a_inst.key, e.members)))  # noqa: E731
-    graded = grade_by_param(a_inst, grades, member_pool)
-    return _hide(graded, bound, key, f"fam({a_inst.name})")
+    return _hide(grade_by_param(a_inst), key, f"fam({a_inst.name})")
 
 
 # -- the parameterisation operator ------------------------------------------
@@ -268,11 +255,7 @@ class ParaMor:
     inner: Any  # A(J (x) X, Y)
 
 
-def para(
-    a_inst: ArrowInstance,
-    param_objs: list,
-    member_pool: Callable[[Any, Any], list] | None = None,
-) -> ArrowInstance:
+def para(a_inst: ArrowInstance, param_objs: list) -> ArrowInstance:
     """Morphisms with a hidden parameter object tensored onto the source.
 
     Two morphisms are equal when a parameter bijection carries one's inner
@@ -290,13 +273,12 @@ def para(
     keyless.
     """
     base = a_inst.base
-    pool = member_pool or a_inst.hom_cached
 
     def hom(x, y):
         return [
             ParaMor(x, y, j, inner)
             for j in param_objs
-            for inner in pool(base.tensor(j, x), y)
+            for inner in a_inst.hom_cached(base.tensor(j, x), y)
         ]
 
     def pure(m):
@@ -535,7 +517,7 @@ def graded_product(graded: GradedArrow, gbim: GradedBimodule) -> GradedArrow:
         name=f"{graded.name}*{gbim.name}",
         base=graded.base,
         objects=list(graded.objects),
-        grades=list(graded.grades),
+        grades=graded.grades,
         grade_isos=graded.grade_isos,
         hom=hom,
         unit=unit,

@@ -38,7 +38,6 @@ from .finset import (
     WITNESSES,
     Dist,
     FinFun,
-    FinSet,
     all_funs,
     dist_pure,
     fun_compose,
@@ -52,6 +51,7 @@ from .games import (
     prob_bimodule,
 )
 from .grading import (
+    GRADES,
     GradedArrow,
     GradedBimodule,
     SizeError,
@@ -69,7 +69,7 @@ from .optic import (
     optic_arrow,
     twisted_grading,
 )
-from .record import record
+from .record import record, replace
 
 #: refuse any suite whose dominant law would chase more cases than this
 CASE_BUDGET = 1_000_000
@@ -939,7 +939,7 @@ def arrow_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
     weq2 = with_eq(lens2, ctx_of_arrow(lens2), BOOL_AND)
     reports += check_strength(weq2, "witheq(lens,bool)")
 
-    fam_arrow = fam(weq2, member_pool=_truncated(weq2.hom_cached, 2))
+    fam_arrow = fam(replace(weq2, hom=_truncated(weq2.hom_cached, 2)))
     fam_eq = "index-bijection over pooled members"
     reports += _arrow_laws(fam_arrow, "fam(witheq(lens,bool))", fam_eq)
 
@@ -1039,19 +1039,18 @@ def context_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
 
 def graded_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
     atoms2 = pair_atoms((1, 1), (size, 1))
-    grades2 = [FinSet((0,)), FinSet((0, 1))]
 
     est_param = sum(
         _lens_h(x, y) ** len(p) * _lens_h(y, z) ** len(q) * _lens_h(z, w) ** len(r)
-        for p, q, r in itertools.product(grades2, repeat=3)
+        for p, q, r in itertools.product(GRADES, repeat=3)
         for x, y, z, w in itertools.product(atoms2, repeat=4)
     )
     est_tw = 27 * 16 * (2 * 2) ** 3
     est_gbim = sum(
         (2 ** len(p)) * (2 ** len(q)) * 2
-        for p, q in itertools.product(grades2, repeat=2)
+        for p, q in itertools.product(GRADES, repeat=2)
         for _ in range(16)
-        for _r in grades2
+        for _r in GRADES
     )
     _refuse_over(
         f"graded law suite at size {size}", est_param + est_tw + est_gbim, budget
@@ -1059,7 +1058,7 @@ def graded_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
 
     reports: list[LawReport] = []
 
-    gp = grade_by_param(lens_arrow(atoms2), grades2)
+    gp = grade_by_param(lens_arrow(atoms2))
     reports += check_graded(gp, "param(lens)")
 
     bit = bit_set(2)
@@ -1084,7 +1083,7 @@ def graded_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
     gobj = PairObj(bit_set(size), bit_set(size))
     gobjs = [PAIR_I, gobj]
     glens = grade_by_param(
-        lens_arrow(gobjs), grades2, member_pool=_truncated(all_lenses, 2)
+        replace(lens_arrow(gobjs), hom=_truncated(all_lenses, 2))
     )
 
     def br_elements(grade, x, y):
@@ -1108,7 +1107,9 @@ def graded_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
         k = all_funs(y.fwd, y.bwd)[0]
         return [CtxPair(y, x, p, k) for p in x.fwd.elements[:2]]
 
-    br = best_resp_bimodule(glens, br_elements, two_contexts)
+    br = replace(
+        best_resp_bimodule(glens, context_pool=two_contexts), hom=br_elements
+    )
     reports += check_graded_bimodule(
         br, "bestresp(lens)",
         "pointwise over registered contexts",
@@ -1121,7 +1122,7 @@ def graded_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
         bwd = FinFun.of(product(x.fwd, y.bwd), x.bwd, lambda t: g0(t[0]))
         return [Lens(x, y, f, bwd) for f in all_funs(x.fwd, y.fwd)[:2]]
 
-    pglens = grade_by_param(lens_arrow(gobjs), grades2, member_pool=ri_lenses)
+    pglens = grade_by_param(replace(lens_arrow(gobjs), hom=ri_lenses))
 
     def pr_elements(grade, x, y):
         x0 = x.fwd.elements[0]
@@ -1151,7 +1152,10 @@ def graded_suite(size: int = 2, budget: int = CASE_BUDGET) -> list[LawReport]:
             out.append(Dist([(j, Fraction(1, n)) for j in grade.elements]))
         return out
 
-    pr = prob_bimodule(pglens, pr_elements, two_contexts, pr_dists)
+    pr = replace(
+        prob_bimodule(pglens, context_pool=two_contexts, dist_pool=pr_dists),
+        hom=pr_elements,
+    )
     reports += check_graded_bimodule(
         pr, "probequib(lens)",
         "pointwise over registered contexts and strategy distributions",

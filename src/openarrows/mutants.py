@@ -26,7 +26,13 @@ from .finset import (
     product,
     tensor_fun,
 )
-from .grading import GRADE_UNIT, GradedArrow, GradedBimodule, param_structural
+from .grading import (
+    GRADE_UNIT,
+    GRADES,
+    GradedArrow,
+    GradedBimodule,
+    param_structural,
+)
 from .laws import (
     LAWS,
     LawReport,
@@ -439,9 +445,6 @@ class GradeTag:
     n: Any
 
 
-_GRADES2 = [FinSet((0,)), FinSet((0, 1))]
-
-
 def _tag_graded(
     tags: tuple,
     unit_n,
@@ -494,7 +497,7 @@ def _tag_graded(
         name="mutant",
         base=SET,
         objects=[_B2],
-        grades=list(_GRADES2),
+        grades=GRADES,
         grade_isos=all_bijections,
         hom=hom,
         unit=unit,

@@ -310,7 +310,7 @@ def twisted_grading(
         name="twisted(set)",
         base=PAIR,
         objects=list(objects),
-        grades=list(grades),
+        grades=tuple(grades),
         grade_isos=_tw_isos,
         hom=hom,
         unit=unit,

@@ -44,7 +44,7 @@ from openarrows.games import (
     seq,
     trivial_context,
 )
-from openarrows.grading import ParamFamily, fam
+from openarrows.grading import GRADES, ParamFamily, fam
 from openarrows.laws import run_mutants, run_suite
 from openarrows.lens import (
     Lens,
@@ -58,6 +58,7 @@ from openarrows.optic import (
     optic_canonicalize,
     optic_comp,
 )
+from openarrows.record import replace
 
 from references import cont_lens, eq_apply, point_lens
 
@@ -319,9 +320,9 @@ def _pool(x, y):
 
 
 def test_family_laws_hold_up_to_index_bijection():
-    grades = [FinSet((0,)), FinSet((0, 1))]
-    FAM = fam(LENS, grades, member_pool=_pool)
+    FAM = fam(replace(LENS, hom=_pool))
     es = FAM.hom_cached(X, X)
+    assert {e.grade for e in es} == set(GRADES)
     e1, e2, e3 = es[0], es[1], es[-1]
     unit = FAM.pure(PAIR.id(X))
     assert FAM.equal(FAM.comp(unit, e2), e2) is True

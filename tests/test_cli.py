@@ -388,14 +388,52 @@ def test_law_times_runs_each_suite_in_fresh_interpreters(monkeypatch):
     # set-up is measured as the suites are: importing the CLI in a fresh
     # interpreter
     assert tool.SUITES[0] == "import"
-    for _, _, median, low, high, rss in rows:
+    for _, _, median, low, high, rss, _ in rows:
         assert 0 < low == median == high and rss > 0
+    # the main arena after the import, in MB, on glibc; no other row reads it
+    arena = rows[0][-1]
+    assert arena == "n/a" or float(arena) > 0
+    assert {row[-1] for row in rows[1:]} == {"-"}
     lines = tool.render(rows).splitlines()
-    assert lines[0] == "suite\ttree\tmedian_s\trange_s\tpeak_rss_mb"
+    assert lines[0] == "suite\ttree\tmedian_s\trange_s\tpeak_rss_mb\tarena_mb"
     assert [line.split("\t")[0] for line in lines[1:]] == list(tool.SUITES)
     # which tree goes first alternates from one repetition to the next
     calls = []
-    monkeypatch.setattr(tool, "run_once", lambda *args: calls.append(args) or (1.0, 2.0))
+    monkeypatch.setattr(
+        tool, "run_once", lambda *args: calls.append(args) or (1.0, 2.0, "-"))
     tool.measure(["a", "b"], size=3, repeat=3)
     assert calls[:6] == [(t, "import", 3) for t in "abbaab"]
     assert len(calls) == 6 * len(tool.SUITES)
+
+
+def _limit_address_space():
+    import resource
+
+    limit = 512 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_an_endpoint_error_on_a_large_game_stays_short(tmp_path):
+    # thirty decisions side by side, sequenced into a two-player payoff:
+    # carriers of 2^30 moves and 4^30 payoffs are named by their size, never
+    # built; the child's address space is capped, so spelling them out
+    # fails with a MemoryError instead of exhausting the machine
+    terms = [f"d{i}" for i in range(30)]
+    while len(terms) > 1:
+        terms = [f"(par {a} {b})" for a, b in zip(terms[::2], terms[1::2])] + (
+            terms[-1:] if len(terms) % 2 else [])
+    f = tmp_path / "wide.game"
+    f.write_text(
+        "set moves C D\nset util 0 1 2 3\npayoff u : moves moves -> util util\n"
+        "  C C = 2 2\n  C D = 0 3\n  D C = 3 0\n  D D = 1 1\n"
+        + "".join(f"decision d{i} : moves utility util\n" for i in range(30))
+        + f"game g = (seq {terms[0]} u)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(openarrows.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "openarrows.cli", "fmt", str(f)], env=env,
+        capture_output=True, timeout=120, preexec_fn=_limit_address_space,
+    )
+    assert run.returncode == 2, run.stderr[-300:]
+    assert len(run.stderr) < 1024
+    assert b"into (<1073741824 points>, <1152921504606846976 points>)" in run.stderr

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from openarrows.games import (
     GAME_CTX,
     OpenGame,
     RowElement,
+    best_resp_bimodule,
     context_count,
     decision,
     decisions_to_normal_form,
@@ -40,13 +42,15 @@ from openarrows.games import (
     nash_oracle,
     par,
     payoff_block,
+    prob_bimodule,
     prob_decision,
     prob_payoff_block,
     row_bimodule,
     seq,
     trivial_context,
 )
-from openarrows.grading import GradedPairMor, ParamFamily, SizeError
+from openarrows.grading import GradedPairMor, ParamFamily, SizeError, grade_by_param
+from openarrows.lens import lens_arrow
 from openarrows.record import replace
 
 from references import eq_apply
@@ -360,6 +364,50 @@ def test_row_actions_refuse_mismatched_endpoints(m_monoid):
         rows.glact(d.plays, d.judgement)
     with pytest.raises(CompositionError, match="right action"):
         rows.gract(d.judgement, d.plays)
+
+
+def test_judgement_bimodules_enumerate_only_a_registered_pool():
+    graded = grade_by_param(lens_arrow([]))
+    x, y, grade = PAIR_I, PairObj(MOVES, UTIL4), FinSet((0, 1))
+    for gb in (row_bimodule(BOOL_AND), best_resp_bimodule(graded),
+               prob_bimodule(graded)):
+        with pytest.raises(DomainError, match="not enumerable"):
+            gb.hom(grade, x, y)
+    # a registered pool is the bimodule's hom; the context pool stays in force
+    related = [frozenset(), frozenset(itertools.product(grade, repeat=2))]
+    elements = {
+        q: [RowElement(x, y, q, lambda c, r=r: r) for r in related]
+        for q in (FinSet((0,)), grade)
+    }
+    contexts = GAME_CTX.hom_cached(y, x)[:2]
+    gb = replace(
+        best_resp_bimodule(graded, context_pool=lambda a, b: contexts),
+        hom=lambda q, a, b: elements[q],
+    )
+    for q, pool in elements.items():
+        listed = gb.hom(q, x, y)
+        assert len(listed) == len(pool)
+        assert all(map(operator.is_, listed, pool))
+    b = elements[grade][1]
+    assert gb.key(b) == (grade.elements, (related[1],) * 2)
+    # pools are given by keyword only
+    with pytest.raises(TypeError):
+        best_resp_bimodule(graded, lambda a, b: contexts)
+    with pytest.raises(TypeError):
+        prob_bimodule(graded, lambda a, b: contexts, lambda q: [])
+
+
+def test_a_sequence_error_names_a_large_carrier_by_its_size():
+    # five decisions side by side: 32 joint moves and 1,024 payoff vectors
+    g = decision(UNIT, MOVES, UTIL4)
+    for _ in range(4):
+        g = par(g, decision(UNIT, MOVES, UTIL4))
+    with pytest.raises(CompositionError) as exc:
+        seq(g, payoff_block(FinFun.of(MOVES, UTIL4, lambda m: 0)))
+    assert str(exc.value) == (
+        "cannot sequence a game into (<32 points>, <1024 points>) with one "
+        "out of ({C, D}, {0, 1, 2, 3})"
+    )
 
 MOVES7 = FinSet(tuple(f"m{i}" for i in range(7)))
 UTIL7 = FinSet(tuple(range(7)))

@@ -7,6 +7,8 @@ import pytest
 from openarrows.base import PAIR, PAIR_I, PairObj, bit_set
 from openarrows.finset import FinSet, product
 from openarrows.grading import (
+    DEFAULT_INDEX_BOUND,
+    GRADES,
     ParamFamily,
     SizeError,
     fam,
@@ -14,11 +16,11 @@ from openarrows.grading import (
     para,
 )
 from openarrows.lens import Lens, lens_arrow
+from openarrows.record import replace
 
 B = bit_set(2)
 I = PAIR_I
 X = PairObj(B, B)
-GRADES = [FinSet((0,)), FinSet((0, 1))]
 
 
 def _pool(x, y):
@@ -34,7 +36,7 @@ def _pool(x, y):
 
 
 LENS = lens_arrow([I, X])
-FAM = fam(LENS, GRADES, member_pool=_pool)
+FAM = fam(replace(LENS, hom=_pool))
 
 
 def _sample(x, y, n):
@@ -97,13 +99,13 @@ def test_fam_equal_is_a_congruence():
 
 def test_fam_equal_refuses_oversize_indices():
     m1, _ = _pool(X, X)
-    big = _family(FinSet(tuple(range(3))), lambda j: m1)
+    big = _family(FinSet(tuple(range(DEFAULT_INDEX_BOUND + 1))), lambda j: m1)
     with pytest.raises(SizeError):
-        fam(LENS, bound=2).equal(big, big)
+        fam(LENS).equal(big, big)
 
 
 def test_para_composition_tensors_parameters():
-    P = para(lens_arrow([I, X]), [I, X], member_pool=_pool)
+    P = para(replace(lens_arrow([I, X]), hom=_pool), [I, X])
     ms = P.hom_cached(X, X)
     assert any(p.param == X for p in ms)
     p1 = next(p for p in ms if p.param == X)
@@ -114,7 +116,7 @@ def test_para_composition_tensors_parameters():
 
 
 def test_graded_composition_multiplies_grades():
-    G = grade_by_param(LENS, GRADES, member_pool=_pool)
+    G = grade_by_param(replace(LENS, hom=_pool))
     e1 = G.hom(GRADES[1], X, X)[0]
     e2 = G.hom(GRADES[1], X, X)[1]
     out = G.gcomp(e1, e2)

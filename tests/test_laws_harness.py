@@ -22,6 +22,7 @@ from openarrows.finset import (
 )
 from openarrows.games import GAME_CTX, RowElement, best_resp_bimodule, row_bimodule
 from openarrows.grading import (
+    GRADES,
     GradedPairMor,
     ParaMor,
     SizeError,
@@ -726,14 +727,14 @@ def _colimit_twins(size, keyless):
     pooled = lens_arrow(pair_atoms((1, 1), (2, 1)))
     return {
         "fam(witheq(lens,bool))": fam(
-            inner(weq), member_pool=laws._truncated(weq.hom_cached, 2)
+            replace(inner(weq), hom=laws._truncated(weq.hom_cached, 2))
         ),
         "para(lens)": para(
             inner(lens_arrow(atoms)), [PAIR_I, PairObj(bit_set(size), UNIT)]
         ),
         "para(lens) over a two-point parameter": para(
-            inner(pooled), [PAIR_I, PairObj(bit_set(2), UNIT)],
-            member_pool=laws._truncated(pooled.hom_cached, 3),
+            replace(inner(pooled), hom=laws._truncated(pooled.hom_cached, 3)),
+            [PAIR_I, PairObj(bit_set(2), UNIT)],
         ),
     }
 
@@ -929,7 +930,7 @@ def test_interned_gbim_laws_match_per_case_chasing_on_mutants(target):
     # numbered by identity, every distinct result is handed to equal
     for b in (gb, replace(gb, key=None)):
         got = _checked_gbim(b, target)
-        assert got == _reference_gbim(b, [mutants._B2], mutants._GRADES2, target)
+        assert got == _reference_gbim(b, [mutants._B2], GRADES, target)
         if target in _INTERNED_GBIM_LAWS:
             assert target not in {r.law for r in got if r.status == "pass"}
 
@@ -1107,9 +1108,9 @@ def _suite_bestresp(size):
     # the graded suite's best-response bimodule and its context pool
     pools = []
 
-    def recording(graded_lens, element_pool=None, context_pool=None):
+    def recording(graded_lens, *, context_pool=None):
         pools.append(context_pool)
-        return best_resp_bimodule(graded_lens, element_pool, context_pool)
+        return best_resp_bimodule(graded_lens, context_pool=context_pool)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(laws, "best_resp_bimodule", recording)
